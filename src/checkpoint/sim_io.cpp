@@ -202,12 +202,20 @@ void SimulatorIo::restore_sim(core::Simulator& sim, util::BinReader& in,
 
   sim.injector_.load_state(in);
 
+  // The mobility tick merge-diffs against this list, so it must be what
+  // save_sim writes: agent pairs a < b < agent count, strictly ascending.
   sim.active_encounters_.clear();
   const std::uint64_t encounters = in.u64();
   for (std::uint64_t i = 0; i < encounters; ++i) {
     const AgentId a = in.u64();
     const AgentId b = in.u64();
-    sim.active_encounters_.emplace(a, b);
+    if (!(a < b && b < agent_count) ||
+        (i > 0 && !(sim.active_encounters_.back() < std::pair{a, b}))) {
+      throw std::runtime_error{
+          "checkpoint: sim section has a bad active-encounter list (pair " +
+          std::to_string(i) + " is out of range or out of order)"};
+    }
+    sim.active_encounters_.emplace_back(a, b);
   }
 
   const std::uint64_t power = in.u64();

@@ -572,30 +572,40 @@ void Simulator::mobility_tick() {
 
   // Encounter diff, restricted to nodes that are bound to agents.
   const double range = network_.channel(comm::ChannelKind::kV2X).range_m;
-  std::set<std::pair<AgentId, AgentId>> current;
+  current_encounters_.clear();
   if (range > 0.0) {
     RR_TSPAN("sim", "sim.encounter_scan");
     for (const auto& [na, nb] : fleet_->encounters(t, range)) {
       const AgentId a = node_to_agent_[na];
       const AgentId b = node_to_agent_[nb];
       if (a == kNoAgent || b == kNoAgent) continue;
-      current.emplace(std::min(a, b), std::max(a, b));
+      current_encounters_.emplace_back(std::min(a, b), std::max(a, b));
     }
   }
-  for (const auto& pair : current) {
-    if (!active_encounters_.contains(pair)) {
-      metrics_.increment("encounters");
-      trace_.record(t, TraceKind::kEncounterBegin, pair.first, pair.second);
-      strategy_->on_encounter_begin(*this, pair.first, pair.second);
-    }
+  RR_TSPAN("sim", "sim.encounter_diff");
+  // Node order need not match agent order, so sort after the mapping (it is
+  // injective: no duplicates). With both lists ascending, one forward walk
+  // each yields the begins, then the ends, in pair order.
+  std::sort(current_encounters_.begin(), current_encounters_.end());
+  const auto holds = [](const auto& sorted, std::size_t& cursor,
+                        const std::pair<AgentId, AgentId>& pair) {
+    while (cursor < sorted.size() && sorted[cursor] < pair) ++cursor;
+    return cursor < sorted.size() && sorted[cursor] == pair;
+  };
+  std::size_t cursor = 0;
+  for (const auto& [a, b] : current_encounters_) {
+    if (holds(active_encounters_, cursor, {a, b})) continue;
+    metrics_.increment("encounters");
+    trace_.record(t, TraceKind::kEncounterBegin, a, b);
+    strategy_->on_encounter_begin(*this, a, b);
   }
-  for (const auto& pair : active_encounters_) {
-    if (!current.contains(pair)) {
-      trace_.record(t, TraceKind::kEncounterEnd, pair.first, pair.second);
-      strategy_->on_encounter_end(*this, pair.first, pair.second);
-    }
+  cursor = 0;
+  for (const auto& [a, b] : active_encounters_) {
+    if (holds(current_encounters_, cursor, {a, b})) continue;
+    trace_.record(t, TraceKind::kEncounterEnd, a, b);
+    strategy_->on_encounter_end(*this, a, b);
   }
-  active_encounters_ = std::move(current);
+  active_encounters_.swap(current_encounters_);
 }
 
 void Simulator::schedule_next_tick(double at) {

@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "core/agent.hpp"
@@ -316,7 +315,12 @@ class Simulator final : public strategy::StrategyContext {
   util::Rng strategy_rng_{2};
   std::uint64_t train_job_counter_ = 0;
 
-  std::set<std::pair<AgentId, AgentId>> active_encounters_;
+  /// Agent pairs in V2X range as of the last mobility tick, strictly
+  /// ascending (the diff merges against it; restore validates it).
+  std::vector<std::pair<AgentId, AgentId>> active_encounters_;
+  /// This tick's pairs; swapped with active_encounters_ after the diff so
+  /// both buffers keep their capacity.
+  std::vector<std::pair<AgentId, AgentId>> current_encounters_;
   std::vector<bool> last_power_;  // per vehicle_ids_ index
 
   /// Sender-side radio occupancy per (agent, channel) and the FIFO of

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "telemetry/telemetry.hpp"
+
 namespace roadrunner::mobility {
 
 FleetModel::FleetModel(std::vector<VehicleTrack> vehicles)
@@ -76,26 +78,34 @@ FleetModel::Snapshot FleetModel::snapshot(double time_s) const {
 
 std::vector<std::pair<NodeId, NodeId>> FleetModel::encounters(
     double time_s, double radius) const {
-  const Snapshot snap = snapshot(time_s);
-  // Compact to powered-on nodes, index, then map back.
-  std::vector<Position> on_positions;
-  std::vector<NodeId> on_ids;
-  for (NodeId id = 0; id < snap.positions.size(); ++id) {
-    if (snap.on[id]) {
-      on_positions.push_back(snap.positions[id]);
-      on_ids.push_back(id);
+  {
+    // Compact to powered-on nodes; a parked vehicle's position is never
+    // interpolated.
+    RR_TSPAN("mobility", "mobility.compact");
+    on_positions_.clear();
+    on_ids_.clear();
+    for (NodeId id = 0; id < vehicles_.size(); ++id) {
+      const VehicleTrack& v = vehicles_[id];
+      if (!v.ignition.is_on(time_s)) continue;
+      on_positions_.push_back(v.trace.position_at(time_s));
+      on_ids_.push_back(id);
+    }
+    for (std::size_t s = 0; s < static_nodes_.size(); ++s) {
+      on_positions_.push_back(static_nodes_[s]);
+      on_ids_.push_back(vehicles_.size() + s);
     }
   }
-  if (on_positions.size() < 2) return {};
-  SpatialIndex index{on_positions, std::max(radius, 1.0)};
-  auto raw = index.pairs_within(radius);
+  if (on_positions_.size() < 2) return {};
+  {
+    RR_TSPAN("mobility", "mobility.index_build");
+    index_.rebuild(on_positions_, std::max(radius, 1.0));
+  }
+  RR_TSPAN("mobility", "mobility.pair_scan");
+  auto raw = index_.pairs_within(radius);
+  // on_ids_ is ascending, so mapping keeps the pairs ordered and a < b.
   std::vector<std::pair<NodeId, NodeId>> out;
   out.reserve(raw.size());
-  for (const auto& [a, b] : raw) {
-    const NodeId ia = on_ids[a], ib = on_ids[b];
-    out.emplace_back(std::min(ia, ib), std::max(ia, ib));
-  }
-  std::sort(out.begin(), out.end());
+  for (const auto& [a, b] : raw) out.emplace_back(on_ids_[a], on_ids_[b]);
   return out;
 }
 

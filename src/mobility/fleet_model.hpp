@@ -66,12 +66,19 @@ class FleetModel {
 
   /// Unordered node pairs within `radius` at `time_s`, both powered on —
   /// the candidates for V2X communication. Includes vehicle-RSU pairs.
+  /// Sorted ascending. Reuses this model's scratch buffers, as the traces
+  /// and ignition schedules reuse their cursors, so one FleetModel must not
+  /// serve concurrent calls.
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> encounters(
       double time_s, double radius) const;
 
  private:
   std::vector<VehicleTrack> vehicles_;
   std::vector<Position> static_nodes_;
+  // encounters() scratch: the powered nodes and their grid, reused per tick.
+  mutable std::vector<Position> on_positions_;
+  mutable std::vector<NodeId> on_ids_;
+  mutable SpatialIndex index_;
 };
 
 }  // namespace roadrunner::mobility

@@ -25,12 +25,19 @@ IgnitionSchedule IgnitionSchedule::always_on() {
 
 bool IgnitionSchedule::is_on(double time_s) const {
   if (always_on_) return true;
-  // Find the last interval starting at or before time_s.
-  const auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), time_s,
-      [](double t, const OnInterval& iv) { return t < iv.start_s; });
-  if (it == intervals_.begin()) return false;
-  return time_s < std::prev(it)->end_s;
+  // cursor_ counts the intervals starting at or before time_s, so the last
+  // of them is the only one that can contain it. The simulator queries
+  // near-monotonically: keep the last count while it is still right and
+  // search only on a rewind or when time has passed the next start.
+  if (cursor_ > 0 && time_s < intervals_[cursor_ - 1].start_s) cursor_ = 0;
+  if (cursor_ < intervals_.size() && intervals_[cursor_].start_s <= time_s) {
+    const auto it = std::upper_bound(
+        intervals_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+        intervals_.end(), time_s,
+        [](double t, const OnInterval& iv) { return t < iv.start_s; });
+    cursor_ = static_cast<std::size_t>(it - intervals_.begin());
+  }
+  return cursor_ > 0 && time_s < intervals_[cursor_ - 1].end_s;
 }
 
 std::optional<double> IgnitionSchedule::next_transition(double time_s) const {

@@ -24,6 +24,8 @@ class IgnitionSchedule {
   /// Vehicle always on — e.g. RSUs and the cloud server.
   static IgnitionSchedule always_on();
 
+  /// Memoizes the last interval (like Trace::position_at), so one schedule
+  /// must not serve concurrent calls.
   [[nodiscard]] bool is_on(double time_s) const;
 
   /// The next instant strictly after `time_s` at which the on/off state
@@ -41,6 +43,9 @@ class IgnitionSchedule {
  private:
   std::vector<OnInterval> intervals_;
   bool always_on_ = false;
+  /// Memoized count of intervals starting at or before the last is_on()
+  /// query, for the simulator's near-monotonic per-tick access.
+  mutable std::size_t cursor_ = 0;
 };
 
 }  // namespace roadrunner::mobility

@@ -1,15 +1,17 @@
-// Uniform-grid spatial hash for proximity queries over the fleet.
+// Flat uniform grid for proximity queries over the fleet.
 //
 // Encounter detection is the hot path of the mobility→communication coupling
 // (V2X viability is "strongly dependent on the vehicles' spatial dynamics",
 // §3): every mobility tick asks "which pairs are within V2X range?". The
-// grid bins positions into cells of the query radius, so each query scans
-// only the 3x3 neighbourhood — O(n + pairs) per tick at urban densities,
-// benchmarked in bench/micro_mobility.cpp.
+// grid covers the bounding box of the indexed points with square cells at
+// least the query radius wide, so each query scans only the 3x3
+// neighbourhood. Points are binned by counting sort into flat buffers that
+// rebuild() reuses, so a tick allocates nothing once the buffers have grown
+// — O(n + cells + pairs) per build and scan, benchmarked in
+// bench/micro_core.cpp.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/geo.hpp"
@@ -18,16 +20,26 @@ namespace roadrunner::mobility {
 
 class SpatialIndex {
  public:
+  /// An empty index; rebuild() before querying.
+  SpatialIndex() = default;
+
   /// Builds an index over `positions` with cells sized `cell_size` meters
   /// (use the query radius for best performance; any positive value is
   /// correct).
   SpatialIndex(const std::vector<Position>& positions, double cell_size);
 
+  /// Re-indexes `positions`, reusing this index's buffers. Throws on a
+  /// non-positive `cell_size`, a non-finite coordinate, or more than 2^28
+  /// points (ids are 32-bit). The grid's cells are `cell_size` wide unless
+  /// the points' extent would need more than about 4 cells per point; then
+  /// the cells grow, which keeps the buffers O(n) and every query exact.
+  void rebuild(const std::vector<Position>& positions, double cell_size);
+
   /// Indices of all points within `radius` of `query` (excluding `exclude`
   /// if in range of the vector), in ascending index order — deterministic
-  /// regardless of insertion order or hash-bucket layout (DESIGN.md §10).
-  /// Requires radius <= cell_size for the 3x3 neighbourhood scan to be
-  /// exhaustive; throws otherwise.
+  /// regardless of insertion order (DESIGN.md §10). `query` may lie outside
+  /// the indexed extent. Requires radius <= cell_size for the 3x3
+  /// neighbourhood scan to be exhaustive; throws otherwise.
   [[nodiscard]] std::vector<std::size_t> within(
       const Position& query, double radius,
       std::size_t exclude = static_cast<std::size_t>(-1)) const;
@@ -40,23 +52,25 @@ class SpatialIndex {
   [[nodiscard]] std::size_t size() const { return positions_.size(); }
 
  private:
-  struct CellKey {
-    std::int64_t cx, cy;
-    friend bool operator==(const CellKey&, const CellKey&) = default;
-  };
-  struct CellHash {
-    std::size_t operator()(const CellKey& k) const {
-      return static_cast<std::size_t>(
-          static_cast<std::uint64_t>(k.cx) * 0x9E3779B97F4A7C15ULL ^
-          static_cast<std::uint64_t>(k.cy) * 0xC2B2AE3D27D4EB4FULL);
-    }
-  };
-
-  [[nodiscard]] CellKey cell_of(const Position& p) const;
+  /// Visits the slots (positions in `order_`) of the 3x3 neighbourhood of
+  /// cell (cx, cy), one contiguous run per grid row. Cell coordinates may
+  /// lie outside the grid; the neighbourhood is clipped to it.
+  template <typename Fn>
+  void for_each_neighbour_run(double cx, double cy, Fn&& fn) const;
 
   std::vector<Position> positions_;
-  double cell_size_;
-  std::unordered_map<CellKey, std::vector<std::size_t>, CellHash> cells_;
+  double cell_size_ = 0.0;  ///< as requested: the largest valid radius
+  Position origin_;         ///< lower-left corner of the grid
+  double inv_cell_ = 0.0;   ///< 1 / the (possibly grown) binning cell side
+  std::uint32_t nx_ = 0, ny_ = 0;
+  /// Cell id (row-major, cx + cy * nx_) of every point.
+  std::vector<std::uint32_t> point_cell_;
+  /// Counting-sort output: cell c holds the slots [cell_start_[c],
+  /// cell_start_[c + 1]) of `order_` (point indices, ascending within a
+  /// cell) and of `sorted_` (their positions, for a cache-friendly scan).
+  std::vector<std::uint32_t> cell_start_;
+  std::vector<std::uint32_t> order_;
+  std::vector<Position> sorted_;
 };
 
 }  // namespace roadrunner::mobility

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -105,6 +106,15 @@ std::string slurp(const fs::path& p) {
 void spit(const fs::path& p, const std::string& bytes) {
   std::ofstream out{p, std::ios::binary | std::ios::trunc};
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Recomputes the CRC trailer after a deliberate edit, so only the checks
+/// behind the CRC can reject the image.
+void reseal(std::string& image) {
+  const std::uint32_t crc = util::crc32(image.data(), image.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
 }
 
 // ------------------------------------------------------ rng state ---------
@@ -264,11 +274,7 @@ TEST_F(CheckpointRejection, FutureFormatVersionIsRejected) {
   // so only the version check can fire.
   std::string bad = bytes_;
   bad[4] = 99;
-  const std::uint32_t crc =
-      util::crc32(bad.data(), bad.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bad[bad.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
+  reseal(bad);
   spit(snap_, bad);
   expect_throw_containing("version");
 }
@@ -295,10 +301,7 @@ TEST_F(CheckpointRejection, FutureV6WithUnknownSectionIsAVersionError) {
   section += "\xDE\xAD\xBE\xEF";
   bad.insert(bad.size() - 4, section);
   ++bad[8];  // section counts are tiny; no carry possible
-  const std::uint32_t crc = util::crc32(bad.data(), bad.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bad[bad.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
+  reseal(bad);
   spit(snap_, bad);
   expect_throw_containing("version");
   // The in-memory peek validates identically.
@@ -316,6 +319,86 @@ TEST_F(CheckpointRejection, PeekValidatesToo) {
   bad[bytes_.size() / 3] ^= 0x11;
   spit(snap_, bad);
   EXPECT_THROW(checkpoint::peek(snap_.string()), std::runtime_error);
+}
+
+TEST(CheckpointEncounters, TamperedListIsRejected) {
+  // Snapshot a gossip run on a small city at the first tick with three or
+  // more agent pairs in range; the event trace tells which pairs are active
+  // at that instant.
+  auto ini = util::IniFile::parse(test_ini("gossip"));
+  ini.set("city", "size_m", "600");
+  const fs::path snap = tmp_file("rr_reject_encounters.rrck");
+  fs::remove(snap);
+  std::vector<std::pair<core::AgentId, core::AgentId>> active;
+  {
+    scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+    auto sim = scn.make_simulator();
+    sim->set_strategy(scenario::strategy_from_ini(ini));
+    sim->set_autosave(1.0, [&](core::Simulator& s) {
+      if (!active.empty()) return;
+      std::set<std::pair<core::AgentId, core::AgentId>> pairs;
+      for (const core::TraceEvent& e : s.trace().events()) {
+        if (e.kind == core::TraceKind::kEncounterBegin) pairs.emplace(e.a, e.b);
+        if (e.kind == core::TraceKind::kEncounterEnd) pairs.erase({e.a, e.b});
+      }
+      if (pairs.size() < 3) return;
+      active.assign(pairs.begin(), pairs.end());
+      checkpoint::save(s, ini, snap.string());
+    });
+    (void)sim->run();
+  }
+  ASSERT_GE(active.size(), 3U);
+
+  // Locate the list (a u64 count, then u64 pairs) inside the sim section.
+  util::BinWriter list;
+  list.u64(active.size());
+  for (const auto& [a, b] : active) {
+    list.u64(a);
+    list.u64(b);
+  }
+  const std::string needle = list.take();
+  const std::string bytes = slurp(snap);
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  const auto pair_at = [&](std::size_t k) { return at + 8 + 16 * k; };
+
+  // The untampered list, re-sealed, still restores.
+  std::string same = bytes;
+  reseal(same);
+  spit(snap, same);
+  EXPECT_NO_THROW((void)checkpoint::restore(snap.string()));
+
+  const auto u64_bytes = [](std::uint64_t v) {
+    util::BinWriter w;
+    w.u64(v);
+    return w.take();
+  };
+  const auto [a0, b0] = active[0];
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // Out of order: the first two pairs swapped.
+      {"swapped", bytes.substr(pair_at(1), 16) + bytes.substr(pair_at(0), 16)},
+      // A duplicate: the second pair repeats the first.
+      {"duplicate", bytes.substr(pair_at(0), 16) + bytes.substr(pair_at(0), 16)},
+      // a == b, a > b, and b past the agent count.
+      {"self", u64_bytes(a0) + u64_bytes(a0)},
+      {"reversed", u64_bytes(b0) + u64_bytes(a0)},
+      {"out of range", u64_bytes(a0) + u64_bytes(1'000'000)},
+  };
+  for (const auto& [name, patch] : cases) {
+    std::string bad = bytes;
+    bad.replace(pair_at(0), patch.size(), patch);
+    reseal(bad);
+    spit(snap, bad);
+    try {
+      (void)checkpoint::restore(snap.string());
+      ADD_FAILURE() << name << ": restore accepted a bad encounter list";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("sim section"), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
+  fs::remove(snap);
 }
 
 TEST(CheckpointErrors, MissingFileThrows) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "mobility/city_model.hpp"
@@ -134,6 +135,70 @@ TEST(Ignition, RejectsBadIntervals) {
                std::invalid_argument);
 }
 
+/// The pre-cursor formula: binary search for the last interval starting at
+/// or before `t`. Oracle for the memoized IgnitionSchedule::is_on.
+bool reference_is_on(const IgnitionSchedule& s, double t) {
+  if (s.is_always_on()) return true;
+  const auto& iv = s.intervals();
+  const auto it = std::upper_bound(
+      iv.begin(), iv.end(), t,
+      [](double x, const OnInterval& i) { return x < i.start_s; });
+  return it != iv.begin() && t < std::prev(it)->end_s;
+}
+
+/// Up to 11 intervals in [-50, ~1250), some of them back to back.
+IgnitionSchedule random_schedule(util::Rng& rng) {
+  std::vector<OnInterval> intervals;
+  double t = rng.uniform(-50.0, 50.0);
+  const std::size_t count = rng.next_below(12);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!rng.bernoulli(0.2)) t += rng.uniform(0.5, 40.0);
+    const double end = t + rng.uniform(0.5, 60.0);
+    intervals.push_back({t, end});
+    t = end;
+  }
+  return IgnitionSchedule{std::move(intervals)};
+}
+
+TEST(Ignition, CursorMatchesBinarySearchOracle) {
+  util::Rng rng{77};
+  for (int trial = 0; trial < 300; ++trial) {
+    const IgnitionSchedule s = trial % 10 == 0   ? IgnitionSchedule::always_on()
+                               : trial % 10 == 1 ? IgnitionSchedule{}
+                                                 : random_schedule(rng);
+    // Every interval edge exactly and one ulp either side, plus random
+    // instants before, inside and after the schedule.
+    std::vector<double> instants;
+    for (const OnInterval& iv : s.intervals()) {
+      for (const double edge : {iv.start_s, iv.end_s}) {
+        instants.push_back(edge);
+        instants.push_back(std::nextafter(edge, -1e300));
+        instants.push_back(std::nextafter(edge, 1e300));
+      }
+    }
+    for (int i = 0; i < 40; ++i) instants.push_back(rng.uniform(-100.0, 1400.0));
+    std::sort(instants.begin(), instants.end());
+
+    // Monotone sweep, each instant asked twice as a tick does.
+    for (const double t : instants) {
+      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
+      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
+    }
+    // Fixed-step ticks, run twice: the second pass starts with a rewind.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (double t = -60.0; t < 700.0; t += 1.0) {
+        ASSERT_EQ(s.is_on(t), reference_is_on(s, t))
+            << "trial " << trial << " t " << t;
+      }
+    }
+    // Rewinds and jumps in every direction.
+    rng.shuffle(instants);
+    for (const double t : instants) {
+      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
+    }
+  }
+}
+
 // ---------------------------------------------------------- spatial index --
 
 std::vector<std::pair<std::size_t, std::size_t>> brute_force_pairs(
@@ -147,26 +212,91 @@ std::vector<std::pair<std::size_t, std::size_t>> brute_force_pairs(
   return out;
 }
 
+std::vector<std::size_t> brute_force_within(const std::vector<Position>& pts,
+                                            const Position& query,
+                                            double radius) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (distance(pts[i], query) <= radius) out.push_back(i);
+  }
+  return out;
+}
+
+/// `n` points in one of four layouts: 0 uniform, 1 sparse (clusters spread
+/// over a 1e6 m square, far beyond 4 cells per point), 2 uniform at large
+/// negative coordinates, 3 collinear on multiples of radius/2 with
+/// coincident repeats.
+std::vector<Position> random_layout(util::Rng& rng, std::size_t n,
+                                    double radius, std::uint64_t mode) {
+  std::vector<Position> pts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (mode % 4) {
+      case 0:
+        pts[i] = {rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)};
+        break;
+      case 1: {
+        const double cx = static_cast<double>(rng.next_below(5)) * 2.5e5;
+        const double cy = static_cast<double>(rng.next_below(5)) * 2.5e5;
+        pts[i] = {cx + rng.uniform(0.0, 3.0 * radius),
+                  cy + rng.uniform(0.0, 3.0 * radius)};
+        break;
+      }
+      case 2:
+        pts[i] = {-4.0e7 + rng.uniform(0.0, 3000.0),
+                  -9.0e6 + rng.uniform(0.0, 3000.0)};
+        break;
+      default:
+        pts[i] = {static_cast<double>(rng.next_below(40)) * radius * 0.5,
+                  -123.0};
+        break;
+    }
+  }
+  return pts;
+}
+
+/// `index` over `pts` against brute force: all pairs in order, and within()
+/// around indexed points, beside them, and far outside the extent.
+void expect_matches_brute_force(const SpatialIndex& index,
+                                const std::vector<Position>& pts,
+                                double radius, util::Rng& rng) {
+  EXPECT_EQ(index.pairs_within(radius), brute_force_pairs(pts, radius));
+  std::vector<Position> queries{{0, 0}, {1e12, -1e12}, {-1e15, 3.0}};
+  for (int i = 0; i < 6 && !pts.empty(); ++i) {
+    const Position& p = pts[rng.next_below(pts.size())];
+    queries.push_back(p);
+    queries.push_back({p.x + rng.uniform(-radius, radius),
+                       p.y + rng.uniform(-radius, radius)});
+  }
+  if (!pts.empty()) {
+    // Just outside the extent, within range of its extreme points.
+    const auto [xlo, xhi] = std::minmax_element(
+        pts.begin(), pts.end(),
+        [](const Position& a, const Position& b) { return a.x < b.x; });
+    queries.push_back({xlo->x - 0.5 * radius, xlo->y});
+    queries.push_back({xhi->x + 0.5 * radius, xhi->y});
+  }
+  for (const Position& q : queries) {
+    EXPECT_EQ(index.within(q, radius), brute_force_within(pts, q, radius))
+        << "query " << q.x << "," << q.y;
+  }
+}
+
 class SpatialIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SpatialIndexProperty, PairsMatchBruteForce) {
   util::Rng rng{GetParam()};
   const std::size_t n = 20 + rng.next_below(180);
   const double radius = rng.uniform(20.0, 300.0);
-  std::vector<Position> pts(n);
-  for (auto& p : pts) {
-    p = {rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)};
-  }
-  SpatialIndex index{pts, radius};
-  auto fast = index.pairs_within(radius);
-  auto slow = brute_force_pairs(pts, radius);
-  std::sort(fast.begin(), fast.end());
-  std::sort(slow.begin(), slow.end());
-  EXPECT_EQ(fast, slow);
+  const std::vector<Position> pts = random_layout(rng, n, radius, GetParam());
+  // Every third config queries at exactly the cell size, the rest below it.
+  const double cell =
+      GetParam() % 3 == 0 ? radius : radius * rng.uniform(1.0, 3.0);
+  SpatialIndex index{pts, cell};
+  expect_matches_brute_force(index, pts, radius, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, SpatialIndexProperty,
-                         ::testing::Range<std::uint64_t>(0, 25));
+                         ::testing::Range<std::uint64_t>(0, 60));
 
 TEST(SpatialIndex, WithinMatchesBruteForce) {
   util::Rng rng{123};
@@ -267,6 +397,98 @@ TEST(SpatialIndex, RejectsRadiusBeyondCellSize) {
   EXPECT_THROW(index.pairs_within(51.0), std::invalid_argument);
   EXPECT_THROW(index.within({0, 0}, 51.0), std::invalid_argument);
   EXPECT_THROW((SpatialIndex{pts, 0.0}), std::invalid_argument);
+}
+
+TEST(SpatialIndex, PairsAtExactlyTheRangeWithRadiusEqualToCell) {
+  // Lattices spaced exactly one radius apart: axis neighbours sit at exactly
+  // the range (included), diagonals at sqrt(2) times it (excluded). The
+  // 3-4-5 triangles put pairs at exactly the range off the axes.
+  const double r = 50.0;
+  for (const Position offset :
+       {Position{0, 0}, Position{-7.5e6, -3.25e6}, Position{12.0, -0.5}}) {
+    std::vector<Position> pts;
+    for (int i = 0; i < 12; ++i) {
+      for (int j = 0; j < 12; ++j) {
+        pts.push_back({offset.x + i * r, offset.y + j * r});
+      }
+    }
+    pts.push_back({offset.x + 1000.0, offset.y + 1000.0});
+    pts.push_back({offset.x + 1030.0, offset.y + 1040.0});
+    pts.push_back({offset.x + 970.0, offset.y + 960.0});
+    const SpatialIndex index{pts, r};
+    const auto pairs = index.pairs_within(r);
+    EXPECT_EQ(pairs, brute_force_pairs(pts, r));
+    EXPECT_EQ(pairs.size(), 2U * 12U * 11U + 2U);
+    // An inner lattice point: itself and its four axis neighbours.
+    EXPECT_EQ(index.within({offset.x + 100.0, offset.y + 100.0}, r).size(), 5U);
+  }
+}
+
+TEST(SpatialIndex, DegenerateInputs) {
+  const SpatialIndex empty{{}, 10.0};
+  EXPECT_EQ(empty.size(), 0U);
+  EXPECT_TRUE(empty.pairs_within(10.0).empty());
+  EXPECT_TRUE(empty.within({0, 0}, 10.0).empty());
+
+  const SpatialIndex one{{{-3.0, 7.0}}, 10.0};
+  EXPECT_TRUE(one.pairs_within(10.0).empty());
+  EXPECT_EQ(one.within({0, 0}, 10.0), (std::vector<std::size_t>{0}));
+  EXPECT_TRUE(one.within({-3.0, 7.0}, 10.0, /*exclude=*/0).empty());
+
+  // Coincident points pair up at distance zero, even with a zero radius.
+  const std::vector<Position> same(30, Position{5.0, -5.0});
+  const auto all = SpatialIndex{same, 1.0}.pairs_within(0.0);
+  EXPECT_EQ(all.size(), 30U * 29U / 2U);
+  EXPECT_EQ(all, brute_force_pairs(same, 0.0));
+
+  // Collinear along either axis: a one-row or one-column grid.
+  util::Rng rng{8};
+  std::vector<Position> row, column;
+  for (int i = 0; i < 200; ++i) {
+    const double u = rng.uniform(-500.0, 500.0);
+    row.push_back({u, 42.0});
+    column.push_back({-42.0, u});
+  }
+  expect_matches_brute_force(SpatialIndex{row, 7.0}, row, 7.0, rng);
+  expect_matches_brute_force(SpatialIndex{column, 7.0}, column, 7.0, rng);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((SpatialIndex{{{nan, 0.0}}, 1.0}), std::invalid_argument);
+  EXPECT_THROW((SpatialIndex{{{0.0, inf}}, 1.0}), std::invalid_argument);
+}
+
+TEST(SpatialIndex, SparseExtentGrowsCellsAndStaysExact) {
+  // Clusters 1e7 m apart with a 1 m radius would need ~1e14 cells of the
+  // radius; the grid grows its cells instead and must still find every pair.
+  util::Rng rng{5};
+  std::vector<Position> pts;
+  for (int c = 0; c < 4; ++c) {
+    const Position centre{c * 1e7 - 2e7, (c % 2) * 1e7};
+    for (int i = 0; i < 50; ++i) {
+      pts.push_back(
+          {centre.x + rng.uniform(0.0, 5.0), centre.y + rng.uniform(0.0, 5.0)});
+    }
+  }
+  const SpatialIndex index{pts, 1.0};
+  expect_matches_brute_force(index, pts, 1.0, rng);
+}
+
+TEST(SpatialIndex, RebuildReusedAcrossSizesMatchesFreshIndex) {
+  util::Rng rng{99};
+  SpatialIndex reused;
+  EXPECT_EQ(reused.size(), 0U);
+  std::uint64_t mode = 0;
+  for (const std::size_t n : {0U, 700U, 3U, 1500U, 1U, 40U, 0U, 900U}) {
+    const double radius = rng.uniform(5.0, 120.0);
+    const std::vector<Position> pts = random_layout(rng, n, radius, mode++);
+    reused.rebuild(pts, radius);
+    const SpatialIndex fresh{pts, radius};
+    EXPECT_EQ(reused.size(), n);
+    EXPECT_EQ(reused.pairs_within(radius), fresh.pairs_within(radius));
+    expect_matches_brute_force(reused, pts, radius, rng);
+  }
+  EXPECT_THROW(reused.rebuild({}, 0.0), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- city model --
@@ -438,6 +660,73 @@ TEST(FleetModel, RejectsEmptyTraces) {
   std::vector<VehicleTrack> tracks(1);
   EXPECT_THROW(FleetModel{std::move(tracks)}, std::invalid_argument);
 }
+
+class FleetEncountersOracle : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+// Random fleets with RSUs, always-on, parked-all-run and cycling vehicles:
+// encounters() over consecutive ticks (and a rewind) must equal a brute-force
+// scan over the powered nodes, with power read by the binary-search oracle.
+TEST_P(FleetEncountersOracle, ConsecutiveTicksMatchBruteForce) {
+  util::Rng rng{GetParam()};
+  // Every fourth fleet is small and dense with a 1 m radius: the radius is
+  // exactly the grid's minimum cell.
+  const bool dense = GetParam() % 4 == 0;
+  const double extent = dense ? 25.0 : rng.uniform(300.0, 3000.0);
+  const double radius = dense ? 1.0 : rng.uniform(0.5, 250.0);
+  std::vector<VehicleTrack> tracks;
+  const std::size_t vehicles = 1 + rng.next_below(120);
+  for (std::size_t v = 0; v < vehicles; ++v) {
+    std::vector<TraceSample> samples;
+    double t = rng.uniform(-20.0, 20.0);
+    const std::size_t legs = 1 + rng.next_below(8);
+    for (std::size_t k = 0; k < legs; ++k) {
+      samples.push_back(
+          {t, {rng.uniform(0.0, extent), rng.uniform(0.0, extent)}});
+      t += rng.uniform(5.0, 60.0);
+    }
+    const std::uint64_t kind = rng.next_below(10);
+    tracks.push_back({Trace{std::move(samples)},
+                      kind < 2   ? IgnitionSchedule::always_on()
+                      : kind < 3 ? IgnitionSchedule{}
+                                 : random_schedule(rng)});
+  }
+  FleetModel fleet{std::move(tracks)};
+  const std::size_t rsus = rng.next_below(6);
+  for (std::size_t i = 0; i < rsus; ++i) {
+    fleet.add_static_node({rng.uniform(0.0, extent), rng.uniform(0.0, extent)});
+  }
+
+  const auto brute_force = [&](double t) {
+    std::vector<Position> pos;
+    std::vector<bool> on;
+    for (NodeId id = 0; id < fleet.node_count(); ++id) {
+      pos.push_back(fleet.position_of(id, t));
+      on.push_back(!fleet.is_vehicle(id) ||
+                   reference_is_on(fleet.vehicle(id).ignition, t));
+    }
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (NodeId i = 0; i < pos.size(); ++i) {
+      for (NodeId j = i + 1; j < pos.size(); ++j) {
+        if (on[i] && on[j] && distance(pos[i], pos[j]) <= radius) {
+          out.emplace_back(i, j);
+        }
+      }
+    }
+    return out;
+  };
+  std::vector<double> ticks;
+  for (int tick = 0; tick <= 150; ++tick) ticks.push_back(tick);
+  for (const double t : {40.0, 40.5, 12.0, 149.0, 600.0, -5.0}) {
+    ticks.push_back(t);
+  }
+  for (const double t : ticks) {
+    ASSERT_EQ(fleet.encounters(t, radius), brute_force(t)) << "t " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomFleets, FleetEncountersOracle,
+                         ::testing::Range<std::uint64_t>(0, 16));
 
 // -------------------------------------------------------------- trace file --
 

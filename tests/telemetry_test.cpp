@@ -11,12 +11,15 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "scenario/experiment.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/ini.hpp"
 #include "util/thread_pool.hpp"
 
 namespace roadrunner {
@@ -480,6 +483,36 @@ TEST_F(TelemetryTest, SummaryListsCategoriesAndCounters) {
   EXPECT_NE(text.find("ml.evaluate"), std::string::npos);
   EXPECT_NE(text.find("sim.events_executed"), std::string::npos);
   EXPECT_NE(text.find("2 spans"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, TracedRunRecordsTheEncounterStages) {
+  const auto ini = util::IniFile::parse(R"([scenario]
+vehicles = 30
+seed = 3
+horizon_s = 120
+[city]
+duration_s = 120
+[data]
+dataset = blobs
+train_pool = 300
+test_size = 50
+partition = iid
+samples_per_vehicle = 10
+[train]
+model = logreg
+[strategy]
+name = gossip
+)");
+  telemetry::set_enabled(true);
+  (void)scenario::run_experiment(ini);
+  std::set<std::string> names;
+  for (const auto& e : telemetry::Telemetry::instance().snapshot()) {
+    names.insert(e.name);
+  }
+  for (const char* stage : {"mobility.compact", "mobility.index_build",
+                            "mobility.pair_scan", "sim.encounter_diff"}) {
+    EXPECT_EQ(names.count(stage), 1U) << stage;
+  }
 }
 
 TEST_F(TelemetryTest, TraceSessionEnablesAndWritesFile) {
