@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -65,6 +66,53 @@ void BM_Matmul(benchmark::State& state) {
                           n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(128)->Arg(256);
+
+/// The GEMMs the paper CNN (batch 16, 3x32x32) and the campaign MLP
+/// (make_mlp(24, 128, 10), batch 16) actually run, with the operand layout
+/// each layer passes: 'n' is A[m,k] * B[k,n], 'a' reads A stored [k,m]
+/// (matmul_at), 'b' reads B stored [n,k] (matmul_bt). The GFLOP/s counter
+/// shows which shapes the register tile serves badly.
+struct GemmShape {
+  const char* label;
+  std::size_t m, n, k;
+  char layout;
+};
+constexpr GemmShape kGemmShapes[] = {
+    {"cnn conv1 fwd", 6, 784, 75, 'n'},
+    {"cnn conv1 dW", 6, 75, 784, 'b'},
+    {"cnn conv1 dcols", 75, 784, 6, 'a'},
+    {"cnn conv2 fwd", 16, 100, 150, 'n'},
+    {"cnn conv2 dW", 16, 150, 100, 'b'},
+    {"cnn conv2 dcols", 150, 100, 16, 'a'},
+    {"cnn fc1 fwd", 16, 120, 400, 'b'},
+    {"cnn fc1 dW", 120, 400, 16, 'a'},
+    {"cnn fc1 dx", 16, 400, 120, 'n'},
+    {"cnn fc2 fwd", 16, 84, 120, 'b'},
+    {"mlp fc1 fwd", 16, 128, 24, 'b'},
+    {"mlp fc2 fwd", 16, 128, 128, 'b'},
+    {"mlp fc2 dW", 128, 128, 16, 'a'},
+    {"mlp fc2 dx", 16, 128, 128, 'n'},
+};
+
+void BM_GemmShape(benchmark::State& state) {
+  const GemmShape& s = kGemmShapes[static_cast<std::size_t>(state.range(0))];
+  util::Rng rng{9};
+  std::vector<float> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
+  for (float& v : a) v = static_cast<float>(rng.uniform());
+  for (float& v : b) v = static_cast<float>(rng.uniform());
+  const bool at = s.layout == 'a', bt = s.layout == 'b';
+  for (auto _ : state) {
+    ml::gemm(s.m, s.n, s.k, a.data(), at ? 1 : s.k, at ? s.m : 1, b.data(),
+             bt ? 1 : s.n, bt ? s.k : 1, c.data(), false);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.label);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(s.m * s.n * s.k) / 1e9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmShape)->DenseRange(0, std::size(kGemmShapes) - 1);
 
 ml::Dataset small_images(std::size_t n) {
   data::SyntheticImageConfig cfg;

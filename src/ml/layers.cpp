@@ -1,6 +1,7 @@
 #include "ml/layers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -14,6 +15,18 @@ void he_init(Tensor& w, std::size_t fan_in, util::Rng& rng) {
   for (float& v : w.values()) {
     v = static_cast<float>(rng.normal(0.0, stddev));
   }
+}
+
+/// Per-thread scratch for the layer GEMMs, reused across calls. A training
+/// job runs on one thread and no layer call re-enters another, so each
+/// slot has one user at a time; nothing is kept between calls.
+enum ScratchSlot : std::size_t { kCols, kDcols, kPartial, kDw2d, kSlots };
+
+float* scratch(ScratchSlot slot, std::size_t size) {
+  thread_local std::array<std::vector<float>, kSlots> buffers;
+  std::vector<float>& buffer = buffers[slot];
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
 }
 
 void require_rank(const Tensor& x, std::size_t rank, const char* layer) {
@@ -51,8 +64,10 @@ Tensor Linear::forward(const Tensor& x) {
     throw std::invalid_argument{"Linear: input feature mismatch"};
   }
   cached_x_ = x;
-  Tensor y = matmul_bt(x, w_);  // [N, out]
-  const std::size_t n = y.dim(0);
+  const std::size_t n = x.dim(0);
+  // y[N, out] = x[N, in] * W^T, reading W [out, in] through its strides.
+  Tensor y{{n, out_}};
+  gemm(n, out_, in_, x.data(), in_, 1, w_.data(), 1, in_, y.data(), false);
   for (std::size_t i = 0; i < n; ++i) {
     float* row = y.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += b_[j];
@@ -66,14 +81,23 @@ Tensor Linear::backward(const Tensor& grad_out) {
   if (grad_out.dim(1) != out_ || cached_x_.empty() || cached_x_.dim(0) != n) {
     throw std::logic_error{"Linear::backward: no matching forward"};
   }
-  // dW[out, in] += grad_out^T[out, N] * x[N, in]
-  dw_.add_(matmul_at(grad_out, cached_x_));
+  // dW[out, in] += grad_out^T[out, N] * x[N, in]. The product is formed
+  // in full and then added: accumulating inside the GEMM would reorder the
+  // additions and change the bits of every trained model.
+  float* partial = scratch(kPartial, out_ * in_);
+  gemm(out_, in_, n, grad_out.data(), 1, out_, cached_x_.data(), in_, 1,
+       partial, false);
+  float* dw = dw_.data();
+  for (std::size_t i = 0; i < out_ * in_; ++i) dw[i] += partial[i];
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = grad_out.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) db_[j] += row[j];
   }
   // dX[N, in] = grad_out[N, out] * W[out, in]
-  return matmul(grad_out, w_);
+  Tensor dx{{n, in_}};
+  gemm(n, in_, out_, grad_out.data(), out_, 1, w_.data(), in_, 1, dx.data(),
+       false);
+  return dx;
 }
 
 std::uint64_t Linear::flops_per_sample() const {
@@ -218,19 +242,15 @@ Tensor Conv2D::forward(const Tensor& x) {
   const std::size_t ckk = cin_ * k_ * k_;
 
   Tensor y{{n, cout_, g.oh, g.ow}};
-  Tensor cols{{ckk, out_hw}};
-  Tensor w2d = w_.reshaped({cout_, ckk});
-  Tensor out2d{{cout_, out_hw}};
+  float* cols = scratch(kCols, ckk * out_hw);
   for (std::size_t s = 0; s < n; ++s) {
-    im2col(x.data() + s * cin_ * h * w, cin_, g, cols.data());
-    matmul_into(w2d, cols, out2d);
+    im2col(x.data() + s * cin_ * h * w, cin_, g, cols);
+    // y_s [Cout, OHW] = W [Cout, CKK] * cols [CKK, OHW], then the bias.
     float* dst = y.data() + s * cout_ * out_hw;
-    const float* src = out2d.data();
+    gemm(cout_, out_hw, ckk, w_.data(), ckk, 1, cols, out_hw, 1, dst, false);
     for (std::size_t c = 0; c < cout_; ++c) {
       const float bias = b_[c];
-      for (std::size_t p = 0; p < out_hw; ++p) {
-        dst[c * out_hw + p] = src[c * out_hw + p] + bias;
-      }
+      for (std::size_t p = 0; p < out_hw; ++p) dst[c * out_hw + p] += bias;
     }
   }
   return y;
@@ -251,10 +271,11 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   }
 
   Tensor dx{cached_x_.shape()};
-  Tensor cols{{ckk, out_hw}};
-  Tensor dcols{{ckk, out_hw}};
-  Tensor w2d = w_.reshaped({cout_, ckk});
-  Tensor dw2d{{cout_, ckk}};
+  float* cols = scratch(kCols, ckk * out_hw);
+  float* dcols = scratch(kDcols, ckk * out_hw);
+  float* partial = scratch(kPartial, cout_ * ckk);
+  float* dw2d = scratch(kDw2d, cout_ * ckk);
+  std::fill(dw2d, dw2d + cout_ * ckk, 0.0F);
 
   for (std::size_t s = 0; s < n; ++s) {
     const float* go = grad_out.data() + s * cout_ * out_hw;
@@ -265,17 +286,17 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
       db_[c] += acc;
     }
     // Weight gradient: dW2d += grad_out_s [Cout, OHW] * cols^T [OHW, CKK].
-    im2col(cached_x_.data() + s * cin_ * h * w, cin_, g, cols.data());
-    {
-      Tensor go_t{{cout_, out_hw},
-                  std::vector<float>(go, go + cout_ * out_hw)};
-      dw2d.add_(matmul_bt(go_t, cols));
-      // Input gradient: dcols = W^T [CKK, Cout] * grad_out_s [Cout, OHW].
-      dcols = matmul_at(w2d, go_t);
-    }
-    col2im_add(dcols.data(), cin_, g, dx.data() + s * cin_ * h * w);
+    // Each sample's product is formed in full and then added; accumulating
+    // inside the GEMM would reorder the additions and change the bits.
+    im2col(cached_x_.data() + s * cin_ * h * w, cin_, g, cols);
+    gemm(cout_, ckk, out_hw, go, out_hw, 1, cols, 1, out_hw, partial, false);
+    for (std::size_t i = 0; i < cout_ * ckk; ++i) dw2d[i] += partial[i];
+    // Input gradient: dcols = W^T [CKK, Cout] * grad_out_s [Cout, OHW].
+    gemm(ckk, out_hw, cout_, w_.data(), 1, ckk, go, out_hw, 1, dcols, false);
+    col2im_add(dcols, cin_, g, dx.data() + s * cin_ * h * w);
   }
-  dw_.add_(dw2d.reshaped({cout_, cin_, k_, k_}));
+  float* dw = dw_.data();
+  for (std::size_t i = 0; i < cout_ * ckk; ++i) dw[i] += dw2d[i];
   return dx;
 }
 

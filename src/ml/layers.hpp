@@ -78,7 +78,9 @@ class Linear final : public Layer {
 /// padding. Input [N, Cin, H, W], kernel [Cout, Cin, K, K], output
 /// [N, Cout, OH, OW] with OH = (H + 2*padding - K)/stride + 1 (floor).
 /// Defaults (stride 1, padding 0, "valid") match the paper's LeNet-style
-/// CNN. Implemented via per-sample im2col + matmul.
+/// CNN. Implemented as per-sample im2col followed by the packed ml::gemm
+/// kernel on raw pointers, with thread-local scratch for the column
+/// buffers, so no per-sample tensors are allocated.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels,

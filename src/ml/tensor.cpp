@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -164,6 +165,167 @@ std::string Tensor::shape_string() const {
 }
 
 namespace {
+
+// Register tile of the microkernel: MR rows of C by NR columns, kept in
+// MR * NR / 4 four-float vectors. 6 x 8 needs 12 accumulators plus two B
+// vectors and one product, within the 16 SSE registers of baseline x86-64,
+// so nothing spills. MR = 6 also matches the paper CNN's first convolution
+// (6 output channels) exactly.
+constexpr std::size_t kMr = 6;
+constexpr std::size_t kNr = 8;
+// Cache blocking: a KC x NC packed B panel (256 x 512 floats, 512 KB) is
+// reused by every MC-row A block; an MC x KC A block (288 KB with its
+// broadcast copies) stays in L2.
+constexpr std::size_t kKc = 256;
+constexpr std::size_t kMc = 72;
+constexpr std::size_t kNc = 512;
+
+using Vec4 = float __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = sizeof(Vec4) / sizeof(float);
+constexpr std::size_t kNv = kNr / kLanes;
+
+Vec4 load4(const float* p) {
+  Vec4 v = {};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// Packs rows [0, mr) x columns [0, kc) of A into one MR-row panel stored
+/// column by column, each value already broadcast to a full vector
+/// (kMr * kLanes floats per k step), so the microkernel loads it with one
+/// instruction instead of a load and a shuffle. Rows mr..kMr are zero.
+void pack_a(std::size_t mr, std::size_t kc, const float* a, std::size_t rsa,
+            std::size_t csa, float* dst) {
+  if (mr < kMr) std::fill(dst, dst + kc * kMr * kLanes, 0.0F);
+  for (std::size_t i = 0; i < mr; ++i) {
+    const float* row = a + i * rsa;
+    for (std::size_t p = 0; p < kc; ++p) {
+      std::fill_n(dst + (p * kMr + i) * kLanes, kLanes, row[p * csa]);
+    }
+  }
+}
+
+/// Packs rows [0, kc) x columns [0, nr) of B into one NR-column panel
+/// stored row by row (kNr floats per k step); columns nr..kNr are zero.
+void pack_b(std::size_t kc, std::size_t nr, const float* b, std::size_t rsb,
+            std::size_t csb, float* dst) {
+  if (nr < kNr) std::fill(dst, dst + kc * kNr, 0.0F);
+  if (csb == 1 && nr == kNr) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      std::copy(b + p * rsb, b + p * rsb + kNr, dst + p * kNr);
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < nr; ++j) {
+    const float* col = b + j * csb;
+    for (std::size_t p = 0; p < kc; ++p) dst[p * kNr + j] = col[p * rsb];
+  }
+}
+
+/// C tile [mr x nr] (row stride ldc) = (load ? C : 0) + sum over ascending
+/// p < kc of A[:, p] * B[p, :], one rounding per multiply and per add. Each
+/// vector lane holds a different C element, so lanes never mix sums.
+void micro_kernel(std::size_t kc, const float* pa, const float* pb, float* c,
+                  std::size_t ldc, std::size_t mr, std::size_t nr, bool load) {
+  Vec4 acc[kMr][kNv] = {};
+  const bool full = mr == kMr && nr == kNr;
+  if (load && full) {
+    for (std::size_t i = 0; i < kMr; ++i) {
+      for (std::size_t v = 0; v < kNv; ++v) {
+        acc[i][v] = load4(c + i * ldc + kLanes * v);
+      }
+    }
+  } else if (load) {
+    // Edge tile: go through a zero-padded copy so no load leaves C.
+    float edge[kMr * kNr] = {};
+    for (std::size_t i = 0; i < mr; ++i) {
+      std::copy(c + i * ldc, c + i * ldc + nr, edge + i * kNr);
+      for (std::size_t v = 0; v < kNv; ++v) {
+        acc[i][v] = load4(edge + i * kNr + kLanes * v);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < kc; ++p, pa += kLanes * kMr, pb += kNr) {
+    Vec4 b[kNv] = {};
+    for (std::size_t v = 0; v < kNv; ++v) b[v] = load4(pb + kLanes * v);
+    for (std::size_t i = 0; i < kMr; ++i) {
+      const Vec4 ai = load4(pa + kLanes * i);
+      for (std::size_t v = 0; v < kNv; ++v) acc[i][v] += ai * b[v];
+    }
+  }
+  if (full) {
+    for (std::size_t i = 0; i < kMr; ++i) {
+      for (std::size_t v = 0; v < kNv; ++v) {
+        store4(c + i * ldc + kLanes * v, acc[i][v]);
+      }
+    }
+    return;
+  }
+  float edge[kMr * kNr] = {};
+  for (std::size_t i = 0; i < mr; ++i) {
+    for (std::size_t v = 0; v < kNv; ++v) {
+      store4(edge + i * kNr + kLanes * v, acc[i][v]);
+    }
+    std::copy(edge + i * kNr, edge + i * kNr + nr, c + i * ldc);
+  }
+}
+
+std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
+}
+
+}  // namespace
+
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+          std::size_t csb, float* c, bool accumulate) {
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) std::fill(c, c + m * n, 0.0F);
+    return;
+  }
+  // Reused across calls; each thread (a training job) owns its own pair.
+  thread_local std::vector<float> packed_a;
+  thread_local std::vector<float> packed_b;
+  for (std::size_t jc = 0; jc < n; jc += kNc) {
+    const std::size_t nc = std::min(kNc, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKc) {
+      const std::size_t kc = std::min(kKc, k - pc);
+      // Later k blocks continue the running sums stored in C: a float
+      // round-trips through memory exactly, so the blocking does not
+      // change the order of additions.
+      const bool load = accumulate || pc > 0;
+      const std::size_t b_size = round_up(nc, kNr) * kc;
+      if (packed_b.size() < b_size) packed_b.resize(b_size);
+      for (std::size_t jr = 0; jr < nc; jr += kNr) {
+        pack_b(kc, std::min(kNr, nc - jr), b + pc * rsb + (jc + jr) * csb,
+               rsb, csb, packed_b.data() + jr * kc);
+      }
+      for (std::size_t ic = 0; ic < m; ic += kMc) {
+        const std::size_t mc = std::min(kMc, m - ic);
+        const std::size_t a_size = round_up(mc, kMr) * kc * kLanes;
+        if (packed_a.size() < a_size) packed_a.resize(a_size);
+        for (std::size_t ir = 0; ir < mc; ir += kMr) {
+          pack_a(std::min(kMr, mc - ir), kc, a + (ic + ir) * rsa + pc * csa,
+                 rsa, csa, packed_a.data() + ir * kc * kLanes);
+        }
+        for (std::size_t jr = 0; jr < nc; jr += kNr) {
+          for (std::size_t ir = 0; ir < mc; ir += kMr) {
+            micro_kernel(kc, packed_a.data() + ir * kc * kLanes,
+                         packed_b.data() + jr * kc,
+                         c + (ic + ir) * n + jc + jr, n,
+                         std::min(kMr, mc - ir), std::min(kNr, nc - jr),
+                         load);
+          }
+        }
+      }
+    }
+  }
+}
+
+namespace {
 void check_matmul_shapes(const Tensor& a, const Tensor& b, const char* op) {
   if (a.rank() != 2 || b.rank() != 2) {
     throw std::invalid_argument{std::string{op} + ": rank-2 tensors required"};
@@ -179,18 +341,7 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
   if (c.rank() != 2 || c.dim(0) != m || c.dim(1) != n) {
     throw std::invalid_argument{"matmul: output shape mismatch"};
   }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  if (!accumulate) std::fill(pc, pc + m * n, 0.0F);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  gemm(m, n, k, a.data(), k, 1, b.data(), n, 1, c.data(), accumulate);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -207,18 +358,7 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument{"matmul_at: inner dim mismatch"};
   }
   Tensor c{{m, n}};
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float aki = arow[i];
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
-    }
-  }
+  gemm(m, n, k, a.data(), 1, m, b.data(), n, 1, c.data(), false);
   return c;
 }
 
@@ -229,18 +369,7 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument{"matmul_bt: inner dim mismatch"};
   }
   Tensor c{{m, n}};
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0F;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      pc[i * n + j] = acc;
-    }
-  }
+  gemm(m, n, k, a.data(), k, 1, b.data(), 1, k, c.data(), false);
   return c;
 }
 

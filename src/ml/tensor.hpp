@@ -102,9 +102,25 @@ class Tensor {
 /// Volume of a shape (product of dims; empty shape has volume 0).
 std::size_t shape_volume(const std::vector<std::size_t>& shape);
 
-/// C[M,N] = A[M,K] * B[K,N]. Plain ikj loop; accumulates in float with
-/// blocking left to the compiler (-O3 autovectorizes the inner j loop).
-/// Throws std::invalid_argument on shape mismatch.
+/// The one matrix-product kernel behind every function below:
+/// C[M,N] (row-major, row stride N) = A[M,K] * B[K,N], or C += A * B when
+/// `accumulate` is set. A's element (i, p) is read at a[i*rsa + p*csa] and
+/// B's (p, j) at b[p*rsb + j*csb], so a transposed operand is passed by
+/// swapping its strides instead of being copied. C must not overlap A or B.
+///
+/// Operands are packed into MR-row and NR-column panels (thread-local,
+/// reused buffers) and multiplied by a register-tiled SIMD microkernel.
+/// Bit-identity contract: every C element is the float sum, in ascending
+/// p, of A(i,p) * B(p,j), starting from +0 (or from C when accumulating),
+/// with one rounding per multiply and per add. Only independent C elements
+/// share a vector, so the result equals the plain i-k-j loop's bit for bit
+/// (tests/ml_gemm_test.cpp holds that loop as the oracle; DESIGN.md S4).
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+          std::size_t csb, float* c, bool accumulate);
+
+/// C[M,N] = A[M,K] * B[K,N] via gemm. Throws std::invalid_argument on
+/// shape mismatch.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// C[M,N] += A[M,K] * B[K,N], writing into an existing output tensor.

@@ -1,0 +1,438 @@
+// Bitwise oracle for the packed GEMM kernel (ml::gemm) and the layers built
+// on it. The reference implementations below are the plain loops the kernel
+// replaced, kept verbatim: i-k-j for matmul, k-i-j for matmul_at and a
+// scalar dot product for matmul_bt, plus the per-sample im2col Conv2D and
+// the Linear layer written on top of them. The kernel promises the same
+// float operations in the same order, so every comparison here is memcmp
+// equality, never a tolerance.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <tuple>
+#include <vector>
+
+#include "ml/layers.hpp"
+#include "ml/tensor.hpp"
+#include "util/rng.hpp"
+
+namespace roadrunner::ml {
+namespace {
+
+// ---- reference loops (the pre-kernel implementation) ----------------------
+
+void ref_matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
+                     bool accumulate) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  if (!accumulate) std::fill(pc, pc + m * n, 0.0F);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = pa[i * k + kk];
+      const float* brow = pb + kk * n;
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
+Tensor ref_matmul(const Tensor& a, const Tensor& b) {
+  Tensor c{{a.dim(0), b.dim(1)}};
+  ref_matmul_into(a, b, c, false);
+  return c;
+}
+
+Tensor ref_matmul_at(const Tensor& a, const Tensor& b) {
+  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  Tensor c{{m, n}};
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = pa + kk * m;
+    const float* brow = pb + kk * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float aki = arow[i];
+      float* crow = pc + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
+    }
+  }
+  return c;
+}
+
+Tensor ref_matmul_bt(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  Tensor c{{m, n}};
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = pb + j * k;
+      float acc = 0.0F;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      pc[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+// ---- helpers ----------------------------------------------------------------
+
+::testing::AssertionResult bitwise_equal(const Tensor& got,
+                                         const Tensor& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.shape_string() << " vs "
+           << want.shape_string();
+  }
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) !=
+      0) {
+    std::size_t i = 0;
+    while (std::memcmp(got.data() + i, want.data() + i, sizeof(float)) == 0) {
+      ++i;
+    }
+    return ::testing::AssertionFailure()
+           << "first difference at flat index " << i << ": " << got[i]
+           << " vs " << want[i];
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Tensor random_tensor(std::vector<std::size_t> shape, util::Rng& rng) {
+  Tensor t{std::move(shape)};
+  for (float& v : t.values()) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+  return t;
+}
+
+Tensor transposed(const Tensor& t) {
+  Tensor out{{t.dim(1), t.dim(0)}};
+  for (std::size_t i = 0; i < t.dim(0); ++i) {
+    for (std::size_t j = 0; j < t.dim(1); ++j) out.at2(j, i) = t.at2(i, j);
+  }
+  return out;
+}
+
+/// Checks every entry point at one (m, n, k): the three Tensor wrappers and
+/// raw gemm over all four operand layouts, with and without accumulate.
+void check_shape(std::size_t m, std::size_t n, std::size_t k,
+                 std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k=" << k);
+  util::Rng rng{seed};
+  const Tensor a = random_tensor({m, k}, rng);
+  const Tensor b = random_tensor({k, n}, rng);
+  const Tensor c0 = random_tensor({m, n}, rng);
+  const Tensor a_t = transposed(a);
+  const Tensor b_t = transposed(b);
+
+  const Tensor want = ref_matmul(a, b);
+  EXPECT_TRUE(bitwise_equal(matmul(a, b), want));
+  EXPECT_TRUE(bitwise_equal(matmul_at(a_t, b), ref_matmul_at(a_t, b)));
+  EXPECT_TRUE(bitwise_equal(matmul_bt(a, b_t), ref_matmul_bt(a, b_t)));
+
+  Tensor want_acc = c0;
+  ref_matmul_into(a, b, want_acc, true);
+  for (const bool accumulate : {false, true}) {
+    const Tensor& expect = accumulate ? want_acc : want;
+    Tensor got = c0;
+    matmul_into(a, b, got, accumulate);
+    EXPECT_TRUE(bitwise_equal(got, expect)) << "matmul_into " << accumulate;
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        Tensor out = c0;
+        gemm(m, n, k, ta ? a_t.data() : a.data(), ta ? 1 : k, ta ? m : 1,
+             tb ? b_t.data() : b.data(), tb ? 1 : n, tb ? k : 1, out.data(),
+             accumulate);
+        EXPECT_TRUE(bitwise_equal(out, expect))
+            << "gemm ta=" << ta << " tb=" << tb << " acc=" << accumulate;
+      }
+    }
+  }
+}
+
+// The kernel's register tile (src/ml/tensor.cpp). The edge sizes below sit
+// on both sides of each tile boundary.
+constexpr std::size_t kMr = 6;
+constexpr std::size_t kNr = 8;
+
+TEST(GemmOracle, TileEdgeShapes) {
+  const std::size_t dims[] = {1,       kMr - 1, kMr,        kMr + 1,
+                              kNr - 1, kNr + 1, 2 * kNr + 3};
+  std::uint64_t seed = 0;
+  for (const std::size_t m : dims) {
+    for (const std::size_t n : dims) {
+      for (const std::size_t k : dims) check_shape(m, n, k, ++seed);
+    }
+  }
+}
+
+TEST(GemmOracle, CacheBlockEdges) {
+  // Cross the MC (72), NC (512) and KC (256) cache blocks, so later k
+  // blocks resume the partial sums stored in C.
+  check_shape(77, 515, 300, 1);
+  check_shape(129, 9, 513, 2);
+}
+
+TEST(GemmOracle, PaperCnnShapes) {
+  // Batch 16, 3x32x32 input: conv1 6x75 * 75x784, conv2 16x150 * 150x100,
+  // then Linear 400->120->84->10; each with its backward-pass transposes.
+  const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
+      {6, 784, 75},    {6, 75, 784},   {75, 784, 6},   {16, 100, 150},
+      {16, 150, 100},  {150, 100, 16}, {16, 120, 400}, {120, 400, 16},
+      {16, 400, 120},  {16, 84, 120},  {84, 120, 16},  {16, 120, 84},
+      {16, 10, 84},    {10, 84, 16},   {16, 84, 10}};
+  std::uint64_t seed = 100;
+  for (const auto& [m, n, k] : shapes) check_shape(m, n, k, ++seed);
+}
+
+TEST(GemmOracle, MlpShapes) {
+  // make_mlp(24, 128, 10) at batch 16: the campaign MLP on 24-d blobs.
+  const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
+      {16, 128, 24},  {128, 24, 16}, {16, 24, 128}, {16, 128, 128},
+      {128, 128, 16}, {16, 10, 128}, {10, 128, 16}, {16, 128, 10}};
+  std::uint64_t seed = 200;
+  for (const auto& [m, n, k] : shapes) check_shape(m, n, k, ++seed);
+}
+
+TEST(GemmOracle, SignedZeroAndEmptyInnerDim) {
+  // Every product is -0: the sum starts from +0, so the result is +0.
+  Tensor a{{2, 3}, {-0.0F, -0.0F, -0.0F, -1.0F, -2.0F, -3.0F}};
+  Tensor b{{3, 9}};
+  for (std::size_t i = 0; i < 27; ++i) b[i] = i % 2 == 0 ? 0.0F : 1.0F;
+  EXPECT_TRUE(bitwise_equal(matmul(a, b), ref_matmul(a, b)));
+  EXPECT_FALSE(std::signbit(matmul(a, b)[0]));
+
+  // K = 0: the product is all zeros, or C untouched when accumulating.
+  Tensor c{{2, 3}, {1, 2, 3, 4, 5, 6}};
+  gemm(2, 3, 0, nullptr, 0, 1, nullptr, 3, 1, c.data(), true);
+  EXPECT_EQ(c[5], 6.0F);
+  gemm(2, 3, 0, nullptr, 0, 1, nullptr, 3, 1, c.data(), false);
+  EXPECT_TRUE(bitwise_equal(c, Tensor{{2, 3}}));
+}
+
+// ---- layer oracles ----------------------------------------------------------
+
+struct ConvGeometry {
+  std::size_t h, w, k, stride, pad, oh, ow;
+};
+
+void ref_im2col(const float* x, std::size_t cin, const ConvGeometry& g,
+                float* cols) {
+  const std::size_t out_hw = g.oh * g.ow;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < cin; ++c) {
+    const float* plane = x + c * g.h * g.w;
+    for (std::size_t ki = 0; ki < g.k; ++ki) {
+      for (std::size_t kj = 0; kj < g.k; ++kj, ++row) {
+        float* dst = cols + row * out_hw;
+        for (std::size_t oi = 0; oi < g.oh; ++oi) {
+          const std::ptrdiff_t ii =
+              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
+              static_cast<std::ptrdiff_t>(g.pad);
+          for (std::size_t oj = 0; oj < g.ow; ++oj) {
+            const std::ptrdiff_t jj =
+                static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            const bool inside = ii >= 0 && jj >= 0 &&
+                                ii < static_cast<std::ptrdiff_t>(g.h) &&
+                                jj < static_cast<std::ptrdiff_t>(g.w);
+            dst[oi * g.ow + oj] =
+                inside ? plane[static_cast<std::size_t>(ii) * g.w +
+                               static_cast<std::size_t>(jj)]
+                       : 0.0F;
+          }
+        }
+      }
+    }
+  }
+}
+
+void ref_col2im_add(const float* cols, std::size_t cin, const ConvGeometry& g,
+                    float* dx) {
+  const std::size_t out_hw = g.oh * g.ow;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < cin; ++c) {
+    float* plane = dx + c * g.h * g.w;
+    for (std::size_t ki = 0; ki < g.k; ++ki) {
+      for (std::size_t kj = 0; kj < g.k; ++kj, ++row) {
+        const float* src = cols + row * out_hw;
+        for (std::size_t oi = 0; oi < g.oh; ++oi) {
+          const std::ptrdiff_t ii =
+              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
+              static_cast<std::ptrdiff_t>(g.pad);
+          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(g.h)) continue;
+          for (std::size_t oj = 0; oj < g.ow; ++oj) {
+            const std::ptrdiff_t jj =
+                static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(g.w)) continue;
+            plane[static_cast<std::size_t>(ii) * g.w +
+                  static_cast<std::size_t>(jj)] += src[oi * g.ow + oj];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The pre-kernel Conv2D: per-sample im2col, a matmul per sample, the
+/// per-sample dW partial added into dw2d, then dw2d added into dW.
+struct RefConv {
+  std::size_t cin, cout, k, stride, pad;
+  Tensor w, b, dw, db, x;
+
+  ConvGeometry geometry(std::size_t h, std::size_t wd) const {
+    return {h,      wd,   k,
+            stride, pad,  (h + 2 * pad - k) / stride + 1,
+            (wd + 2 * pad - k) / stride + 1};
+  }
+
+  Tensor forward(const Tensor& input) {
+    x = input;
+    const std::size_t n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+    const ConvGeometry g = geometry(h, wd);
+    const std::size_t out_hw = g.oh * g.ow, ckk = cin * k * k;
+    Tensor y{{n, cout, g.oh, g.ow}};
+    Tensor cols{{ckk, out_hw}};
+    Tensor w2d = w.reshaped({cout, ckk});
+    Tensor out2d{{cout, out_hw}};
+    for (std::size_t s = 0; s < n; ++s) {
+      ref_im2col(x.data() + s * cin * h * wd, cin, g, cols.data());
+      ref_matmul_into(w2d, cols, out2d, false);
+      float* dst = y.data() + s * cout * out_hw;
+      for (std::size_t c = 0; c < cout; ++c) {
+        for (std::size_t p = 0; p < out_hw; ++p) {
+          dst[c * out_hw + p] = out2d[c * out_hw + p] + b[c];
+        }
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    const std::size_t n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+    const ConvGeometry g = geometry(h, wd);
+    const std::size_t out_hw = g.oh * g.ow, ckk = cin * k * k;
+    Tensor dx{x.shape()};
+    Tensor cols{{ckk, out_hw}};
+    Tensor w2d = w.reshaped({cout, ckk});
+    Tensor dw2d{{cout, ckk}};
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* go = grad_out.data() + s * cout * out_hw;
+      for (std::size_t c = 0; c < cout; ++c) {
+        float acc = 0.0F;
+        for (std::size_t p = 0; p < out_hw; ++p) acc += go[c * out_hw + p];
+        db[c] += acc;
+      }
+      ref_im2col(x.data() + s * cin * h * wd, cin, g, cols.data());
+      Tensor go_t{{cout, out_hw}, std::vector<float>(go, go + cout * out_hw)};
+      dw2d.add_(ref_matmul_bt(go_t, cols));
+      const Tensor dcols = ref_matmul_at(w2d, go_t);
+      ref_col2im_add(dcols.data(), cin, g, dx.data() + s * cin * h * wd);
+    }
+    dw.add_(dw2d.reshaped(dw.shape()));
+    return dx;
+  }
+};
+
+/// The pre-kernel Linear: y = x W^T + b, dW += go^T x, dX = go W.
+struct RefLinear {
+  Tensor w, b, dw, db, x;
+
+  Tensor forward(const Tensor& input) {
+    x = input;
+    Tensor y = ref_matmul_bt(x, w);
+    for (std::size_t i = 0; i < y.dim(0); ++i) {
+      for (std::size_t j = 0; j < y.dim(1); ++j) y.at2(i, j) += b[j];
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& grad_out) {
+    dw.add_(ref_matmul_at(grad_out, x));
+    for (std::size_t i = 0; i < grad_out.dim(0); ++i) {
+      for (std::size_t j = 0; j < grad_out.dim(1); ++j) {
+        db[j] += grad_out.at2(i, j);
+      }
+    }
+    return ref_matmul(grad_out, w);
+  }
+};
+
+/// Runs forward/backward twice without zeroing gradients, so the order in
+/// which dW and db accumulate across calls is pinned too.
+template <typename Ref>
+void check_layer(Layer& layer, Ref& ref, const std::vector<std::size_t>& in,
+                 util::Rng& rng) {
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(::testing::Message() << "pass " << pass);
+    const Tensor x = random_tensor(in, rng);
+    const Tensor y = layer.forward(x);
+    ASSERT_TRUE(bitwise_equal(y, ref.forward(x)));
+    const Tensor go = random_tensor(y.shape(), rng);
+    EXPECT_TRUE(bitwise_equal(layer.backward(go), ref.backward(go)));
+    EXPECT_TRUE(bitwise_equal(*layer.grads()[0], ref.dw));
+    EXPECT_TRUE(bitwise_equal(*layer.grads()[1], ref.db));
+  }
+}
+
+class ConvOracle : public ::testing::TestWithParam<
+                       std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(ConvOracle, MatchesPerSampleReferenceBitwise) {
+  const auto [stride, pad] = GetParam();
+  util::Rng rng{10 + stride * 7 + pad};
+  // The paper CNN's two convolutions, on a batch that is not a tile
+  // multiple, plus a small odd-sized one.
+  const std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>
+      configs[] = {{3, 6, 5, 32}, {6, 16, 5, 14}, {2, 5, 3, 9}};
+  for (const auto& [cin, cout, k, side] : configs) {
+    SCOPED_TRACE(::testing::Message() << cin << "->" << cout << " k" << k);
+    Conv2D conv{cin, cout, k, stride, pad};
+    conv.init_params(rng);
+    for (float& v : conv.params()[1]->values()) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    RefConv ref{cin,
+                cout,
+                k,
+                stride,
+                pad,
+                *conv.params()[0],
+                *conv.params()[1],
+                Tensor{conv.params()[0]->shape()},
+                Tensor{{cout}},
+                {}};
+    check_layer(conv, ref, {5, cin, side, side}, rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StridePadding, ConvOracle,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Values(0, 2)));
+
+TEST(LinearOracle, MatchesReferenceBitwise) {
+  util::Rng rng{20};
+  // Paper CNN head and campaign MLP layers, at batch 16 and an odd batch.
+  const std::tuple<std::size_t, std::size_t, std::size_t> configs[] = {
+      {16, 400, 120}, {16, 120, 84}, {16, 84, 10},
+      {16, 24, 128},  {16, 128, 128}, {7, 13, 9}};
+  for (const auto& [batch, in, out] : configs) {
+    SCOPED_TRACE(::testing::Message() << in << "->" << out);
+    Linear lin{in, out};
+    lin.init_params(rng);
+    for (float& v : lin.params()[1]->values()) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    RefLinear ref{*lin.params()[0], *lin.params()[1], Tensor{{out, in}},
+                  Tensor{{out}}, {}};
+    check_layer(lin, ref, {batch, in}, rng);
+  }
+}
+
+}  // namespace
+}  // namespace roadrunner::ml
