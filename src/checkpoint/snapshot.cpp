@@ -5,8 +5,8 @@
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
-#include <vector>
 
 #include "checkpoint/sim_io.hpp"
 #include "telemetry/telemetry.hpp"
@@ -116,9 +116,25 @@ Frame read_frame(const std::string& path) {
   if (!in) {
     throw std::runtime_error{"checkpoint: cannot open '" + path + "'"};
   }
-  std::string bytes{std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>()};
+  // One sized read. file_size() fails on anything but a regular file (a
+  // directory opens fine but has no byte size to read).
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string bytes;
+  if (!ec) bytes.resize(static_cast<std::size_t>(size));
+  if (ec || !in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    throw std::runtime_error{"checkpoint: cannot read '" + path + "'"};
+  }
   return parse_frame(std::move(bytes), path);
+}
+
+/// The buffer save() assembles a snapshot in: one per thread, emptied but
+/// not freed between saves, so each thread keeps the capacity of the
+/// largest snapshot it has written and allocates only to outgrow it.
+util::BinWriter& thread_frame() {
+  thread_local util::BinWriter frame;
+  frame.clear();
+  return frame;
 }
 
 /// True when the simulator runs a workload the fingerprint section covers.
@@ -291,77 +307,53 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
           const std::string& path) {
   RR_TSPAN("checkpoint", "checkpoint.save");
 
-  struct Section {
-    std::uint32_t tag;
-    std::string payload;
-  };
-  std::vector<Section> sections;
-  auto add = [&sections](std::uint32_t tag, util::BinWriter&& w) {
-    sections.emplace_back(tag, std::move(w).take());
-  };
-
-  util::BinWriter meta;
-  meta.f64(sim.now());
-  meta.u64(SimulatorIo::executed_events(sim));
-  meta.u64(SimulatorIo::pending_events(sim));
-  meta.str(sim.strategy() ? sim.strategy()->name() : std::string{});
-  meta.u64(sim.config().seed);
-  add(kSectionMeta, std::move(meta));
-
-  util::BinWriter ini;
-  ini.str(experiment.to_string());
-  add(kSectionIni, std::move(ini));
-
-  util::BinWriter sim_state;
-  SimulatorIo::save_sim(sim, sim_state);
-  add(kSectionSim, std::move(sim_state));
-
-  util::BinWriter queue;
-  SimulatorIo::save_queue(sim, queue);
-  add(kSectionQueue, std::move(queue));
-
-  if (sim.adversary().enabled()) {
-    util::BinWriter adversary;
-    SimulatorIo::save_adversary(sim, adversary);
-    add(kSectionAdversary, std::move(adversary));
-  }
-
-  if (workload_fingerprinted(sim)) {
-    util::BinWriter workload;
-    save_workload(sim, workload);
-    add(kSectionWorkload, std::move(workload));
-  }
-
-  if (sim.traffic().enabled()) {
-    util::BinWriter traffic;
-    SimulatorIo::save_traffic(sim, traffic);
-    add(kSectionTraffic, std::move(traffic));
-  }
-
-  util::BinWriter strategy;
-  if (sim.strategy()) sim.strategy()->save_state(strategy);
-  add(kSectionStrategy, std::move(strategy));
-
-  util::BinWriter metrics;
-  SimulatorIo::save_metrics(sim, metrics);
-  add(kSectionMetrics, std::move(metrics));
-
-  util::BinWriter trace;
-  SimulatorIo::save_trace(sim, trace);
-  add(kSectionTrace, std::move(trace));
-
-  util::BinWriter frame;
+  // One pass into one buffer: each section is written in place behind its
+  // tag and a u64 size placeholder, which is patched once the payload is
+  // done; the section count is patched the same way.
+  util::BinWriter& frame = thread_frame();
   frame.raw(kMagic, sizeof kMagic);
   frame.u32(kFormatVersion);
-  // Bounded: the section list is the fixed set of kSection* tags (≤16),
-  // assembled a few lines above — it cannot approach u32 range.
-  frame.u32(static_cast<std::uint32_t>(sections.size()));  // rr-lint: allow(len-narrow)
-  for (const Section& s : sections) {
-    frame.u32(s.tag);
-    frame.u64(s.payload.size());
-    frame.raw(s.payload.data(), s.payload.size());
+  const std::size_t count_at = frame.size();
+  frame.u32(0);
+  std::uint32_t count = 0;
+  const auto add = [&](std::uint32_t tag, const auto& write) {
+    frame.u32(tag);
+    const std::size_t size_at = frame.size();
+    frame.u64(0);
+    write(sim, frame);
+    frame.patch_u64(size_at, frame.size() - size_at - sizeof(std::uint64_t));
+    ++count;
+  };
+
+  add(kSectionMeta, [](const core::Simulator& s, util::BinWriter& out) {
+    out.f64(s.now());
+    out.u64(SimulatorIo::executed_events(s));
+    out.u64(SimulatorIo::pending_events(s));
+    out.str(s.strategy() ? s.strategy()->name() : std::string{});
+    out.u64(s.config().seed);
+  });
+  add(kSectionIni, [&](const core::Simulator&, util::BinWriter& out) {
+    out.str(experiment.to_string());
+  });
+  add(kSectionSim, SimulatorIo::save_sim);
+  add(kSectionQueue, SimulatorIo::save_queue);
+  if (sim.adversary().enabled()) {
+    add(kSectionAdversary, SimulatorIo::save_adversary);
   }
-  frame.u32(util::crc32(frame.buffer().data(), frame.buffer().size()));
+  if (workload_fingerprinted(sim)) {
+    add(kSectionWorkload, save_workload);
+  }
+  if (sim.traffic().enabled()) {
+    add(kSectionTraffic, SimulatorIo::save_traffic);
+  }
+  add(kSectionStrategy, [](const core::Simulator& s, util::BinWriter& out) {
+    if (s.strategy()) s.strategy()->save_state(out);
+  });
+  add(kSectionMetrics, SimulatorIo::save_metrics);
+  add(kSectionTrace, SimulatorIo::save_trace);
+
+  frame.patch_u32(count_at, count);
+  frame.u32(util::crc32(frame.buffer().data(), frame.size()));
 
   // Atomic + durable: a crash mid-save leaves either the old snapshot or
   // none, never a half-written one; the rename is fsync'd into the
@@ -373,6 +365,7 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
   }
   const std::string tmp = path + ".tmp";
   {
+    RR_TSPAN("checkpoint", "checkpoint.write");
     std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
     if (!out) {
       throw std::runtime_error{"checkpoint: cannot write '" + tmp + "'"};
@@ -383,6 +376,7 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
       throw std::runtime_error{"checkpoint: short write to '" + tmp + "'"};
     }
   }
+  RR_TSPAN("checkpoint", "checkpoint.sync");
   util::sync_file(tmp);
   fs::rename(tmp, target);
   util::sync_dir(target.has_parent_path() ? target.parent_path().string()

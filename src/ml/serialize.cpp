@@ -1,23 +1,16 @@
 #include "ml/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
 namespace roadrunner::ml {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  if (pos + 4 > in.size()) {
+std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t& pos) {
+  if (in.size() - pos < 4) {
     throw std::runtime_error{"deserialize_weights: truncated header"};
   }
   const std::uint32_t v = static_cast<std::uint32_t>(in[pos]) |
@@ -31,30 +24,22 @@ std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
 }  // namespace
 
 std::vector<std::uint8_t> serialize_weights(const Weights& w) {
-  if (w.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument{"serialize_weights: too many tensors"};
-  }
   std::vector<std::uint8_t> out;
   out.reserve(weights_byte_size(w));
-  put_u32(out, static_cast<std::uint32_t>(w.size()));
-  for (const Tensor& t : w) {
-    put_u32(out, static_cast<std::uint32_t>(t.rank()));
-    for (std::size_t d = 0; d < t.rank(); ++d) {
-      put_u32(out, static_cast<std::uint32_t>(t.dim(d)));
-    }
-    const std::size_t bytes = t.size() * sizeof(float);
-    const std::size_t offset = out.size();
-    out.resize(offset + bytes);
-    std::memcpy(out.data() + offset, t.data(), bytes);
-  }
+  encode_weights(w, [&out](const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    out.insert(out.end(), p, p + size);
+  });
   return out;
 }
 
-Weights deserialize_weights(const std::vector<std::uint8_t>& bytes) {
+Weights deserialize_weights(std::span<const std::uint8_t> bytes) {
   std::size_t pos = 0;
   const std::uint32_t count = get_u32(bytes, pos);
   Weights w;
-  w.reserve(count);
+  // Each tensor takes at least its 4-byte rank: a hostile count cannot
+  // reserve more than the input could hold.
+  w.reserve(std::min<std::size_t>(count, (bytes.size() - pos) / 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t rank = get_u32(bytes, pos);
     if (rank > 8) throw std::runtime_error{"deserialize_weights: bad rank"};
@@ -62,13 +47,17 @@ Weights deserialize_weights(const std::vector<std::uint8_t>& bytes) {
     for (std::uint32_t d = 0; d < rank; ++d) {
       shape[d] = get_u32(bytes, pos);
     }
-    const std::size_t volume = shape_volume(shape);
-    const std::size_t payload = volume * sizeof(float);
-    if (pos + payload > bytes.size()) {
+    std::size_t volume = rank == 0 ? 0 : 1;  // as shape_volume()
+    bool overflow = false;
+    for (const std::size_t d : shape) {
+      overflow = overflow || __builtin_mul_overflow(volume, d, &volume);
+    }
+    if (overflow || volume > (bytes.size() - pos) / sizeof(float)) {
       throw std::runtime_error{"deserialize_weights: truncated payload"};
     }
+    const std::size_t payload = volume * sizeof(float);
     std::vector<float> data(volume);
-    std::memcpy(data.data(), bytes.data() + pos, payload);
+    if (payload != 0) std::memcpy(data.data(), bytes.data() + pos, payload);
     pos += payload;
     w.emplace_back(std::move(shape), std::move(data));
   }

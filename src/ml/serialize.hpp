@@ -5,6 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,12 +15,36 @@
 
 namespace roadrunner::ml {
 
+/// The one encoder of the byte format above. Hands the bytes, in order, to
+/// `put(const void* data, std::size_t size)`: each header field as four
+/// little-endian bytes, each tensor's payload straight from its storage.
+/// serialize_weights() and the checkpoint writer both encode through it.
+template <typename Put>
+void encode_weights(const Weights& w, Put&& put) {
+  if (w.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument{"serialize_weights: too many tensors"};
+  }
+  const auto put_u32 = [&put](std::size_t v) {
+    const unsigned char le[4] = {
+        static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
+        static_cast<unsigned char>(v >> 16),
+        static_cast<unsigned char>(v >> 24)};
+    put(le, sizeof le);
+  };
+  put_u32(w.size());
+  for (const Tensor& t : w) {
+    put_u32(t.rank());
+    for (std::size_t d = 0; d < t.rank(); ++d) put_u32(t.dim(d));
+    put(t.data(), t.size() * sizeof(float));
+  }
+}
+
 /// Serializes weights into a byte buffer.
 std::vector<std::uint8_t> serialize_weights(const Weights& w);
 
-/// Parses a buffer produced by serialize_weights.
+/// Parses bytes produced by serialize_weights (or encode_weights).
 /// Throws std::runtime_error on truncated or malformed input.
-Weights deserialize_weights(const std::vector<std::uint8_t>& bytes);
+Weights deserialize_weights(std::span<const std::uint8_t> bytes);
 
 /// Persists a model to disk ("RRWT" magic + the wire format above) — the
 /// paper's prototype likewise keeps "models stored as files on disk"

@@ -2,10 +2,12 @@
 // implementations (checkpoint support). Weights ride on the existing wire
 // format (ml/serialize.hpp) inside a length-prefixed byte field, so model
 // payloads in snapshots are identical to what the comm layer transmits.
+// Both directions work in place: no intermediate byte vector.
 #pragma once
 
 #include <map>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "ml/fedavg.hpp"
@@ -15,14 +17,22 @@
 
 namespace roadrunner::strategy::io {
 
+/// Writes the same bytes as `out.bytes(ml::serialize_weights(w))`, encoded
+/// straight from the tensors: the u64 length is back-patched afterwards.
 inline void write_weights(util::BinWriter& out, const ml::Weights& w) {
-  out.bytes(ml::serialize_weights(w));
+  const std::size_t at = out.size();
+  out.u64(0);
+  ml::encode_weights(w, [&out](const void* data, std::size_t size) {
+    out.raw(data, size);
+  });
+  out.patch_u64(at, out.size() - at - sizeof(std::uint64_t));
 }
 
 inline ml::Weights read_weights(util::BinReader& in) {
-  const std::vector<std::uint8_t> bytes = in.bytes();
+  const std::string_view bytes = in.view(in.u64());
   if (bytes.empty()) return {};
-  return ml::deserialize_weights(bytes);
+  return ml::deserialize_weights(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
 }
 
 inline void write_id_set(util::BinWriter& out, const std::set<AgentId>& s) {

@@ -1,7 +1,8 @@
 // Checkpoint/restore subsystem tests: golden determinism, mid-run
 // snapshot round trips (the acceptance bar: a resumed run is
-// bit-identical to an uninterrupted one), corruption rejection, and
-// what-if forks.
+// bit-identical to an uninterrupted one), corruption rejection, what-if
+// forks, and the one-pass writer against the section-by-section assembly
+// it replaced.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,8 +11,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "checkpoint/checkpoint.hpp"
+#include "checkpoint/sim_io.hpp"
+#include "crc32_reference.hpp"
 #include "scenario/experiment.hpp"
 #include "strategy/learning_strategy.hpp"
 #include "util/binary_io.hpp"
@@ -406,6 +411,12 @@ TEST(CheckpointErrors, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(CheckpointErrors, DirectoryIsNotASnapshot) {
+  const std::string dir = fs::temp_directory_path().string();
+  EXPECT_THROW(checkpoint::peek(dir), std::runtime_error);
+  EXPECT_THROW(checkpoint::restore(dir), std::runtime_error);
+}
+
 // ---------------------------------------------------------------- forks --
 
 TEST(CheckpointFork, OverridesApplyFromTheSavedInstant) {
@@ -476,6 +487,325 @@ TEST(CheckpointGuards, PendingClosureComputationRefusesToSnapshot) {
   });
   EXPECT_THROW(sim->run(), std::runtime_error);
   fs::remove(snap);
+}
+
+// ------------------------------------------------ one-pass writer oracle --
+
+namespace oracle {
+
+// The snapshot assembly save() used before it wrote in one pass, kept
+// verbatim as the reference: every section in its own BinWriter, all of
+// them copied into a second frame buffer behind their tags and sizes, and
+// the frame sealed with the bytewise CRC-32 loop. Weights inside the
+// payloads are written by io::write_weights, which
+// BinaryIo.WriteWeightsEqualsLengthPrefixedSerializeWeights pins to the
+// `bytes(serialize_weights(w))` this assembly used.
+
+using checkpoint::SimulatorIo;
+
+constexpr char kMagic[4] = {'R', 'R', 'C', 'K'};
+constexpr std::uint32_t kSectionMeta = 1;
+constexpr std::uint32_t kSectionIni = 2;
+constexpr std::uint32_t kSectionSim = 3;
+constexpr std::uint32_t kSectionQueue = 4;
+constexpr std::uint32_t kSectionStrategy = 5;
+constexpr std::uint32_t kSectionMetrics = 6;
+constexpr std::uint32_t kSectionTrace = 7;
+constexpr std::uint32_t kSectionAdversary = 8;
+constexpr std::uint32_t kSectionWorkload = 9;
+constexpr std::uint32_t kSectionTraffic = 10;
+
+bool workload_fingerprinted(const core::Simulator& sim) {
+  return sim.ml().density() || sim.ml().has_eval_windows();
+}
+
+void save_workload(const core::Simulator& sim, util::BinWriter& out) {
+  const core::MlService& ml = sim.ml();
+  out.u8(ml.density() ? 1 : 0);
+  out.u64(ml.density_spec().components);
+  out.u64(ml.density_spec().dims);
+  const auto& windows = ml.eval_windows();
+  out.u64(windows.size());
+  for (const auto& w : windows) {
+    out.f64(w.start_s);
+    out.u64(w.data.size());
+  }
+}
+
+std::string image(const core::Simulator& sim,
+                  const util::IniFile& experiment) {
+  struct Section {
+    std::uint32_t tag;
+    std::string payload;
+  };
+  std::vector<Section> sections;
+  auto add = [&sections](std::uint32_t tag, util::BinWriter&& w) {
+    sections.emplace_back(tag, std::move(w).take());
+  };
+
+  util::BinWriter meta;
+  meta.f64(sim.now());
+  meta.u64(SimulatorIo::executed_events(sim));
+  meta.u64(SimulatorIo::pending_events(sim));
+  meta.str(sim.strategy() ? sim.strategy()->name() : std::string{});
+  meta.u64(sim.config().seed);
+  add(kSectionMeta, std::move(meta));
+
+  util::BinWriter ini;
+  ini.str(experiment.to_string());
+  add(kSectionIni, std::move(ini));
+
+  util::BinWriter sim_state;
+  SimulatorIo::save_sim(sim, sim_state);
+  add(kSectionSim, std::move(sim_state));
+
+  util::BinWriter queue;
+  SimulatorIo::save_queue(sim, queue);
+  add(kSectionQueue, std::move(queue));
+
+  if (sim.adversary().enabled()) {
+    util::BinWriter adversary;
+    SimulatorIo::save_adversary(sim, adversary);
+    add(kSectionAdversary, std::move(adversary));
+  }
+
+  if (workload_fingerprinted(sim)) {
+    util::BinWriter workload;
+    save_workload(sim, workload);
+    add(kSectionWorkload, std::move(workload));
+  }
+
+  if (sim.traffic().enabled()) {
+    util::BinWriter traffic;
+    SimulatorIo::save_traffic(sim, traffic);
+    add(kSectionTraffic, std::move(traffic));
+  }
+
+  util::BinWriter strategy;
+  if (sim.strategy()) sim.strategy()->save_state(strategy);
+  add(kSectionStrategy, std::move(strategy));
+
+  util::BinWriter metrics;
+  SimulatorIo::save_metrics(sim, metrics);
+  add(kSectionMetrics, std::move(metrics));
+
+  util::BinWriter trace;
+  SimulatorIo::save_trace(sim, trace);
+  add(kSectionTrace, std::move(trace));
+
+  util::BinWriter frame;
+  frame.raw(kMagic, sizeof kMagic);
+  frame.u32(checkpoint::kFormatVersion);
+  frame.u32(static_cast<std::uint32_t>(sections.size()));
+  for (const Section& s : sections) {
+    frame.u32(s.tag);
+    frame.u64(s.payload.size());
+    frame.raw(s.payload.data(), s.payload.size());
+  }
+  frame.u32(testing::crc32_bytewise(frame.buffer().data(),
+                                    frame.buffer().size()));
+  return frame.take();
+}
+
+/// The section tags of a snapshot image, in file order.
+std::vector<std::uint32_t> section_tags(const std::string& image) {
+  util::BinReader in{image};
+  (void)in.u32();  // magic
+  (void)in.u32();  // version
+  const std::uint32_t count = in.u32();
+  std::vector<std::uint32_t> tags;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    tags.push_back(in.u32());
+    (void)in.sub(in.u64());
+  }
+  return tags;
+}
+
+}  // namespace oracle
+
+/// Training jobs started but neither completed nor discarded, read off the
+/// event trace (the INI must set trace_events).
+std::size_t trainings_in_flight(const core::Simulator& sim) {
+  std::size_t started = 0;
+  std::size_t ended = 0;
+  for (const core::TraceEvent& e : sim.trace().events()) {
+    started += e.kind == core::TraceKind::kTrainingStarted ? 1 : 0;
+    ended += e.kind == core::TraceKind::kTrainingCompleted ||
+                     e.kind == core::TraceKind::kTrainingDiscarded
+                 ? 1
+                 : 0;
+  }
+  return started - ended;
+}
+
+/// Saves through checkpoint::save and compares the file byte for byte
+/// with the oracle image of the same instant. Records instead of asserting,
+/// so worker threads can use it too.
+struct OracleCheck {
+  std::size_t saves = 0;
+  std::size_t mismatches = 0;
+  std::size_t saves_in_flight = 0;
+  std::size_t last_size = 0;
+  std::set<std::uint32_t> tags;
+  std::string first_mismatch;
+
+  void save(const core::Simulator& sim, const util::IniFile& ini,
+            const fs::path& path) {
+    checkpoint::save(sim, ini, path.string());
+    const std::string actual = slurp(path);
+    const std::string expected = oracle::image(sim, ini);
+    ++saves;
+    saves_in_flight += trainings_in_flight(sim) > 0 ? 1 : 0;
+    last_size = actual.size();
+    for (std::uint32_t tag : oracle::section_tags(expected)) tags.insert(tag);
+    if (actual.size() != expected.size() ||
+        std::memcmp(actual.data(), expected.data(), actual.size()) != 0) {
+      if (mismatches++ == 0) {
+        std::size_t at = 0;
+        while (at < std::min(actual.size(), expected.size()) &&
+               actual[at] == expected[at]) {
+          ++at;
+        }
+        first_mismatch = "t=" + std::to_string(sim.now()) + ": " +
+                         std::to_string(actual.size()) + " vs " +
+                         std::to_string(expected.size()) +
+                         " bytes, first difference at byte " +
+                         std::to_string(at);
+      }
+    }
+  }
+};
+
+/// Runs `ini` with an oracle-checked save at t = 0 (before the run starts)
+/// and at every `every_s` autosave tick.
+OracleCheck run_with_oracle(const util::IniFile& ini, const fs::path& path,
+                            double every_s) {
+  OracleCheck check;
+  scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+  auto sim = scn.make_simulator();
+  sim->set_strategy(scenario::strategy_from_ini(ini));
+  check.save(*sim, ini, path);
+  sim->set_autosave(every_s, [&](core::Simulator& s) {
+    check.save(s, ini, path);
+  });
+  (void)sim->run();
+  fs::remove(path);
+  return check;
+}
+
+fs::path oracle_file(const std::string& suffix) {
+  return tmp_file(
+      std::string{"rr_oracle_"} +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      suffix + ".rrck");
+}
+
+TEST(CheckpointWriterOracle, EveryStrategyFamilyMatchesTheReferenceAssembly) {
+  std::size_t saves_in_flight = 0;
+  for (const char* strategy :
+       {"federated", "opportunistic", "gossip", "rsu_assisted",
+        "federated_clustering", "centralized"}) {
+    const auto ini = util::IniFile::parse(test_ini(strategy));
+    const OracleCheck check =
+        run_with_oracle(ini, oracle_file(strategy), 30.0);
+    EXPECT_GT(check.saves, 10U) << strategy;
+    EXPECT_EQ(check.mismatches, 0U) << strategy << ": " << check.first_mismatch;
+    saves_in_flight += check.saves_in_flight;
+  }
+  // Some saves force a training job still in flight into the queue section.
+  EXPECT_GT(saves_in_flight, 0U);
+}
+
+TEST(CheckpointWriterOracle, OptionalSectionsMatchTheReferenceAssembly) {
+  const std::vector<std::pair<std::string, std::uint32_t>> cases = {
+      {"adversarial.ini", oracle::kSectionAdversary},
+      {"drift.ini", oracle::kSectionWorkload},
+      {"traffic.ini", oracle::kSectionTraffic},
+  };
+  for (const auto& [file, tag] : cases) {
+    const auto ini =
+        util::IniFile::load(std::string{RR_EXAMPLES_DIR} + "/" + file);
+    const OracleCheck check = run_with_oracle(ini, oracle_file(file), 200.0);
+    EXPECT_GT(check.saves, 2U) << file;
+    EXPECT_EQ(check.mismatches, 0U) << file << ": " << check.first_mismatch;
+    EXPECT_EQ(check.tags.count(tag), 1U) << file << " lacks section " << tag;
+  }
+}
+
+TEST(CheckpointWriterOracle, SmallerSaveAfterALargerOneHasNoStaleTail) {
+  // Both saves run on this thread, so the second reuses the buffer the
+  // first grew: a leftover tail would show as a size or CRC mismatch.
+  auto ini = util::IniFile::parse(test_ini("opportunistic"));
+  ini.set("train", "model", "mlp");
+  const fs::path large = oracle_file("large");
+  const fs::path small = oracle_file("small");
+  OracleCheck check;
+  {
+    scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+    auto sim = scn.make_simulator();
+    sim->set_strategy(scenario::strategy_from_ini(ini));
+    sim->set_autosave(300.0, [&](core::Simulator& s) {
+      if (check.saves == 0) check.save(s, ini, large);
+    });
+    (void)sim->run();
+  }
+  const std::size_t large_size = check.last_size;
+  {
+    scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+    auto sim = scn.make_simulator();
+    sim->set_strategy(scenario::strategy_from_ini(ini));
+    check.save(*sim, ini, small);
+  }
+  ASSERT_EQ(check.saves, 2U);
+  EXPECT_LT(check.last_size, large_size);
+  EXPECT_EQ(check.mismatches, 0U) << check.first_mismatch;
+  fs::remove(large);
+  fs::remove(small);
+}
+
+TEST(CheckpointWriterOracle, SaveAfterAThrowingSaveMatchesTheReferenceAssembly) {
+  // The refused save dies part-way through the queue section and leaves a
+  // half-written frame in this thread's buffer; the next save must not
+  // inherit any of it.
+  auto ini = util::IniFile::parse(test_ini("federated"));
+  {
+    scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+    auto sim = scn.make_simulator();
+    sim->set_strategy(std::make_shared<ClosureComputeStrategy>());
+    const fs::path refused = oracle_file("refused");
+    sim->set_autosave(1.0, [&](core::Simulator& s) {
+      checkpoint::save(s, ini, refused.string());
+    });
+    EXPECT_THROW(sim->run(), std::runtime_error);
+    fs::remove(refused);
+  }
+  const OracleCheck check = run_with_oracle(ini, oracle_file("after"), 150.0);
+  EXPECT_GT(check.saves, 2U);
+  EXPECT_EQ(check.mismatches, 0U) << check.first_mismatch;
+}
+
+TEST(CheckpointWriterOracle, FourThreadsSavingAtOnceMatchTheReferenceAssembly) {
+  // Each thread writes through its own buffer; concurrent saves must
+  // neither share nor corrupt one another's frames.
+  const std::vector<const char*> strategies = {"federated", "opportunistic",
+                                               "gossip", "rsu_assisted"};
+  std::vector<OracleCheck> checks(strategies.size());
+  std::vector<fs::path> paths;
+  for (const char* strategy : strategies) paths.push_back(oracle_file(strategy));
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    threads.emplace_back([&, i] {
+      auto ini = util::IniFile::parse(test_ini(strategies[i]));
+      ini.set("scenario", "seed", std::to_string(20 + i));
+      checks[i] = run_with_oracle(ini, paths[i], 45.0);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    EXPECT_GT(checks[i].saves, 10U) << strategies[i];
+    EXPECT_EQ(checks[i].mismatches, 0U)
+        << strategies[i] << ": " << checks[i].first_mismatch;
+  }
 }
 
 }  // namespace
