@@ -61,24 +61,46 @@ void BM_EncounterDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_EncounterDetection)->Arg(100)->Arg(500)->Arg(1000)->Arg(3200);
 
+// Arg 0: point count. Arg 1: layout, 0 uniform over a 4 km square, 1 the
+// city shape: vehicles on a street lattice with 200 m blocks (a third of
+// them at intersections), so at radius == cell many pairs sit exactly on
+// cell edges and at exactly the range.
 void BM_SpatialIndexBuildQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool lattice = state.range(1) == 1;
+  constexpr double kBlock = 200.0;
   util::Rng rng{11};
   std::vector<mobility::Position> pts(n);
   for (auto& p : pts) {
-    p = {rng.uniform(0.0, 4000.0), rng.uniform(0.0, 4000.0)};
+    if (!lattice) {
+      p = {rng.uniform(0.0, 4000.0), rng.uniform(0.0, 4000.0)};
+      continue;
+    }
+    const auto street = static_cast<double>(rng.next_below(21)) * kBlock;
+    const double along =
+        rng.next_below(3) == 0
+            ? static_cast<double>(rng.next_below(21)) * kBlock
+            : rng.uniform(0.0, 4000.0);
+    p = rng.bernoulli(0.5) ? mobility::Position{street, along}
+                           : mobility::Position{along, street};
   }
   // One index rebuilt per iteration, as FleetModel::encounters does per tick.
   mobility::SpatialIndex index;
+  std::vector<std::uint64_t> keys;
   for (auto _ : state) {
-    index.rebuild(pts, 200.0);
-    auto pairs = index.pairs_within(200.0);
-    benchmark::DoNotOptimize(pairs.data());
+    index.rebuild(pts, kBlock);
+    index.pair_keys_within(kBlock, keys);
+    benchmark::DoNotOptimize(keys.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SpatialIndexBuildQuery)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_SpatialIndexBuildQuery)
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({5000, 0})
+    ->Args({1000, 1})
+    ->Args({5000, 1});
 
 void BM_LinkCheck(benchmark::State& state) {
   const auto fleet = bench_fleet(50);
@@ -93,12 +115,13 @@ void BM_LinkCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkCheck);
 
+// FleetModel::position_of through the per-vehicle segment cache: mostly
+// the strictly-inside fast path, a cursor advance every few steps.
 void BM_TraceInterpolationSequential(benchmark::State& state) {
   const auto fleet = bench_fleet(1);
-  const auto& trace = fleet.vehicle(0).trace;
   double t = 0.0;
   for (auto _ : state) {
-    auto p = trace.position_at(t);
+    auto p = fleet.position_of(0, t);
     benchmark::DoNotOptimize(p.x);
     t += 0.37;
     if (t > 1900.0) t = 0.0;

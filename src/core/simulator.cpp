@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -555,9 +556,12 @@ void Simulator::mobility_tick() {
 
   // Power-state diff for vehicles. Uses the *effective* power state (is_on)
   // so injected outages and crash reboots surface as the same
-  // on_power_off/on events an ignition cycle produces.
+  // on_power_off/on events an ignition cycle produces. A vehicle is only
+  // asked again once its power window (or a fault window edge) has passed.
   for (std::size_t i = 0; i < vehicle_ids_.size(); ++i) {
+    if (t < power_check_s_[i]) continue;
     const AgentId id = vehicle_ids_[i];
+    power_check_s_[i] = power_stable_until(agents_[id].node, t);
     const bool on = is_on(id);
     if (on != last_power_[i]) {
       last_power_[i] = on;
@@ -584,9 +588,12 @@ void Simulator::mobility_tick() {
   }
   RR_TSPAN("sim", "sim.encounter_diff");
   // Node order need not match agent order, so sort after the mapping (it is
-  // injective: no duplicates). With both lists ascending, one forward walk
-  // each yields the begins, then the ends, in pair order.
-  std::sort(current_encounters_.begin(), current_encounters_.end());
+  // injective: no duplicates) unless it kept the fleet's order, as it does
+  // when agents were registered in node order. With both lists ascending,
+  // one forward walk each yields the begins, then the ends, in pair order.
+  if (!std::is_sorted(current_encounters_.begin(), current_encounters_.end())) {
+    std::sort(current_encounters_.begin(), current_encounters_.end());
+  }
   const auto holds = [](const auto& sorted, std::size_t& cursor,
                         const std::pair<AgentId, AgentId>& pair) {
     while (cursor < sorted.size() && sorted[cursor] < pair) ++cursor;
@@ -606,6 +613,18 @@ void Simulator::mobility_tick() {
     strategy_->on_encounter_end(*this, a, b);
   }
   active_encounters_.swap(current_encounters_);
+}
+
+double Simulator::power_stable_until(mobility::NodeId node, double t) const {
+  double until = fleet_->power_until(node, t);
+  // The first edge after t on this node: node_down() is a union of
+  // half-open windows, so it is constant from t up to that edge.
+  const auto it = std::upper_bound(fault_edges_.begin(), fault_edges_.end(),
+                                   std::pair{node, t});
+  if (it != fault_edges_.end() && it->first == node) {
+    until = std::min(until, it->second);
+  }
+  return until;
 }
 
 void Simulator::schedule_next_tick(double at) {
@@ -829,6 +848,26 @@ Simulator::RunReport Simulator::run() {
   }
   // A restored run continues mid-flight: on_start, initial power states,
   // and the tick chain are all part of the reinstated state.
+
+  // The power-diff schedule is derived state: every vehicle is checked at
+  // the next tick, which then learns how long its state holds.
+  power_check_s_.assign(vehicle_ids_.size(),
+                        -std::numeric_limits<double>::infinity());
+  fault_edges_.clear();
+  const auto add_edge = [&](mobility::NodeId node, double edge) {
+    if (std::isfinite(edge)) fault_edges_.emplace_back(node, edge);
+  };
+  for (const fault::FaultEvent& ev : injector_.plan().events) {
+    if (ev.kind == fault::FaultKind::kNodeOutage) {
+      add_edge(ev.node, ev.start_s);
+      add_edge(ev.node, ev.end_s);
+    } else if (ev.kind == fault::FaultKind::kVehicleCrash &&
+               ev.reboot_after_s > 0.0) {
+      add_edge(ev.vehicle, ev.at_s);
+      add_edge(ev.vehicle, ev.at_s + ev.reboot_after_s);
+    }
+  }
+  std::sort(fault_edges_.begin(), fault_edges_.end());
 
   // Autosaves fire between events, outside the queue: they consume no
   // event slots, no seq numbers, and no randomness, so a snapshot-resumed

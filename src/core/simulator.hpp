@@ -230,6 +230,11 @@ class Simulator final : public strategy::StrategyContext {
   /// called when the ML service has eval windows.
   void export_drift_metrics(double end_time_s);
   void schedule_next_tick(double at);
+  /// The instant up to which (exclusive) the effective power of vehicle
+  /// node `node` keeps its value at `t`: its ignition window's end, cut at
+  /// the next edge of a node_outage or crash-reboot window on it.
+  [[nodiscard]] double power_stable_until(mobility::NodeId node,
+                                          double t) const;
   /// Reserves `id`'s HU for `flops` and marks it training. Returns the
   /// charged duration, or nullopt if the agent is off/busy.
   std::optional<double> reserve_computation(AgentId id, std::uint64_t flops);
@@ -322,6 +327,15 @@ class Simulator final : public strategy::StrategyContext {
   /// both buffers keep their capacity.
   std::vector<std::pair<AgentId, AgentId>> current_encounters_;
   std::vector<bool> last_power_;  // per vehicle_ids_ index
+  /// Per vehicle_ids_ index: the tick diff skips the vehicle while the
+  /// tick time is below this, as its effective power cannot have changed.
+  /// Derived state: run() rebuilds it (restored runs too); never saved.
+  /// It lives here, not in the fleet, because one fleet can serve several
+  /// simulators.
+  std::vector<double> power_check_s_;
+  /// (node, time) edges of every node_outage and crash-reboot window,
+  /// ascending; node_down() can only change at one of them. Built by run().
+  std::vector<std::pair<mobility::NodeId, double>> fault_edges_;
 
   /// Sender-side radio occupancy per (agent, channel) and the FIFO of
   /// messages waiting for a free slot.

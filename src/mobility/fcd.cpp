@@ -335,8 +335,15 @@ FleetModel load_fleet_fcd_text(const std::string& xml,
       ts.push_back({s.t, p});
     }
     on.push_back({run_start, prev_t + dt});
-    tracks.push_back(
-        VehicleTrack{Trace{std::move(ts)}, IgnitionSchedule{std::move(on)}});
+    // Finite input can still overflow (a projection, or a step past the
+    // largest double); Trace and IgnitionSchedule reject the non-finite
+    // result, reported here like any other malformed export.
+    try {
+      tracks.push_back(
+          VehicleTrack{Trace{std::move(ts)}, IgnitionSchedule{std::move(on)}});
+    } catch (const std::invalid_argument& e) {
+      scan.fail(root->line, "vehicle '" + names[v] + "': " + e.what());
+    }
   }
   return FleetModel{std::move(tracks)};
 }

@@ -22,6 +22,9 @@ struct VehicleTrack {
 /// nodes (RSUs) in insertion order.
 using NodeId = std::size_t;
 
+/// Every query reads through a per-vehicle cache (flat arrays built with
+/// the fleet) and updates it, and encounters() reuses scratch buffers, so
+/// one FleetModel must not serve concurrent calls.
 class FleetModel {
  public:
   FleetModel() = default;
@@ -49,10 +52,10 @@ class FleetModel {
   /// Powered state of any node at `time_s` (static nodes are always on).
   [[nodiscard]] bool is_on(NodeId id, double time_s) const;
 
-  /// Earliest time strictly after `time_s` at which any vehicle's power
-  /// state flips; nullopt when none will.
-  [[nodiscard]] std::optional<double> next_power_transition(
-      double time_s) const;
+  /// The instant up to which (exclusive) is_on(id, ·) keeps its value at
+  /// `time_s`: the next real power flip, or infinity when there is none
+  /// (static nodes, always-on vehicles, after the last interval).
+  [[nodiscard]] double power_until(NodeId id, double time_s) const;
 
   /// Latest trace end across vehicles (0 when there are none).
   [[nodiscard]] double duration() const;
@@ -66,18 +69,40 @@ class FleetModel {
 
   /// Unordered node pairs within `radius` at `time_s`, both powered on —
   /// the candidates for V2X communication. Includes vehicle-RSU pairs.
-  /// Sorted ascending. Reuses this model's scratch buffers, as the traces
-  /// and ignition schedules reuse their cursors, so one FleetModel must not
-  /// serve concurrent calls.
+  /// Sorted ascending.
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> encounters(
       double time_s, double radius) const;
 
  private:
+  /// A vehicle's current trace segment: the cursor Trace::position_at would
+  /// hold after this model's queries, and that segment's end samples. A
+  /// single-sample trace keeps t0 == t1, so the fast path never applies.
+  struct Segment {
+    double t0 = 0.0;
+    double t1 = 0.0;
+    Position p0;
+    Position p1;
+    std::size_t cursor = 0;
+  };
+
+  [[nodiscard]] Position vehicle_position(NodeId id, double time_s) const;
+  [[nodiscard]] Position seek_position(NodeId id, double time_s) const;
+  [[nodiscard]] const PowerState& vehicle_power(NodeId id,
+                                                double time_s) const;
+  void check_node(NodeId id, const char* who) const;
+
   std::vector<VehicleTrack> vehicles_;
   std::vector<Position> static_nodes_;
-  // encounters() scratch: the powered nodes and their grid, reused per tick.
+  /// Per vehicle, indexed by NodeId. One cursor serves every query, so
+  /// positions at exact sample times depend on this model's query history
+  /// exactly as they did on each Trace's own cursor; the power windows
+  /// cache a pure function, so any history gives the same answers.
+  mutable std::vector<Segment> segments_;
+  mutable std::vector<PowerState> power_;
+  // encounters() scratch: the powered nodes, their grid and pair keys.
   mutable std::vector<Position> on_positions_;
   mutable std::vector<NodeId> on_ids_;
+  mutable std::vector<std::uint64_t> pair_keys_;
   mutable SpatialIndex index_;
 };
 

@@ -1,6 +1,8 @@
 #include "mobility/ignition.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace roadrunner::mobility {
@@ -8,6 +10,12 @@ namespace roadrunner::mobility {
 IgnitionSchedule::IgnitionSchedule(std::vector<OnInterval> intervals)
     : intervals_{std::move(intervals)} {
   for (std::size_t i = 0; i < intervals_.size(); ++i) {
+    // NaN would pass the ordering checks below, since every comparison
+    // with it is false, and break the binary search.
+    if (!std::isfinite(intervals_[i].start_s) ||
+        !std::isfinite(intervals_[i].end_s)) {
+      throw std::invalid_argument{"IgnitionSchedule: non-finite interval"};
+    }
     if (intervals_[i].end_s <= intervals_[i].start_s) {
       throw std::invalid_argument{"IgnitionSchedule: empty interval"};
     }
@@ -23,30 +31,40 @@ IgnitionSchedule IgnitionSchedule::always_on() {
   return s;
 }
 
-bool IgnitionSchedule::is_on(double time_s) const {
-  if (always_on_) return true;
-  // cursor_ counts the intervals starting at or before time_s, so the last
-  // of them is the only one that can contain it. The simulator queries
-  // near-monotonically: keep the last count while it is still right and
-  // search only on a rewind or when time has passed the next start.
-  if (cursor_ > 0 && time_s < intervals_[cursor_ - 1].start_s) cursor_ = 0;
-  if (cursor_ < intervals_.size() && intervals_[cursor_].start_s <= time_s) {
-    const auto it = std::upper_bound(
-        intervals_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-        intervals_.end(), time_s,
-        [](double t, const OnInterval& iv) { return t < iv.start_s; });
-    cursor_ = static_cast<std::size_t>(it - intervals_.begin());
-  }
-  return cursor_ > 0 && time_s < intervals_[cursor_ - 1].end_s;
+std::size_t IgnitionSchedule::started_by(double time_s) const {
+  const auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), time_s,
+      [](double t, const OnInterval& iv) { return t < iv.start_s; });
+  return static_cast<std::size_t>(it - intervals_.begin());
 }
 
-std::optional<double> IgnitionSchedule::next_transition(double time_s) const {
-  if (always_on_) return std::nullopt;
-  for (const auto& iv : intervals_) {
-    if (iv.start_s > time_s) return iv.start_s;
-    if (iv.end_s > time_s) return iv.end_s;
+bool IgnitionSchedule::is_on(double time_s) const {
+  if (always_on_) return true;
+  const std::size_t k = started_by(time_s);
+  return k > 0 && time_s < intervals_[k - 1].end_s;
+}
+
+PowerState IgnitionSchedule::state_at(double time_s) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (always_on_) return {true, -kInf, kInf};
+  const std::size_t n = intervals_.size();
+  const std::size_t k = started_by(time_s);
+  if (k > 0 && time_s < intervals_[k - 1].end_s) {
+    std::size_t first = k - 1;
+    std::size_t last = k - 1;
+    while (first > 0 &&
+           intervals_[first - 1].end_s == intervals_[first].start_s) {
+      --first;
+    }
+    while (last + 1 < n &&
+           intervals_[last].end_s == intervals_[last + 1].start_s) {
+      ++last;
+    }
+    return {true, intervals_[first].start_s, intervals_[last].end_s};
   }
-  return std::nullopt;
+  // Off between the interval that ended before time_s and the next start.
+  return {false, k > 0 ? intervals_[k - 1].end_s : -kInf,
+          k < n ? intervals_[k].start_s : kInf};
 }
 
 double IgnitionSchedule::on_duration(double from_s, double to_s) const {

@@ -49,21 +49,25 @@ class SpatialIndex {
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> pairs_within(
       double radius) const;
 
-  [[nodiscard]] std::size_t size() const { return positions_.size(); }
+  /// pairs_within() as packed keys `i << 32 | j`, ascending, written into
+  /// `keys` (cleared first, so a caller's buffer keeps its capacity across
+  /// ticks). Each slot, in cell order, tests the later slots of its own cell
+  /// and the cell to its right, then the three cells above: a half stencil
+  /// that tests every candidate pair once.
+  void pair_keys_within(double radius, std::vector<std::uint64_t>& keys) const;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  /// Visits the slots (positions in `order_`) of the 3x3 neighbourhood of
-  /// cell (cx, cy), one contiguous run per grid row. Cell coordinates may
-  /// lie outside the grid; the neighbourhood is clipped to it.
-  template <typename Fn>
-  void for_each_neighbour_run(double cx, double cy, Fn&& fn) const;
+  void check_radius(double radius, const char* who) const;
 
-  std::vector<Position> positions_;
+  std::size_t size_ = 0;
   double cell_size_ = 0.0;  ///< as requested: the largest valid radius
   Position origin_;         ///< lower-left corner of the grid
   double inv_cell_ = 0.0;   ///< 1 / the (possibly grown) binning cell side
+  /// Columns and rows, counting an empty border one cell wide.
   std::uint32_t nx_ = 0, ny_ = 0;
-  /// Cell id (row-major, cx + cy * nx_) of every point.
+  /// Cell id (row-major, cx + cy * nx_, border included) of every point.
   std::vector<std::uint32_t> point_cell_;
   /// Counting-sort output: cell c holds the slots [cell_start_[c],
   /// cell_start_[c + 1]) of `order_` (point indices, ascending within a
@@ -71,6 +75,7 @@ class SpatialIndex {
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> order_;
   std::vector<Position> sorted_;
+  std::vector<std::uint32_t> slot_cell_;  ///< cell id of each slot
 };
 
 }  // namespace roadrunner::mobility

@@ -16,12 +16,14 @@ struct TraceSample {
   Position position;
 };
 
-/// One vehicle's trajectory. Samples must be strictly increasing in time;
-/// positions between samples are linearly interpolated, and the trace is
-/// clamped (constant) outside its time span.
+/// One vehicle's trajectory. Samples must be finite and strictly increasing
+/// in time; positions between samples are linearly interpolated, and the
+/// trace is clamped (constant) outside its time span.
 class Trace {
  public:
   Trace() = default;
+  /// Throws std::invalid_argument on a non-finite time or coordinate, or
+  /// on times that do not strictly increase.
   explicit Trace(std::vector<TraceSample> samples);
 
   [[nodiscard]] bool empty() const { return samples_.empty(); }
@@ -35,7 +37,17 @@ class Trace {
 
   /// Interpolated position at `time_s` (clamped to the span ends).
   /// Precondition: trace is non-empty.
+  ///
+  /// At an exact interior sample time the result depends on query history:
+  /// the memoized segment is kept while its end equals `time_s`, giving
+  /// lerp(a, b, 1), which may differ by an ulp from the next segment's
+  /// lerp(b, c, 0) == b. Callers that replay a run must replay its queries.
   [[nodiscard]] Position position_at(double time_s) const;
+
+  /// position_at() with the caller's memoized segment: `cursor` (the index
+  /// of the segment's first sample) is read and updated exactly as the
+  /// trace's own is. FleetModel's segment cache keeps one per vehicle.
+  [[nodiscard]] Position position_at(double time_s, std::size_t& cursor) const;
 
   /// Instantaneous speed (m/s) from the surrounding segment; 0 outside the
   /// span or on a single-sample trace.
@@ -44,6 +56,8 @@ class Trace {
   /// Total path length in meters.
   [[nodiscard]] double path_length() const;
 
+  /// Throws std::invalid_argument unless `sample` is finite and later than
+  /// the last one.
   void append(TraceSample sample);
 
  private:

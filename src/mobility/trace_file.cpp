@@ -175,8 +175,15 @@ FleetModel build_fleet(const std::vector<NumberedRow>& trace_rows,
             " has overlapping ignition intervals (non-monotone schedule)"};
       }
     }
-    tracks.push_back(VehicleTrack{Trace{std::move(ts)},
-                                  IgnitionSchedule{std::move(ivs)}});
+    // A geo projection of finite input can still overflow; Trace rejects
+    // the non-finite result, reported here with the file's context.
+    try {
+      tracks.push_back(VehicleTrack{Trace{std::move(ts)},
+                                    IgnitionSchedule{std::move(ivs)}});
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error{"trace_file: " + traces_path + ": vehicle " +
+                               std::to_string(id) + ": " + e.what()};
+    }
   }
   return FleetModel{std::move(tracks)};
 }

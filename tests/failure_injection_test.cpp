@@ -9,6 +9,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "checkpoint/checkpoint.hpp"
 #include "scenario/experiment.hpp"
@@ -302,6 +304,142 @@ TEST(ScriptedFaults, CheckpointTakenMidOutageResumesBitIdentically) {
   EXPECT_EQ(uninterrupted.trace_csv, trace.str());
   EXPECT_EQ(uninterrupted.metrics_csv, metrics.str());
   EXPECT_EQ(uninterrupted.events, report.events_executed);
+  std::filesystem::remove(snap);
+}
+
+/// A fleet that cycles its ignition often: short dwells, and vehicles that
+/// start parked with the engine on and then drive off, which gives
+/// back-to-back ignition intervals. Outages and crash reboots on vehicles
+/// have edges between the 0.75 s ticks.
+constexpr const char* kPowerIni = R"([scenario]
+vehicles = 12
+seed = 11
+horizon_s = 900
+mobility_tick_s = 0.75
+trace_events = true
+[city]
+duration_s = 900
+dwell_s = 60
+initial_on = 0.3
+dwell_on = 0.5
+[data]
+dataset = blobs
+train_pool = 600
+test_size = 120
+partition = iid
+samples_per_vehicle = 40
+[train]
+model = logreg
+epochs = 1
+[strategy]
+name = federated
+rounds = 50
+participants = 3
+round_duration_s = 120
+[fault.0]
+kind = node_outage
+target = 1
+start_s = 100.3
+end_s = 260.6
+[fault.1]
+kind = node_outage
+target = 4
+start_s = 140.2
+end_s = 175.9
+[fault.2]
+kind = vehicle_crash
+vehicle = 2
+at_s = 300.1
+reboot_after_s = 45.4
+[fault.3]
+kind = vehicle_crash
+vehicle = 1
+at_s = 500.5
+reboot_after_s = 90
+[fault.4]
+kind = node_outage
+target = cloud
+start_s = 50
+end_s = 80
+)";
+
+using PowerRecord = std::tuple<double, core::TraceKind, core::AgentId>;
+
+std::vector<PowerRecord> power_records(const core::EventTrace& trace) {
+  std::vector<PowerRecord> out;
+  for (const core::TraceEvent& ev : trace.events()) {
+    if (ev.kind == core::TraceKind::kPowerOn ||
+        ev.kind == core::TraceKind::kPowerOff) {
+      out.emplace_back(ev.time_s, ev.kind, ev.a);
+    }
+  }
+  return out;
+}
+
+// The tick diff asks a vehicle again only once its ignition window or a
+// fault window edge has passed. Its power records must equal a replay that
+// evaluates every vehicle's effective power at every tick, uninterrupted
+// and resumed from a snapshot taken mid-run.
+TEST(ScriptedFaults, PowerDiffMatchesPerTickReplay) {
+  const auto ini = util::IniFile::parse(kPowerIni);
+  const scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+  const mobility::FleetModel& fleet = scn.fleet();
+  std::size_t back_to_back = 0;
+  for (mobility::NodeId v = 0; v < fleet.vehicle_count(); ++v) {
+    const auto& iv = fleet.vehicle(v).ignition.intervals();
+    for (std::size_t k = 1; k < iv.size(); ++k) {
+      if (iv[k - 1].end_s == iv[k].start_s) ++back_to_back;
+    }
+  }
+  ASSERT_GT(back_to_back, 0U);
+
+  const auto snap =
+      std::filesystem::temp_directory_path() / "rr_power_diff_replay.rrck";
+  std::filesystem::remove(snap);
+  auto sim = scn.make_simulator();
+  sim->set_strategy(scenario::strategy_from_ini(ini));
+  bool saved = false;
+  sim->set_autosave(150.0, [&](core::Simulator& s) {
+    if (saved) return;
+    saved = true;
+    checkpoint::save(s, ini, snap.string());
+  });
+  (void)sim->run();
+
+  const auto ignition = [&](core::AgentId id, double t) {
+    return fleet.vehicle(sim->agent(id).node).ignition.is_on(t);
+  };
+  const auto effective = [&](core::AgentId id, double t) {
+    return ignition(id, t) &&
+           !sim->injector().node_down(sim->agent(id).node, t);
+  };
+  const std::vector<core::AgentId>& ids = sim->vehicle_ids();
+  std::vector<bool> last;
+  for (const core::AgentId id : ids) last.push_back(effective(id, 0.0));
+  std::vector<PowerRecord> expected;
+  std::size_t fault_flips = 0;
+  const double tick = sim->config().mobility_tick_s;
+  double prev = 0.0;
+  for (double t = tick; t <= sim->config().horizon_s; t += tick) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const bool on = effective(ids[i], t);
+      if (on == last[i]) continue;
+      last[i] = on;
+      expected.emplace_back(
+          t, on ? core::TraceKind::kPowerOn : core::TraceKind::kPowerOff,
+          ids[i]);
+      if (ignition(ids[i], t) == ignition(ids[i], prev)) ++fault_flips;
+    }
+    prev = t;
+  }
+  EXPECT_GT(fault_flips, 2U);
+  EXPECT_GT(expected.size(), 20U);
+  EXPECT_EQ(power_records(sim->trace()), expected);
+
+  ASSERT_TRUE(saved);
+  checkpoint::RestoredRun resumed = checkpoint::restore(snap.string());
+  (void)resumed.simulator->run();
+  EXPECT_EQ(power_records(resumed.simulator->trace()), expected);
   std::filesystem::remove(snap);
 }
 

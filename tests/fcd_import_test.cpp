@@ -167,6 +167,27 @@ TEST(FcdImport, RejectsMalformedXml) {
                    {"unexpected element <pedestrian>"});
   expect_fcd_error("rr_fcd_empty.xml", "<fcd-export>\n</fcd-export>\n",
                    {"holds no timesteps"});
+  // Finite attributes whose step overflows: the last ON interval would end
+  // at infinity.
+  expect_fcd_error("rr_fcd_overflow.xml",
+                   "<fcd-export>\n<timestep time=\"-1e308\">\n"
+                   "<vehicle id=\"a\" x=\"1\" y=\"2\"/>\n"
+                   "</timestep>\n<timestep time=\"1e308\">\n"
+                   "<vehicle id=\"a\" x=\"1\" y=\"2\"/>\n"
+                   "</timestep>\n</fcd-export>\n",
+                   {"vehicle 'a'", "non-finite"});
+  // Geo mode: finite longitudes whose projection overflows.
+  const std::string far = write_tmp(
+      "rr_fcd_geo_overflow.xml",
+      "<fcd-export>\n<timestep time=\"0\">\n"
+      "<vehicle id=\"a\" x=\"-1e308\" y=\"57\"/>\n"
+      "<vehicle id=\"b\" x=\"1e308\" y=\"57\"/>\n"
+      "</timestep>\n</fcd-export>\n");
+  mobility::FcdOptions geo;
+  geo.geo = true;
+  expect_load_error([&] { mobility::load_fleet_fcd(far, geo); }, far,
+                    {"vehicle 'b'", "non-finite"});
+  fs::remove(far);
   EXPECT_THROW(mobility::load_fleet_fcd("/does/not/exist.xml"),
                std::runtime_error);
 }
@@ -286,6 +307,16 @@ TEST(TraceFileHardening, NamesFileAndLineOnMalformedRows) {
 TEST(TraceFileHardening, RejectsNonFiniteCoordinates) {
   const std::string ignition =
       write_tmp("rr_csv_fin_ign.csv", "vehicle_id,start_s,end_s\n0,0,100\n");
+  // A finite latitude whose projection overflows to infinity.
+  const std::string far = write_tmp(
+      "rr_csv_geo_overflow.csv",
+      "vehicle_id,time_s,lat,lon\n0,0,57.7,11.9\n0,1,1e308,11.9\n");
+  expect_load_error(
+      [&] {
+        mobility::load_fleet_csv_geo(far, ignition, mobility::kGothenburgCenter);
+      },
+      far, {"vehicle 0", "non-finite"});
+  fs::remove(far);
   for (const std::string bad : {"nan", "inf", "-inf"}) {
     const std::string traces = write_tmp(
         "rr_csv_nonfinite.csv",

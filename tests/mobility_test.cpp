@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -77,6 +78,22 @@ TEST(Trace, RejectsNonMonotonicSamples) {
   Trace t{{{1.0, {}}}};
   EXPECT_THROW(t.append({0.5, {}}), std::invalid_argument);
   EXPECT_NO_THROW(t.append({1.5, {}}));
+
+  // NaN compares false both ways, so an ordering check alone lets it in;
+  // non-finite times and positions are rejected outright.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((Trace{{{nan, {}}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{{{0.0, {}}, {nan, {}}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{{{0.0, {}}, {inf, {}}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{{{-inf, {}}, {0.0, {}}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{{{0.0, {nan, 0.0}}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{{{0.0, {0.0, -inf}}}}), std::invalid_argument);
+  EXPECT_THROW(t.append({nan, {}}), std::invalid_argument);
+  EXPECT_THROW(t.append({inf, {}}), std::invalid_argument);
+  EXPECT_THROW(t.append({2.0, {inf, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(t.append({2.0, {0.0, nan}}), std::invalid_argument);
+  EXPECT_EQ(t.sample_count(), 2U);
 }
 
 TEST(Trace, PathLengthAndSpeed) {
@@ -109,16 +126,36 @@ TEST(Ignition, AlwaysOn) {
   const auto s = IgnitionSchedule::always_on();
   EXPECT_TRUE(s.is_on(0));
   EXPECT_TRUE(s.is_on(1e9));
-  EXPECT_FALSE(s.next_transition(0).has_value());
+  const PowerState st = s.state_at(0);
+  EXPECT_TRUE(st.on);
+  EXPECT_EQ(st.from_s, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(st.until_s, std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(s.on_duration(3, 8), 5.0);
 }
 
 TEST(Ignition, NextTransition) {
+  // state_at(t).until_s is the next instant the state really flips.
+  const double inf = std::numeric_limits<double>::infinity();
   IgnitionSchedule s{{{10, 20}, {30, 40}}};
-  EXPECT_DOUBLE_EQ(s.next_transition(0).value(), 10.0);
-  EXPECT_DOUBLE_EQ(s.next_transition(10).value(), 20.0);
-  EXPECT_DOUBLE_EQ(s.next_transition(25).value(), 30.0);
-  EXPECT_FALSE(s.next_transition(40).has_value());
+  EXPECT_DOUBLE_EQ(s.state_at(0).until_s, 10.0);
+  EXPECT_DOUBLE_EQ(s.state_at(10).until_s, 20.0);
+  EXPECT_DOUBLE_EQ(s.state_at(25).until_s, 30.0);
+  EXPECT_EQ(s.state_at(40).until_s, inf);
+  EXPECT_EQ(s.state_at(0).from_s, -inf);
+  EXPECT_DOUBLE_EQ(s.state_at(25).from_s, 20.0);
+  EXPECT_EQ(IgnitionSchedule{}.state_at(5).until_s, inf);
+  EXPECT_FALSE(IgnitionSchedule{}.state_at(5).on);
+
+  // Back-to-back intervals power the vehicle without a gap: one window.
+  IgnitionSchedule joined{{{10, 20}, {20, 30}, {30, 35}, {50, 60}}};
+  for (const double t : {10.0, 19.5, 20.0, 30.0, 34.0}) {
+    const PowerState st = joined.state_at(t);
+    EXPECT_TRUE(st.on) << t;
+    EXPECT_DOUBLE_EQ(st.from_s, 10.0) << t;
+    EXPECT_DOUBLE_EQ(st.until_s, 35.0) << t;
+  }
+  EXPECT_DOUBLE_EQ(joined.state_at(35).until_s, 50.0);
+  EXPECT_DOUBLE_EQ(joined.state_at(35).from_s, 35.0);
 }
 
 TEST(Ignition, OnDuration) {
@@ -133,10 +170,19 @@ TEST(Ignition, RejectsBadIntervals) {
   EXPECT_THROW((IgnitionSchedule{{{10, 10}}}), std::invalid_argument);
   EXPECT_THROW((IgnitionSchedule{{{10, 20}, {15, 25}}}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((IgnitionSchedule{{{nan, 5}}}), std::invalid_argument);
+  EXPECT_THROW((IgnitionSchedule{{{0, nan}}}), std::invalid_argument);
+  EXPECT_THROW((IgnitionSchedule{{{0, 5}, {nan, nan}}}),
+               std::invalid_argument);
+  EXPECT_THROW((IgnitionSchedule{{{0, inf}}}), std::invalid_argument);
+  EXPECT_THROW((IgnitionSchedule{{{-inf, 0}}}), std::invalid_argument);
+  EXPECT_NO_THROW((IgnitionSchedule{{{0, 5}, {5, 9}}}));
 }
 
-/// The pre-cursor formula: binary search for the last interval starting at
-/// or before `t`. Oracle for the memoized IgnitionSchedule::is_on.
+/// A plain binary search for the last interval starting at or before `t`:
+/// the oracle for IgnitionSchedule::is_on and state_at.
 bool reference_is_on(const IgnitionSchedule& s, double t) {
   if (s.is_always_on()) return true;
   const auto& iv = s.intervals();
@@ -160,42 +206,89 @@ IgnitionSchedule random_schedule(util::Rng& rng) {
   return IgnitionSchedule{std::move(intervals)};
 }
 
+/// Every interval edge exactly and one ulp either side, plus random
+/// instants before, inside and after the schedule; ascending.
+std::vector<double> schedule_instants(const IgnitionSchedule& s,
+                                      util::Rng& rng) {
+  std::vector<double> instants;
+  for (const OnInterval& iv : s.intervals()) {
+    for (const double edge : {iv.start_s, iv.end_s}) {
+      instants.push_back(edge);
+      instants.push_back(std::nextafter(edge, -1e300));
+      instants.push_back(std::nextafter(edge, 1e300));
+    }
+  }
+  for (int i = 0; i < 40; ++i) instants.push_back(rng.uniform(-100.0, 1400.0));
+  std::sort(instants.begin(), instants.end());
+  return instants;
+}
+
+TEST(Ignition, StateAtWindowIsMaximalAndExact) {
+  util::Rng rng{78};
+  for (int trial = 0; trial < 300; ++trial) {
+    const IgnitionSchedule s = trial % 10 == 0   ? IgnitionSchedule::always_on()
+                               : trial % 10 == 1 ? IgnitionSchedule{}
+                                                 : random_schedule(rng);
+    for (const double t : schedule_instants(s, rng)) {
+      const PowerState st = s.state_at(t);
+      ASSERT_EQ(st.on, reference_is_on(s, t)) << "trial " << trial;
+      ASSERT_EQ(st.on, s.is_on(t));
+      ASSERT_LE(st.from_s, t);
+      ASSERT_LT(t, st.until_s);
+      // Constant on [from, until): both ends and random points inside...
+      if (std::isfinite(st.from_s)) {
+        ASSERT_EQ(reference_is_on(s, st.from_s), st.on);
+        ASSERT_NE(reference_is_on(s, std::nextafter(st.from_s, -1e300)),
+                  st.on)
+            << "trial " << trial << " from " << st.from_s;
+      }
+      if (std::isfinite(st.until_s)) {
+        ASSERT_EQ(reference_is_on(s, std::nextafter(st.until_s, -1e300)),
+                  st.on);
+        // ...and different at until, even across back-to-back intervals.
+        ASSERT_NE(reference_is_on(s, st.until_s), st.on)
+            << "trial " << trial << " until " << st.until_s;
+      }
+      for (int k = 0; k < 4; ++k) {
+        const double lo = std::max(st.from_s, t - 500.0);
+        const double hi = std::min(st.until_s, t + 500.0);
+        const double u = rng.uniform(lo, hi);
+        if (u >= st.from_s && u < st.until_s) {
+          ASSERT_EQ(reference_is_on(s, u), st.on);
+        }
+      }
+    }
+  }
+}
+
+// The memo of a schedule's power is FleetModel's cached window: whatever
+// the access order, fleet.is_on must equal the plain binary search.
 TEST(Ignition, CursorMatchesBinarySearchOracle) {
   util::Rng rng{77};
   for (int trial = 0; trial < 300; ++trial) {
     const IgnitionSchedule s = trial % 10 == 0   ? IgnitionSchedule::always_on()
                                : trial % 10 == 1 ? IgnitionSchedule{}
                                                  : random_schedule(rng);
-    // Every interval edge exactly and one ulp either side, plus random
-    // instants before, inside and after the schedule.
-    std::vector<double> instants;
-    for (const OnInterval& iv : s.intervals()) {
-      for (const double edge : {iv.start_s, iv.end_s}) {
-        instants.push_back(edge);
-        instants.push_back(std::nextafter(edge, -1e300));
-        instants.push_back(std::nextafter(edge, 1e300));
-      }
-    }
-    for (int i = 0; i < 40; ++i) instants.push_back(rng.uniform(-100.0, 1400.0));
-    std::sort(instants.begin(), instants.end());
+    const FleetModel fleet{{VehicleTrack{Trace{{{0.0, {}}}}, s}}};
+    const auto check = [&](double t) {
+      ASSERT_EQ(fleet.is_on(0, t), reference_is_on(s, t))
+          << "trial " << trial << " t " << t;
+      ASSERT_EQ(s.is_on(t), reference_is_on(s, t));
+    };
+    std::vector<double> instants = schedule_instants(s, rng);
 
     // Monotone sweep, each instant asked twice as a tick does.
     for (const double t : instants) {
-      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
-      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
+      check(t);
+      check(t);
     }
     // Fixed-step ticks, run twice: the second pass starts with a rewind.
     for (int pass = 0; pass < 2; ++pass) {
-      for (double t = -60.0; t < 700.0; t += 1.0) {
-        ASSERT_EQ(s.is_on(t), reference_is_on(s, t))
-            << "trial " << trial << " t " << t;
-      }
+      for (double t = -60.0; t < 700.0; t += 1.0) check(t);
     }
     // Rewinds and jumps in every direction.
     rng.shuffle(instants);
-    for (const double t : instants) {
-      ASSERT_EQ(s.is_on(t), reference_is_on(s, t)) << "trial " << trial;
-    }
+    for (const double t : instants) check(t);
   }
 }
 
@@ -254,6 +347,21 @@ std::vector<Position> random_layout(util::Rng& rng, std::size_t n,
   return pts;
 }
 
+/// `n` points on the streets of a lattice with `spacing` between streets:
+/// each on a random street at a random or whole-block offset along it.
+std::vector<Position> street_lattice(util::Rng& rng, std::size_t n,
+                                     double spacing) {
+  std::vector<Position> pts(n);
+  for (Position& p : pts) {
+    const auto street = static_cast<double>(rng.next_below(8)) * spacing;
+    const double along = rng.bernoulli(0.5)
+                             ? static_cast<double>(rng.next_below(8)) * spacing
+                             : rng.uniform(0.0, 7.0 * spacing);
+    p = rng.bernoulli(0.5) ? Position{street, along} : Position{along, street};
+  }
+  return pts;
+}
+
 /// `index` over `pts` against brute force: all pairs in order, and within()
 /// around indexed points, beside them, and far outside the extent.
 void expect_matches_brute_force(const SpatialIndex& index,
@@ -293,6 +401,13 @@ TEST_P(SpatialIndexProperty, PairsMatchBruteForce) {
       GetParam() % 3 == 0 ? radius : radius * rng.uniform(1.0, 3.0);
   SpatialIndex index{pts, cell};
   expect_matches_brute_force(index, pts, radius, rng);
+
+  // The city shape at radius == cell: vehicles on a street lattice one
+  // radius apart, many of them at intersections, so pairs sit exactly on
+  // cell edges and at exactly the range.
+  const std::vector<Position> streets = street_lattice(rng, n, radius);
+  expect_matches_brute_force(SpatialIndex{streets, radius}, streets, radius,
+                             rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, SpatialIndexProperty,
@@ -643,17 +758,32 @@ TEST(FleetModel, StaticNodesAlwaysOnAndEncounterable) {
   ASSERT_EQ(enc.size(), 1U);
 }
 
-TEST(FleetModel, NextPowerTransitionAcrossFleet) {
+TEST(FleetModel, PowerUntilPerVehicle) {
+  const double inf = std::numeric_limits<double>::infinity();
   std::vector<VehicleTrack> tracks;
   tracks.push_back({Trace{{{0.0, {0, 0}}, {1.0, {0, 0}}}},
                     IgnitionSchedule{{{20.0, 30.0}}}});
   tracks.push_back({Trace{{{0.0, {9, 9}}, {1.0, {9, 9}}}},
-                    IgnitionSchedule{{{5.0, 8.0}}}});
+                    IgnitionSchedule{{{5.0, 8.0}, {8.0, 12.0}}}});
+  tracks.push_back({Trace{{{0.0, {1, 1}}}}, IgnitionSchedule::always_on()});
   FleetModel fleet{std::move(tracks)};
-  EXPECT_DOUBLE_EQ(fleet.next_power_transition(0.0).value(), 5.0);
-  EXPECT_DOUBLE_EQ(fleet.next_power_transition(6.0).value(), 8.0);
-  EXPECT_DOUBLE_EQ(fleet.next_power_transition(10.0).value(), 20.0);
-  EXPECT_FALSE(fleet.next_power_transition(31.0).has_value());
+  const NodeId rsu = fleet.add_static_node({4, 4});
+  EXPECT_DOUBLE_EQ(fleet.power_until(0, 0.0), 20.0);
+  EXPECT_DOUBLE_EQ(fleet.power_until(0, 20.0), 30.0);
+  EXPECT_EQ(fleet.power_until(0, 31.0), inf);
+  EXPECT_DOUBLE_EQ(fleet.power_until(1, 0.0), 5.0);
+  // Back-to-back intervals: the state first flips at 12, not at 8.
+  EXPECT_DOUBLE_EQ(fleet.power_until(1, 6.0), 12.0);
+  EXPECT_DOUBLE_EQ(fleet.power_until(1, 8.0), 12.0);
+  EXPECT_EQ(fleet.power_until(1, 12.0), inf);
+  // A rewind re-reads the window.
+  EXPECT_DOUBLE_EQ(fleet.power_until(1, 4.0), 5.0);
+  EXPECT_FALSE(fleet.is_on(1, 4.0));
+  EXPECT_EQ(fleet.power_until(2, 3.0), inf);
+  EXPECT_EQ(fleet.power_until(rsu, 3.0), inf);
+  EXPECT_THROW((void)fleet.power_until(rsu + 1, 0.0), std::out_of_range);
+  EXPECT_THROW((void)fleet.is_on(rsu + 1, 0.0), std::out_of_range);
+  EXPECT_THROW((void)fleet.position_of(rsu + 1, 0.0), std::out_of_range);
 }
 
 TEST(FleetModel, RejectsEmptyTraces) {
@@ -727,6 +857,132 @@ TEST_P(FleetEncountersOracle, ConsecutiveTicksMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomFleets, FleetEncountersOracle,
                          ::testing::Range<std::uint64_t>(0, 16));
+
+bool same_bits(const Position& a, const Position& b) {
+  return std::memcmp(&a, &b, sizeof(Position)) == 0;
+}
+
+class FleetCacheOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+// FleetModel reads positions and power through its per-vehicle cache. A
+// second set of plain tracks, asked the same random sequence of queries
+// through Trace::position_at and IgnitionSchedule::is_on on their own
+// cursors, must give the same bits: one cursor per vehicle, advanced by
+// position_at's rule, serves every FleetModel query. Integer sample times
+// put many queries exactly on samples, where lerp(a, b, 1) and
+// lerp(b, c, 0) may differ, so the query history matters there.
+TEST_P(FleetCacheOracle, RandomQueriesMatchPlainTracesBitForBit) {
+  util::Rng rng{GetParam()};
+  const bool integer_times = GetParam() % 2 == 0;
+  std::vector<VehicleTrack> tracks;
+  std::vector<double> instants;
+  const std::size_t vehicles = 1 + rng.next_below(40);
+  for (std::size_t v = 0; v < vehicles; ++v) {
+    std::vector<TraceSample> samples;
+    double t = integer_times ? static_cast<double>(rng.next_below(20)) - 10.0
+                             : rng.uniform(-10.0, 10.0);
+    // A sixth of the traces hold a single sample.
+    const std::size_t count = rng.next_below(6) == 0 ? 1 : 2 + rng.next_below(14);
+    for (std::size_t k = 0; k < count; ++k) {
+      // Irrational-looking coordinates so that interpolation rounds.
+      samples.push_back({t, {rng.uniform(-500.0, 500.0) / 3.0,
+                             rng.uniform(-500.0, 500.0) / 7.0}});
+      for (const double u : {t, std::nextafter(t, -1e300),
+                             std::nextafter(t, 1e300)}) {
+        instants.push_back(u);
+      }
+      t += integer_times ? static_cast<double>(1 + rng.next_below(9))
+                         : rng.uniform(0.1, 9.0);
+    }
+    const std::uint64_t kind = rng.next_below(8);
+    const IgnitionSchedule ignition = kind == 0   ? IgnitionSchedule::always_on()
+                                      : kind == 1 ? IgnitionSchedule{}
+                                                  : random_schedule(rng);
+    for (const OnInterval& iv : ignition.intervals()) {
+      for (const double edge : {iv.start_s, iv.end_s}) {
+        instants.push_back(edge);
+        instants.push_back(std::nextafter(edge, -1e300));
+        instants.push_back(std::nextafter(edge, 1e300));
+      }
+    }
+    tracks.push_back({Trace{std::move(samples)}, ignition});
+  }
+  for (int i = 0; i < 60; ++i) instants.push_back(rng.uniform(-30.0, 140.0));
+  for (int i = -20; i <= 140; ++i) instants.push_back(i);
+
+  // The oracle's own copies: fresh cursors, like the fleet's cache.
+  std::vector<VehicleTrack> plain = tracks;
+  FleetModel fleet{std::move(tracks)};
+  std::vector<Position> rsus;
+  for (std::size_t i = rng.next_below(3); i > 0; --i) {
+    rsus.push_back({rng.uniform(-150.0, 150.0), rng.uniform(-70.0, 70.0)});
+    fleet.add_static_node(rsus.back());
+  }
+  const auto plain_position = [&](NodeId id, double t) {
+    return id < plain.size() ? plain[id].trace.position_at(t)
+                             : rsus[id - plain.size()];
+  };
+  const auto plain_on = [&](NodeId id, double t) {
+    return id >= plain.size() || plain[id].ignition.is_on(t);
+  };
+  const double radius = rng.uniform(5.0, 60.0);
+
+  // Time moves forward mostly in ticks over the sorted instants, with jumps
+  // back and forth; each step asks one of the four query kinds.
+  std::sort(instants.begin(), instants.end());
+  std::size_t at = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t move = rng.next_below(20);
+    if (move == 0) {
+      at = rng.next_below(instants.size());  // rewind or jump
+    } else if (move < 15 && at + 1 < instants.size()) {
+      ++at;
+    }
+    const double t = instants[at];
+    const NodeId id = rng.next_below(fleet.node_count());
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1:
+        ASSERT_TRUE(same_bits(fleet.position_of(id, t), plain_position(id, t)))
+            << "position_of " << id << " at " << t << " step " << step;
+        break;
+      case 2:
+        ASSERT_EQ(fleet.is_on(id, t), plain_on(id, t))
+            << "is_on " << id << " at " << t;
+        break;
+      case 3: {
+        const FleetModel::Snapshot snap = fleet.snapshot(t);
+        ASSERT_EQ(snap.positions.size(), fleet.node_count());
+        for (NodeId n = 0; n < fleet.node_count(); ++n) {
+          ASSERT_TRUE(same_bits(snap.positions[n], plain_position(n, t)))
+              << "snapshot " << n << " at " << t << " step " << step;
+          ASSERT_EQ(snap.on[n], plain_on(n, t));
+        }
+        break;
+      }
+      default: {
+        // encounters() interpolates only powered vehicles; so does this.
+        std::vector<NodeId> on;
+        std::vector<Position> pos;
+        for (NodeId n = 0; n < fleet.node_count(); ++n) {
+          if (!plain_on(n, t)) continue;
+          on.push_back(n);
+          pos.push_back(plain_position(n, t));
+        }
+        std::vector<std::pair<NodeId, NodeId>> expected;
+        for (const auto& [a, b] : brute_force_pairs(pos, radius)) {
+          expected.emplace_back(on[a], on[b]);
+        }
+        ASSERT_EQ(fleet.encounters(t, radius), expected)
+            << "encounters at " << t << " step " << step;
+        break;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomFleets, FleetCacheOracle,
+                         ::testing::Range<std::uint64_t>(0, 24));
 
 // -------------------------------------------------------------- trace file --
 
