@@ -16,13 +16,12 @@ using namespace roadrunner;
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    core::EventQueue q;
+    core::BasicEventQueue<std::size_t> q;
     std::uint64_t sink = 0;
     for (std::size_t i = 0; i < batch; ++i) {
-      q.schedule(static_cast<double>((i * 7919) % batch),
-                 [&sink, i] { sink += i; });
+      q.schedule(static_cast<double>((i * 7919) % batch), i);
     }
-    while (!q.empty()) q.run_next();
+    while (!q.empty()) sink += q.pop_next();
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -6,13 +6,11 @@
 // BasicEventQueue is generic over the event payload. The Simulator
 // instantiates it with a *typed* payload (core::SimEvent) so the pending
 // queue can be serialized into a checkpoint and rebuilt bit-identically —
-// closures cannot be persisted, typed descriptors can. The closure-payload
-// `EventQueue` remains for callers that never checkpoint.
+// closures cannot be persisted, typed descriptors can.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -53,7 +51,7 @@ class BasicEventQueue {
   /// Pops the next event, advances the causality watermark, and returns its
   /// payload.
   Payload pop_next() {
-    if (heap_.empty()) throw std::logic_error{"EventQueue::run_next: empty"};
+    if (heap_.empty()) throw std::logic_error{"EventQueue::pop_next: empty"};
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Entry entry = std::move(heap_.back());
     heap_.pop_back();
@@ -97,20 +95,6 @@ class BasicEventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   SimTime current_time_ = 0.0;
-};
-
-/// Closure-payload queue, the original convenience API.
-class EventQueue : public BasicEventQueue<std::function<void()>> {
- public:
-  using Handler = std::function<void()>;
-
-  void schedule(SimTime at, Handler handler) {
-    if (!handler) throw std::invalid_argument{"EventQueue: null handler"};
-    BasicEventQueue::schedule(at, std::move(handler));
-  }
-
-  /// Pops and runs the next event.
-  void run_next() { pop_next()(); }
 };
 
 }  // namespace roadrunner::core

@@ -1,9 +1,13 @@
 #include "data/synthetic_images.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace roadrunner::data {
 
@@ -59,6 +63,62 @@ double pattern_value(std::int32_t label, double i, double j, double side,
   }
 }
 
+/// Per-sample nuisance parameters, drawn before any pixel. Their draw count
+/// varies (uniform_int may reject), so the build replays them; the pixel
+/// loop that follows always takes exactly 2·c·s² draws, so it is skipped.
+struct Header {
+  double phase, freq;
+  int shift_i, shift_j;
+  std::vector<double> gains;  ///< one per channel
+};
+
+Header draw_header(const SyntheticImageConfig& config, util::Rng& rng) {
+  Header h;
+  h.phase = rng.uniform(0.0, kTau);
+  h.freq = rng.uniform(2.5, 4.5);
+  h.shift_i = static_cast<int>(
+      rng.uniform_int(-config.max_shift, config.max_shift));
+  h.shift_j = static_cast<int>(
+      rng.uniform_int(-config.max_shift, config.max_shift));
+  h.gains.resize(config.channels);
+  for (double& g : h.gains) {
+    g = 1.0 + config.gain_jitter * rng.normal();
+  }
+  return h;
+}
+
+/// Raw draws the pixel loop of render_into takes: one normal() — two
+/// next() calls — per pixel per channel.
+std::uint64_t pixel_draws(const SyntheticImageConfig& config) {
+  return std::uint64_t{2} * config.channels * config.side * config.side;
+}
+
+/// Renders one [C, S, S] sample of a valid `label` into `out`, drawing the
+/// header and then the pixel noise from `rng`.
+void render_into(std::int32_t label, const SyntheticImageConfig& config,
+                 util::Rng& rng, float* out) {
+  const std::size_t s = config.side, c = config.channels;
+  const Header h = draw_header(config, rng);
+  const int si = static_cast<int>(s);
+  const auto side_d = static_cast<double>(s);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      // Toroidal shift keeps statistics stationary across the image.
+      const auto pi_shift = static_cast<double>(
+          (static_cast<int>(i) + h.shift_i % si + si) % si);
+      const auto pj_shift = static_cast<double>(
+          (static_cast<int>(j) + h.shift_j % si + si) % si);
+      const double base =
+          pattern_value(label, pi_shift, pj_shift, side_d, h.phase, h.freq);
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        const double value =
+            h.gains[ch] * base + config.noise_sigma * rng.normal();
+        out[(ch * s + i) * s + j] = static_cast<float>(value);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ml::Tensor render_synthetic_image(std::int32_t label,
@@ -68,42 +128,8 @@ ml::Tensor render_synthetic_image(std::int32_t label,
       static_cast<std::size_t>(label) >= config.num_classes) {
     throw std::invalid_argument{"render_synthetic_image: bad label"};
   }
-  const std::size_t s = config.side, c = config.channels;
-  ml::Tensor img{{c, s, s}};
-
-  const double phase = rng.uniform(0.0, kTau);
-  const double freq = rng.uniform(2.5, 4.5);
-  const int shift_i = static_cast<int>(
-      rng.uniform_int(-config.max_shift, config.max_shift));
-  const int shift_j = static_cast<int>(
-      rng.uniform_int(-config.max_shift, config.max_shift));
-
-  std::vector<double> gains(c);
-  for (double& g : gains) {
-    g = 1.0 + config.gain_jitter * rng.normal();
-  }
-
-  const auto side_d = static_cast<double>(s);
-  for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = 0; j < s; ++j) {
-      // Toroidal shift keeps statistics stationary across the image.
-      const double pi_shift =
-          static_cast<double>((static_cast<int>(i) + shift_i % static_cast<int>(s) +
-                               static_cast<int>(s)) %
-                              static_cast<int>(s));
-      const double pj_shift =
-          static_cast<double>((static_cast<int>(j) + shift_j % static_cast<int>(s) +
-                               static_cast<int>(s)) %
-                              static_cast<int>(s));
-      const double base =
-          pattern_value(label, pi_shift, pj_shift, side_d, phase, freq);
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        const double value =
-            gains[ch] * base + config.noise_sigma * rng.normal();
-        img.data()[(ch * s + i) * s + j] = static_cast<float>(value);
-      }
-    }
-  }
+  ml::Tensor img{{config.channels, config.side, config.side}};
+  render_into(label, config, rng, img.data());
   return img;
 }
 
@@ -113,18 +139,29 @@ ml::Dataset make_synthetic_images(std::size_t count,
     throw std::invalid_argument{
         "make_synthetic_images: num_classes must be in [1, 10]"};
   }
+  // Pass 1, sequential: the one stream decides every label and where each
+  // image's draws begin. Replaying the header and jumping past the pixel
+  // draws costs microseconds per image instead of a full render.
   util::Rng rng{config.seed};
-  const std::size_t s = config.side, c = config.channels;
-  ml::Tensor x{{count, c, s, s}};
+  const util::Rng::Skip skip_pixels{pixel_draws(config)};
   std::vector<std::int32_t> labels(count);
-  const std::size_t sample_size = c * s * s;
+  std::vector<std::array<std::uint64_t, 4>> starts(count);
   for (std::size_t n = 0; n < count; ++n) {
-    const auto label =
-        static_cast<std::int32_t>(rng.next_below(config.num_classes));
-    labels[n] = label;
-    ml::Tensor img = render_synthetic_image(label, config, rng);
-    std::copy_n(img.data(), sample_size, x.data() + n * sample_size);
+    labels[n] = static_cast<std::int32_t>(rng.next_below(config.num_classes));
+    starts[n] = rng.state();
+    (void)draw_header(config, rng);
+    skip_pixels.apply(rng);
   }
+
+  // Pass 2, parallel: each image depends only on its label and saved state,
+  // so the bytes are the same for any worker count or schedule.
+  const std::size_t sample_size = config.channels * config.side * config.side;
+  ml::Tensor x{{count, config.channels, config.side, config.side}};
+  util::ThreadPool::global().parallel_for(count, [&](std::size_t n) {
+    util::Rng image_rng;
+    image_rng.set_state(starts[n]);
+    render_into(labels[n], config, image_rng, x.data() + n * sample_size);
+  });
   return ml::Dataset{std::move(x), std::move(labels), config.num_classes};
 }
 

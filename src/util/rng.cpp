@@ -18,6 +18,41 @@ namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// The xoshiro256** state transition; shared by next() and Skip so the jump
+/// matrix is built from exactly the step the stream takes.
+inline void step(std::uint64_t* s) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+
+using State = std::array<std::uint64_t, 4>;
+using Matrix = std::array<State, 256>;
+
+/// m·v over GF(2): XOR of the columns of m selected by v's set bits.
+State multiply(const Matrix& m, const State& v) {
+  State out{};
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (std::size_t b = 0; b < 64; ++b) {
+      const std::uint64_t mask = -((v[w] >> b) & 1U);
+      const State& col = m[w * 64 + b];
+      for (std::size_t k = 0; k < 4; ++k) out[k] ^= col[k] & mask;
+    }
+  }
+  return out;
+}
+
+/// a·b: column i of the product is a applied to column i of b.
+Matrix multiply(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  for (std::size_t i = 0; i < 256; ++i) out[i] = multiply(a, b[i]);
+  return out;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -27,13 +62,7 @@ Rng::Rng(std::uint64_t seed) {
 
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  step(s_);
   return result;
 }
 
@@ -153,6 +182,29 @@ void Rng::set_state(const std::array<std::uint64_t, 4>& state) {
     throw std::invalid_argument{"Rng::set_state: all-zero state"};
   }
   for (std::size_t i = 0; i < 4; ++i) s_[i] = state[i];
+}
+
+Rng::Skip::Skip(std::uint64_t n) {
+  // power = T^(2^k) as k walks n's bits; columns_ accumulates the product
+  // of the powers whose bit is set. Powers of one matrix commute, so the
+  // order of the factors does not matter.
+  Matrix power;
+  for (std::size_t i = 0; i < 256; ++i) {
+    State basis{};
+    basis[i / 64] = std::uint64_t{1} << (i % 64);
+    columns_[i] = basis;  // identity
+    step(basis.data());
+    power[i] = basis;     // one step
+  }
+  for (; n != 0; n >>= 1) {
+    if (n & 1U) columns_ = multiply(power, columns_);
+    if (n > 1) power = multiply(power, power);
+  }
+}
+
+void Rng::Skip::apply(Rng& rng) const {
+  const State out = multiply(columns_, rng.state());
+  for (std::size_t k = 0; k < 4; ++k) rng.s_[k] = out[k];
 }
 
 Rng Rng::fork(std::string_view tag) const {

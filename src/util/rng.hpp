@@ -107,6 +107,26 @@ class Rng {
   /// std::invalid_argument.
   void set_state(const std::array<std::uint64_t, 4>& state);
 
+  // ----- jump-ahead ---------------------------------------------------------
+  /// Advances a generator by a fixed number of next() calls in O(1). The
+  /// xoshiro256** state update is linear over GF(2), so n steps are one
+  /// 256x256 bit matrix; Skip builds it once (by repeated squaring, O(log n)
+  /// matrix products) and apply() is 256 masked 4-word XORs, however large n
+  /// is. This lets a producer step past a consumer's draws without making
+  /// them — valid only when the consumer's draw count is fixed (normal() is
+  /// always two next() calls; next_below() is not, it may reject).
+  class Skip {
+   public:
+    explicit Skip(std::uint64_t n);
+    /// Leaves `rng` exactly where n calls to rng.next() would.
+    void apply(Rng& rng) const;
+
+   private:
+    using State = std::array<std::uint64_t, 4>;
+    /// Column b is the image of the state with only bit b set.
+    std::array<State, 256> columns_;
+  };
+
  private:
   std::uint64_t s_[4];
 };

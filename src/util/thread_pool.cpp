@@ -6,6 +6,11 @@
 
 namespace roadrunner::util {
 
+namespace {
+/// The pool whose worker is running on this thread, if any.
+thread_local const ThreadPool* current_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -26,6 +31,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -69,7 +75,9 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   const std::size_t shards = std::min(count, workers_.size());
-  if (shards <= 1) {
+  // A task of this pool that fans out again runs its loop inline: queueing
+  // shards and waiting would deadlock once every worker waits the same way.
+  if (shards <= 1 || current_pool == this) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }

@@ -43,7 +43,9 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, count), partitioned over the pool, and blocks
   /// until all complete. Exceptions from fn propagate (first one wins); the
   /// remaining indices still run to completion, so the pool is immediately
-  /// reusable after a throw (see tests/thread_pool_stress_test.cpp).
+  /// reusable after a throw (see tests/thread_pool_stress_test.cpp). Called
+  /// from one of this pool's own workers, it runs fn inline on that thread,
+  /// so nested use cannot deadlock.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 

@@ -15,52 +15,55 @@ namespace {
 
 // ------------------------------------------------------------ event queue --
 
-TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
+// The simulator's queue carries typed payloads (SimEvent); an int payload
+// exercises the same ordering and causality rules.
+using IntQueue = BasicEventQueue<int>;
+
+std::vector<int> drain(IntQueue& q) {
   std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  while (!q.empty()) order.push_back(q.pop_next());
+  return order;
+}
+
+TEST(EventQueue, OrdersByTime) {
+  IntQueue q;
+  q.schedule(3.0, 3);
+  q.schedule(1.0, 1);
+  q.schedule(2.0, 2);
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.executed_count(), 3U);
 }
 
 TEST(EventQueue, FifoTieBreakAtEqualTimes) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(7.0, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  IntQueue q;
+  for (int i = 0; i < 5; ++i) q.schedule(7.0, i);
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, HandlersMayScheduleMoreEvents) {
-  EventQueue q;
+  IntQueue q;
   int fired = 0;
-  std::function<void()> chain = [&] {
+  q.schedule(0.0, 0);
+  while (!q.empty()) {
+    (void)q.pop_next();
     ++fired;
-    if (fired < 4) q.schedule(q.current_time() + 1.0, chain);
-  };
-  q.schedule(0.0, chain);
-  while (!q.empty()) q.run_next();
+    if (fired < 4) q.schedule(q.current_time() + 1.0, fired);
+  }
   EXPECT_EQ(fired, 4);
   EXPECT_DOUBLE_EQ(q.current_time(), 3.0);
 }
 
-TEST(EventQueue, RejectsPastAndNull) {
-  EventQueue q;
-  q.schedule(5.0, [] {});
-  q.run_next();
-  EXPECT_THROW(q.schedule(4.0, [] {}), std::logic_error);
-  EXPECT_NO_THROW(q.schedule(5.0, [] {}));  // same time is fine
-  EXPECT_THROW(q.schedule(9.0, nullptr), std::invalid_argument);
+TEST(EventQueue, RejectsPast) {
+  IntQueue q;
+  q.schedule(5.0, 0);
+  (void)q.pop_next();
+  EXPECT_THROW(q.schedule(4.0, 1), std::logic_error);
+  EXPECT_NO_THROW(q.schedule(5.0, 2));  // same time is fine
 }
 
 TEST(EventQueue, EmptyQueueThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.run_next(), std::logic_error);
+  IntQueue q;
+  EXPECT_THROW((void)q.pop_next(), std::logic_error);
   EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
 

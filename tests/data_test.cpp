@@ -2,9 +2,12 @@
 // partitioners, and dataset persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "data/dataset_io.hpp"
 #include "data/gaussian_blobs.hpp"
@@ -38,6 +41,105 @@ TEST(SyntheticImages, DeterministicGivenSeed) {
   cfg.seed = 78;
   const auto c = make_synthetic_images(16, cfg);
   EXPECT_FALSE(a.features() == c.features());
+}
+
+// The sequential generator make_synthetic_images replaced: one stream, each
+// image rendered in full before the next label is drawn. It is the oracle
+// for the two-pass build (labels and jumps first, then a parallel render).
+ml::Dataset reference_synthetic_images(std::size_t count,
+                                       const SyntheticImageConfig& config) {
+  util::Rng rng{config.seed};
+  const std::size_t s = config.side, c = config.channels;
+  ml::Tensor x{{count, c, s, s}};
+  std::vector<std::int32_t> labels(count);
+  const std::size_t sample_size = c * s * s;
+  for (std::size_t n = 0; n < count; ++n) {
+    const auto label =
+        static_cast<std::int32_t>(rng.next_below(config.num_classes));
+    labels[n] = label;
+    ml::Tensor img = render_synthetic_image(label, config, rng);
+    std::copy_n(img.data(), sample_size, x.data() + n * sample_size);
+  }
+  return ml::Dataset{std::move(x), std::move(labels), config.num_classes};
+}
+
+void expect_same_bytes(const ml::Dataset& got, const ml::Dataset& want) {
+  ASSERT_EQ(got.features().shape(), want.features().shape());
+  ASSERT_EQ(got.labels().size(), want.labels().size());
+  EXPECT_EQ(0, std::memcmp(got.features().data(), want.features().data(),
+                           want.features().size() * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(got.labels().data(), want.labels().data(),
+                           want.labels().size() * sizeof(std::int32_t)));
+  EXPECT_EQ(got.num_classes(), want.num_classes());
+}
+
+struct OracleCase {
+  const char* name;
+  std::size_t count;
+  SyntheticImageConfig config;
+};
+
+class SyntheticImagesOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(SyntheticImagesOracle, TwoPassBuildMatchesSequentialBytes) {
+  const OracleCase& c = GetParam();
+  expect_same_bytes(make_synthetic_images(c.count, c.config),
+                    reference_synthetic_images(c.count, c.config));
+}
+
+SyntheticImageConfig with(std::size_t side, std::size_t channels,
+                          std::size_t classes, int max_shift,
+                          std::uint64_t seed) {
+  SyntheticImageConfig cfg;
+  cfg.side = side;
+  cfg.channels = channels;
+  cfg.num_classes = classes;
+  cfg.max_shift = max_shift;
+  cfg.seed = seed;
+  return cfg;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SyntheticImagesOracle,
+    ::testing::Values(
+        // Counts around the pool's thread count: none, one, fewer than the
+        // workers, and many more than them.
+        OracleCase{"count0", 0, with(32, 3, 10, 5, 3)},
+        OracleCase{"count1", 1, with(32, 3, 10, 5, 4)},
+        OracleCase{"count3", 3, with(32, 3, 10, 5, 5)},
+        OracleCase{"count257", 257, with(32, 3, 10, 5, 6)},
+        OracleCase{"side7", 40, with(7, 3, 10, 5, 7)},
+        OracleCase{"channels1", 40, with(32, 1, 10, 5, 8)},
+        OracleCase{"classes1", 40, with(32, 3, 1, 5, 9)},
+        OracleCase{"shift0", 40, with(32, 3, 10, 0, 10)},
+        OracleCase{"odd", 40, with(7, 1, 1, 0, 11)}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string{info.param.name};
+    });
+
+/// FNV-1a-64 over the feature bytes, then the label bytes.
+std::uint64_t fnv1a(const ml::Dataset& ds) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001B3ULL;
+    }
+  };
+  mix(ds.features().data(), ds.features().size() * sizeof(float));
+  mix(ds.labels().data(), ds.labels().size() * sizeof(std::int32_t));
+  return h;
+}
+
+// Golden bytes of the image pool the ledger's fl_cnn workload builds (seed
+// 31, train_pool + test_size images, default geometry) at its full and its
+// smoke size. Any change to the generator's draws or arithmetic shows here.
+TEST(SyntheticImages, GoldenHashesPinDatasetBytes) {
+  SyntheticImageConfig cfg;
+  cfg.seed = 31ULL ^ 0xDA7A5EEDULL;
+  EXPECT_EQ(fnv1a(make_synthetic_images(9500, cfg)), 0x451a240eabdbffc4ULL);
+  EXPECT_EQ(fnv1a(make_synthetic_images(1100, cfg)), 0x465316f693142418ULL);
 }
 
 TEST(SyntheticImages, ClassesAreStatisticallyDistinct) {

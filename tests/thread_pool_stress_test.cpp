@@ -106,5 +106,18 @@ TEST(ThreadPoolStress, ConcurrentParallelForFromManyClients) {
   }
 }
 
+TEST(ThreadPoolStress, NestedParallelForOnOwnWorkersRunsInline) {
+  // Every worker fans out again on its own pool. Queued shards would wait
+  // on workers that are all waiting themselves; inline loops cannot.
+  ThreadPool pool{2};
+  for (int round = 0; round < 25; ++round) {
+    std::atomic<int> total{0};
+    pool.parallel_for(8, [&](std::size_t) {
+      pool.parallel_for(16, [&](std::size_t) { total.fetch_add(1); });
+    });
+    EXPECT_EQ(total.load(), 8 * 16);
+  }
+}
+
 }  // namespace
 }  // namespace roadrunner::util

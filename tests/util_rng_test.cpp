@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 
@@ -209,6 +210,56 @@ TEST(Rng, SampleWithoutReplacementFullSet) {
 TEST(Rng, SampleWithoutReplacementTooManyThrows) {
   Rng rng{47};
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
+}
+
+TEST(Rng, NormalTakesExactlyTwoDraws) {
+  // Rng::Skip steps past normal() draws by count; that needs the count to
+  // be fixed, whatever the values drawn.
+  for (std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+    Rng a{seed}, b{seed};
+    for (int i = 0; i < 1000; ++i) {
+      (void)a.normal();
+      (void)b.next();
+      (void)b.next();
+      ASSERT_EQ(a.state(), b.state()) << "seed " << seed << " call " << i;
+    }
+  }
+}
+
+TEST(RngSkip, EqualsStepping) {
+  Rng seeds{2024};
+  for (std::uint64_t n : {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 6144ULL,
+                          1ULL << 20}) {
+    const Rng::Skip skip{n};
+    for (int trial = 0; trial < 3; ++trial) {
+      Rng jumped{seeds.next()};
+      Rng stepped = jumped;
+      skip.apply(jumped);
+      for (std::uint64_t i = 0; i < n; ++i) (void)stepped.next();
+      ASSERT_EQ(jumped.state(), stepped.state()) << "n = " << n;
+      EXPECT_EQ(jumped.next(), stepped.next());
+    }
+  }
+}
+
+TEST(RngSkip, ComposesAndHandlesSparseStates) {
+  // Two jumps of a and b equal one of a + b, and states with a single set
+  // bit in each word (every column of the matrix on its own) jump right.
+  const Rng::Skip five{5}, seven{7}, twelve{12};
+  for (std::size_t bit = 0; bit < 256; bit += 37) {
+    std::array<std::uint64_t, 4> state{};
+    state[bit / 64] = std::uint64_t{1} << (bit % 64);
+    Rng a, b, c;
+    a.set_state(state);
+    b.set_state(state);
+    c.set_state(state);
+    five.apply(a);
+    seven.apply(a);
+    twelve.apply(b);
+    for (int i = 0; i < 12; ++i) (void)c.next();
+    EXPECT_EQ(a.state(), c.state()) << "bit " << bit;
+    EXPECT_EQ(b.state(), c.state()) << "bit " << bit;
+  }
 }
 
 TEST(Rng, ForkIsStable) {
