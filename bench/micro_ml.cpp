@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <iterator>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -71,7 +73,9 @@ BENCHMARK(BM_Matmul)->Arg(32)->Arg(128)->Arg(256);
 /// (make_mlp(24, 128, 10), batch 16) actually run, with the operand layout
 /// each layer passes: 'n' is A[m,k] * B[k,n], 'a' reads A stored [k,m]
 /// (matmul_at), 'b' reads B stored [n,k] (matmul_bt). The GFLOP/s counter
-/// shows which shapes the register tile serves badly.
+/// shows which shapes the register tile serves badly. The second argument
+/// picks the kernel build (kGemmVariants), so one run prints the per-ISA
+/// table; a build the host cannot run reports an error row.
 struct GemmShape {
   const char* label;
   std::size_t m, n, k;
@@ -94,25 +98,40 @@ constexpr GemmShape kGemmShapes[] = {
     {"mlp fc2 dx", 16, 128, 128, 'n'},
 };
 
+constexpr const char* kGemmVariants[] = {"sse2", "avx2", "avx512f"};
+
 void BM_GemmShape(benchmark::State& state) {
   const GemmShape& s = kGemmShapes[static_cast<std::size_t>(state.range(0))];
+  const char* variant = kGemmVariants[static_cast<std::size_t>(state.range(1))];
+  const ml::detail::GemmKernel* kernel = nullptr;
+  for (const ml::detail::GemmKernel& k : ml::detail::gemm_kernels()) {
+    if (std::string_view{k.name} == variant) kernel = &k;
+  }
+  if (kernel == nullptr) {
+    state.SkipWithError("kernel build not supported on this host");
+    return;
+  }
   util::Rng rng{9};
   std::vector<float> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
   for (float& v : a) v = static_cast<float>(rng.uniform());
   for (float& v : b) v = static_cast<float>(rng.uniform());
   const bool at = s.layout == 'a', bt = s.layout == 'b';
   for (auto _ : state) {
-    ml::gemm(s.m, s.n, s.k, a.data(), at ? 1 : s.k, at ? s.m : 1, b.data(),
-             bt ? 1 : s.n, bt ? s.k : 1, c.data(), false);
+    kernel->run(s.m, s.n, s.k, a.data(), at ? 1 : s.k, at ? s.m : 1,
+                b.data(), bt ? 1 : s.n, bt ? s.k : 1, c.data(), false);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(s.label);
+  state.SetLabel(std::string{s.label} + " " + variant);
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * static_cast<double>(s.m * s.n * s.k) / 1e9,
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GemmShape)->DenseRange(0, std::size(kGemmShapes) - 1);
+BENCHMARK(BM_GemmShape)
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, static_cast<int>(std::size(kGemmShapes)) - 1, 1),
+                   benchmark::CreateDenseRange(
+                       0, static_cast<int>(std::size(kGemmVariants)) - 1, 1)});
 
 ml::Dataset small_images(std::size_t n) {
   data::SyntheticImageConfig cfg;

@@ -79,9 +79,10 @@ class MlService {
   [[nodiscard]] std::uint64_t estimate_train_flops(std::size_t samples,
                                                    int epochs) const;
 
-  /// Launches a real training job on the global thread pool. The job
-  /// derives all randomness from `job_rng`, so the result is deterministic
-  /// no matter when the future is consumed.
+  /// Launches a real training job on a thread of its own (std::async, one
+  /// thread per job; not the global thread pool). The job runs
+  /// single-threaded and derives all randomness from `job_rng`, so the
+  /// result is deterministic no matter when the future is consumed.
   [[nodiscard]] std::future<TrainResult> train_async(
       ml::Weights start, ml::DatasetView data, ml::TrainConfig config,
       util::Rng job_rng) const;

@@ -198,6 +198,9 @@ void im2col(const float* x, std::size_t cin, const ConvGeometry& g,
 
 /// Scatter-adds columns [Cin*K*K, OH*OW] back into a gradient image
 /// [Cin, H, W] (the transpose of im2col; padding cells are discarded).
+/// Every image cell receives its adds in row order on both paths; the
+/// stride-1/no-padding path (the paper's CNN) adds each output row as one
+/// contiguous, branch-free run, mirroring im2col's copy path.
 void col2im_add(const float* cols, std::size_t cin, const ConvGeometry& g,
                 float* dx) {
   const std::size_t out_hw = g.oh * g.ow;
@@ -207,6 +210,14 @@ void col2im_add(const float* cols, std::size_t cin, const ConvGeometry& g,
     for (std::size_t ki = 0; ki < g.k; ++ki) {
       for (std::size_t kj = 0; kj < g.k; ++kj, ++row) {
         const float* src = cols + row * out_hw;
+        if (g.stride == 1 && g.pad == 0) {
+          for (std::size_t oi = 0; oi < g.oh; ++oi) {
+            float* dst = plane + (oi + ki) * g.w + kj;
+            const float* run = src + oi * g.ow;
+            for (std::size_t oj = 0; oj < g.ow; ++oj) dst[oj] += run[oj];
+          }
+          continue;
+        }
         for (std::size_t oi = 0; oi < g.oh; ++oi) {
           const std::ptrdiff_t ii =
               static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
@@ -400,8 +411,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor dx = grad_out;
   const float* px = cached_x_.data();
   float* pd = dx.data();
+  // A select rather than a branch, so the loop vectorises; a NaN input
+  // still passes its gradient through, as `px[i] <= 0` is false for it.
   for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (px[i] <= 0.0F) pd[i] = 0.0F;
+    pd[i] = px[i] <= 0.0F ? 0.0F : pd[i];
   }
   return dx;
 }

@@ -166,163 +166,292 @@ std::string Tensor::shape_string() const {
 
 namespace {
 
-// Register tile of the microkernel: MR rows of C by NR columns, kept in
-// MR * NR / 4 four-float vectors. 6 x 8 needs 12 accumulators plus two B
-// vectors and one product, within the 16 SSE registers of baseline x86-64,
-// so nothing spills. MR = 6 also matches the paper CNN's first convolution
-// (6 output channels) exactly.
-constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = 8;
 // Cache blocking: a KC x NC packed B panel (256 x 512 floats, 512 KB) is
-// reused by every MC-row A block; an MC x KC A block (288 KB with its
-// broadcast copies) stays in L2.
+// reused by every MC-row A block; an MC x KC A block (72 KB, 288 KB in the
+// SSE2 build's broadcast form) stays in L2. NC is a multiple of every
+// tile width below.
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kMc = 72;
 constexpr std::size_t kNc = 512;
+// Every register tile is MR = 6 rows of C, which matches the paper CNN's
+// first convolution (6 output channels) exactly.
+constexpr std::size_t kMr = 6;
 
 using Vec4 = float __attribute__((vector_size(16)));
-constexpr std::size_t kLanes = sizeof(Vec4) / sizeof(float);
-constexpr std::size_t kNv = kNr / kLanes;
+using Vec8 = float __attribute__((vector_size(32)));
+using Vec16 = float __attribute__((vector_size(64)));
 
-Vec4 load4(const float* p) {
-  Vec4 v = {};
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
-
-/// Packs rows [0, mr) x columns [0, kc) of A into one MR-row panel stored
-/// column by column, each value already broadcast to a full vector
-/// (kMr * kLanes floats per k step), so the microkernel loads it with one
-/// instruction instead of a load and a shuffle. Rows mr..kMr are zero.
-void pack_a(std::size_t mr, std::size_t kc, const float* a, std::size_t rsa,
-            std::size_t csa, float* dst) {
-  if (mr < kMr) std::fill(dst, dst + kc * kMr * kLanes, 0.0F);
-  for (std::size_t i = 0; i < mr; ++i) {
-    const float* row = a + i * rsa;
-    for (std::size_t p = 0; p < kc; ++p) {
-      std::fill_n(dst + (p * kMr + i) * kLanes, kLanes, row[p * csa]);
-    }
-  }
-}
-
-/// Packs rows [0, kc) x columns [0, nr) of B into one NR-column panel
-/// stored row by row (kNr floats per k step); columns nr..kNr are zero.
-void pack_b(std::size_t kc, std::size_t nr, const float* b, std::size_t rsb,
-            std::size_t csb, float* dst) {
-  if (nr < kNr) std::fill(dst, dst + kc * kNr, 0.0F);
-  if (csb == 1 && nr == kNr) {
-    for (std::size_t p = 0; p < kc; ++p) {
-      std::copy(b + p * rsb, b + p * rsb + kNr, dst + p * kNr);
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < nr; ++j) {
-    const float* col = b + j * csb;
-    for (std::size_t p = 0; p < kc; ++p) dst[p * kNr + j] = col[p * rsb];
-  }
-}
-
-/// C tile [mr x nr] (row stride ldc) = (load ? C : 0) + sum over ascending
-/// p < kc of A[:, p] * B[p, :], one rounding per multiply and per add. Each
-/// vector lane holds a different C element, so lanes never mix sums.
-void micro_kernel(std::size_t kc, const float* pa, const float* pb, float* c,
-                  std::size_t ldc, std::size_t mr, std::size_t nr, bool load) {
-  Vec4 acc[kMr][kNv] = {};
-  const bool full = mr == kMr && nr == kNr;
-  if (load && full) {
-    for (std::size_t i = 0; i < kMr; ++i) {
-      for (std::size_t v = 0; v < kNv; ++v) {
-        acc[i][v] = load4(c + i * ldc + kLanes * v);
-      }
-    }
-  } else if (load) {
-    // Edge tile: go through a zero-padded copy so no load leaves C.
-    float edge[kMr * kNr] = {};
-    for (std::size_t i = 0; i < mr; ++i) {
-      std::copy(c + i * ldc, c + i * ldc + nr, edge + i * kNr);
-      for (std::size_t v = 0; v < kNv; ++v) {
-        acc[i][v] = load4(edge + i * kNr + kLanes * v);
-      }
-    }
-  }
-  for (std::size_t p = 0; p < kc; ++p, pa += kLanes * kMr, pb += kNr) {
-    Vec4 b[kNv] = {};
-    for (std::size_t v = 0; v < kNv; ++v) b[v] = load4(pb + kLanes * v);
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const Vec4 ai = load4(pa + kLanes * i);
-      for (std::size_t v = 0; v < kNv; ++v) acc[i][v] += ai * b[v];
-    }
-  }
-  if (full) {
-    for (std::size_t i = 0; i < kMr; ++i) {
-      for (std::size_t v = 0; v < kNv; ++v) {
-        store4(c + i * ldc + kLanes * v, acc[i][v]);
-      }
-    }
-    return;
-  }
-  float edge[kMr * kNr] = {};
-  for (std::size_t i = 0; i < mr; ++i) {
-    for (std::size_t v = 0; v < kNv; ++v) {
-      store4(edge + i * kNr + kLanes * v, acc[i][v]);
-    }
-    std::copy(edge + i * kNr, edge + i * kNr + nr, c + i * ldc);
-  }
+/// Thread-local pack buffers, shared by every kernel build; each thread (a
+/// training job) owns its own pair.
+float* pack_buffer(bool b_panel, std::size_t size) {
+  thread_local std::vector<float> buffers[2];
+  std::vector<float>& buffer = buffers[b_panel ? 1 : 0];
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
 }
 
 std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
 }
 
-}  // namespace
+/// The packed GEMM written once for any vector width. The microkernel keeps
+/// a kMr x Nr tile of C in kMr * Nr / lanes vectors. ABcast floats are
+/// stored per packed A value: a lane count (each value pre-broadcast to a
+/// vector, loaded with one instruction where baseline SSE2 has no
+/// broadcast load) or 1 (a plain scalar, broadcast in the kernel, so wide
+/// tiles keep A panels small).
+///
+/// Every member is force-inlined into the one entry point per ISA below,
+/// which carries the target attribute, so no function outside that code
+/// takes or returns a vector and no shared inline function is compiled for
+/// a wider ISA than the build's baseline.
+template <class Vec, std::size_t Nr, std::size_t ABcast>
+struct Kernel {
+  static constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
+  static constexpr std::size_t kNv = Nr / kLanes;
+  static_assert(kNv * kLanes == Nr && kNc % Nr == 0);
+  static_assert(ABcast == 1 || ABcast == kLanes);
 
-void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
-          std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
-          std::size_t csb, float* c, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    if (!accumulate) std::fill(c, c + m * n, 0.0F);
-    return;
-  }
-  // Reused across calls; each thread (a training job) owns its own pair.
-  thread_local std::vector<float> packed_a;
-  thread_local std::vector<float> packed_b;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      // Later k blocks continue the running sums stored in C: a float
-      // round-trips through memory exactly, so the blocking does not
-      // change the order of additions.
-      const bool load = accumulate || pc > 0;
-      const std::size_t b_size = round_up(nc, kNr) * kc;
-      if (packed_b.size() < b_size) packed_b.resize(b_size);
-      for (std::size_t jr = 0; jr < nc; jr += kNr) {
-        pack_b(kc, std::min(kNr, nc - jr), b + pc * rsb + (jc + jr) * csb,
-               rsb, csb, packed_b.data() + jr * kc);
+  /// Packs rows [0, mr) x columns [0, kc) of A into one kMr-row panel
+  /// stored column by column (kMr * ABcast floats per k step). Rows
+  /// mr..kMr are zero.
+  [[gnu::always_inline]] static inline void pack_a(std::size_t mr,
+                                                   std::size_t kc,
+                                                   const float* a,
+                                                   std::size_t rsa,
+                                                   std::size_t csa,
+                                                   float* dst) {
+    if (mr < kMr) std::fill(dst, dst + kc * kMr * ABcast, 0.0F);
+    for (std::size_t i = 0; i < mr; ++i) {
+      const float* row = a + i * rsa;
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::fill_n(dst + (p * kMr + i) * ABcast, ABcast, row[p * csa]);
       }
-      for (std::size_t ic = 0; ic < m; ic += kMc) {
-        const std::size_t mc = std::min(kMc, m - ic);
-        const std::size_t a_size = round_up(mc, kMr) * kc * kLanes;
-        if (packed_a.size() < a_size) packed_a.resize(a_size);
-        for (std::size_t ir = 0; ir < mc; ir += kMr) {
-          pack_a(std::min(kMr, mc - ir), kc, a + (ic + ir) * rsa + pc * csa,
-                 rsa, csa, packed_a.data() + ir * kc * kLanes);
+    }
+  }
+
+  /// Packs rows [0, kc) x columns [0, nr) of B into one Nr-column panel
+  /// stored row by row (Nr floats per k step); columns nr..Nr are zero.
+  [[gnu::always_inline]] static inline void pack_b(std::size_t kc,
+                                                   std::size_t nr,
+                                                   const float* b,
+                                                   std::size_t rsb,
+                                                   std::size_t csb,
+                                                   float* dst) {
+    if (nr < Nr) std::fill(dst, dst + kc * Nr, 0.0F);
+    if (csb == 1 && nr == Nr) {
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::copy(b + p * rsb, b + p * rsb + Nr, dst + p * Nr);
+      }
+      return;
+    }
+    // Transposed B (each column contiguous): move 4 x 4 blocks through
+    // registers, four column runs in, four panel rows out. The scalar loop
+    // below fills what the blocks leave: the last kc % 4 rows of the
+    // blocked columns and every row of the last nr % 4 columns.
+    std::size_t p0 = 0;
+    const std::size_t j4 = rsb == 1 ? nr / 4 * 4 : 0;
+    if (j4 > 0) {
+      for (; p0 + 4 <= kc; p0 += 4) {
+        for (std::size_t j = 0; j < j4; j += 4) {
+          Vec4 r[4];
+          for (std::size_t q = 0; q < 4; ++q) {
+            std::memcpy(&r[q], b + (j + q) * csb + p0, sizeof(Vec4));
+          }
+          const Vec4 lo01 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+          const Vec4 hi01 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+          const Vec4 lo23 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+          const Vec4 hi23 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+          const Vec4 t[4] = {
+              __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5),
+              __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7),
+              __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5),
+              __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7)};
+          for (std::size_t q = 0; q < 4; ++q) {
+            std::memcpy(dst + (p0 + q) * Nr + j, &t[q], sizeof(Vec4));
+          }
         }
-        for (std::size_t jr = 0; jr < nc; jr += kNr) {
+      }
+    }
+    for (std::size_t j = 0; j < nr; ++j) {
+      const float* col = b + j * csb;
+      for (std::size_t p = j < j4 ? p0 : 0; p < kc; ++p) {
+        dst[p * Nr + j] = col[p * rsb];
+      }
+    }
+  }
+
+  /// C tile [mr x nr] (row stride ldc) = (load ? C : 0) + sum over
+  /// ascending p < kc of A[:, p] * B[p, :], one rounding per multiply and
+  /// per add. Each vector lane holds a different C element, so lanes never
+  /// mix sums.
+  [[gnu::always_inline]] static inline void micro_kernel(
+      std::size_t kc, const float* pa, const float* pb, float* c,
+      std::size_t ldc, std::size_t mr, std::size_t nr, bool load) {
+    Vec acc[kMr][kNv] = {};
+    const bool full = mr == kMr && nr == Nr;
+    if (load) {
+      float edge[kMr * Nr];
+      const float* src = c;
+      std::size_t ld = ldc;
+      if (!full) {
+        // Edge tile: go through a zero-padded copy so no load leaves C.
+        std::fill(edge, edge + kMr * Nr, 0.0F);
+        for (std::size_t i = 0; i < mr; ++i) {
+          std::copy(c + i * ldc, c + i * ldc + nr, edge + i * Nr);
+        }
+        src = edge;
+        ld = Nr;
+      }
+      for (std::size_t i = 0; i < kMr; ++i) {
+        for (std::size_t v = 0; v < kNv; ++v) {
+          std::memcpy(&acc[i][v], src + i * ld + kLanes * v, sizeof(Vec));
+        }
+      }
+    }
+    for (std::size_t p = 0; p < kc; ++p, pa += ABcast * kMr, pb += Nr) {
+      Vec b[kNv];
+      for (std::size_t v = 0; v < kNv; ++v) {
+        std::memcpy(&b[v], pb + kLanes * v, sizeof(Vec));
+      }
+      for (std::size_t i = 0; i < kMr; ++i) {
+        Vec ai;
+        if constexpr (ABcast == 1) {
+          // Scalar minus a zero vector broadcasts exactly: x - (+0) == x
+          // for every x, -0 included (x + (+0) would turn -0 into +0).
+          ai = pa[i] - Vec{};
+        } else {
+          std::memcpy(&ai, pa + kLanes * i, sizeof(Vec));
+        }
+        for (std::size_t v = 0; v < kNv; ++v) acc[i][v] += ai * b[v];
+      }
+    }
+    float edge[kMr * Nr];
+    float* dst = full ? c : edge;
+    const std::size_t ld = full ? ldc : Nr;
+    for (std::size_t i = 0; i < kMr; ++i) {
+      for (std::size_t v = 0; v < kNv; ++v) {
+        std::memcpy(dst + i * ld + kLanes * v, &acc[i][v], sizeof(Vec));
+      }
+    }
+    if (full) return;
+    for (std::size_t i = 0; i < mr; ++i) {
+      std::copy(edge + i * Nr, edge + i * Nr + nr, c + i * ldc);
+    }
+  }
+
+  /// ml::gemm's contract, for this tile.
+  [[gnu::always_inline]] static inline void gemm(
+      std::size_t m, std::size_t n, std::size_t k, const float* a,
+      std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+      std::size_t csb, float* c, bool accumulate) {
+    if (m == 0 || n == 0) return;
+    if (k == 0) {
+      if (!accumulate) std::fill(c, c + m * n, 0.0F);
+      return;
+    }
+    for (std::size_t jc = 0; jc < n; jc += kNc) {
+      const std::size_t nc = std::min(kNc, n - jc);
+      for (std::size_t pc = 0; pc < k; pc += kKc) {
+        const std::size_t kc = std::min(kKc, k - pc);
+        // Later k blocks continue the running sums stored in C: a float
+        // round-trips through memory exactly, so the blocking does not
+        // change the order of additions.
+        const bool load = accumulate || pc > 0;
+        float* packed_b = pack_buffer(true, round_up(nc, Nr) * kc);
+        for (std::size_t jr = 0; jr < nc; jr += Nr) {
+          pack_b(kc, std::min(Nr, nc - jr), b + pc * rsb + (jc + jr) * csb,
+                 rsb, csb, packed_b + jr * kc);
+        }
+        for (std::size_t ic = 0; ic < m; ic += kMc) {
+          const std::size_t mc = std::min(kMc, m - ic);
+          float* packed_a =
+              pack_buffer(false, round_up(mc, kMr) * kc * ABcast);
           for (std::size_t ir = 0; ir < mc; ir += kMr) {
-            micro_kernel(kc, packed_a.data() + ir * kc * kLanes,
-                         packed_b.data() + jr * kc,
-                         c + (ic + ir) * n + jc + jr, n,
-                         std::min(kMr, mc - ir), std::min(kNr, nc - jr),
-                         load);
+            pack_a(std::min(kMr, mc - ir), kc, a + (ic + ir) * rsa + pc * csa,
+                   rsa, csa, packed_a + ir * kc * ABcast);
+          }
+          for (std::size_t jr = 0; jr < nc; jr += Nr) {
+            for (std::size_t ir = 0; ir < mc; ir += kMr) {
+              micro_kernel(kc, packed_a + ir * kc * ABcast,
+                           packed_b + jr * kc, c + (ic + ir) * n + jc + jr, n,
+                           std::min(kMr, mc - ir), std::min(Nr, nc - jr),
+                           load);
+            }
           }
         }
       }
     }
   }
+};
+
+// One entry point per ISA. 6 x 8 in SSE2 needs 12 accumulators plus two B
+// vectors and one A vector, within baseline x86-64's 16 registers; 6 x 16
+// in AVX2 fits the same 16 registers; 6 x 32 in AVX-512F uses 15 of 32.
+// The target attributes enable wider vectors only: -ffp-contract=off (root
+// CMakeLists.txt) keeps AVX-512F's fused multiply-add out of the code.
+
+void gemm_sse2(std::size_t m, std::size_t n, std::size_t k, const float* a,
+               std::size_t rsa, std::size_t csa, const float* b,
+               std::size_t rsb, std::size_t csb, float* c, bool accumulate) {
+  Kernel<Vec4, 8, 4>::gemm(m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define RR_GEMM_X86 1
+
+__attribute__((target("avx2"))) void gemm_avx2(
+    std::size_t m, std::size_t n, std::size_t k, const float* a,
+    std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+    std::size_t csb, float* c, bool accumulate) {
+  Kernel<Vec8, 16, 1>::gemm(m, n, k, a, rsa, csa, b, rsb, csb, c,
+                            accumulate);
+}
+
+__attribute__((target("avx512f"))) void gemm_avx512f(
+    std::size_t m, std::size_t n, std::size_t k, const float* a,
+    std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+    std::size_t csb, float* c, bool accumulate) {
+  Kernel<Vec16, 32, 1>::gemm(m, n, k, a, rsa, csa, b, rsb, csb, c,
+                             accumulate);
+}
+#endif
+
+/// The calling thread's kernel choice; null means the widest supported.
+thread_local const detail::GemmKernel* t_kernel = nullptr;
+
+}  // namespace
+
+namespace detail {
+
+std::span<const GemmKernel> gemm_kernels() {
+  static const std::vector<GemmKernel> kernels = [] {
+    std::vector<GemmKernel> supported{{"sse2", &gemm_sse2}};
+#ifdef RR_GEMM_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      supported.push_back({"avx2", &gemm_avx2});
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      supported.push_back({"avx512f", &gemm_avx512f});
+    }
+#endif
+    return supported;
+  }();
+  return kernels;
+}
+
+void use_gemm_kernel(const GemmKernel* kernel) { t_kernel = kernel; }
+
+}  // namespace detail
+
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
+          std::size_t csb, float* c, bool accumulate) {
+  static const detail::GemmKernel* const widest =
+      &detail::gemm_kernels().back();
+  const detail::GemmKernel* kernel = t_kernel ? t_kernel : widest;
+  kernel->run(m, n, k, a, rsa, csa, b, rsb, csb, c, accumulate);
 }
 
 namespace {

@@ -109,15 +109,38 @@ std::size_t shape_volume(const std::vector<std::size_t>& shape);
 /// swapping its strides instead of being copied. C must not overlap A or B.
 ///
 /// Operands are packed into MR-row and NR-column panels (thread-local,
-/// reused buffers) and multiplied by a register-tiled SIMD microkernel.
+/// reused buffers) and multiplied by a register-tiled SIMD microkernel,
+/// built for SSE2, AVX2 and AVX-512F and chosen once at run time: the
+/// widest the host supports.
 /// Bit-identity contract: every C element is the float sum, in ascending
 /// p, of A(i,p) * B(p,j), starting from +0 (or from C when accumulating),
 /// with one rounding per multiply and per add. Only independent C elements
 /// share a vector, so the result equals the plain i-k-j loop's bit for bit
-/// (tests/ml_gemm_test.cpp holds that loop as the oracle; DESIGN.md S4).
+/// on every host (tests/ml_gemm_test.cpp holds that loop as the oracle;
+/// DESIGN.md S4).
 void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           std::size_t rsa, std::size_t csa, const float* b, std::size_t rsb,
           std::size_t csb, float* c, bool accumulate);
+
+namespace detail {
+
+/// One ISA build of gemm, with gemm's arguments and contract.
+struct GemmKernel {
+  const char* name;  // "sse2", "avx2" or "avx512f"
+  void (*run)(std::size_t m, std::size_t n, std::size_t k, const float* a,
+              std::size_t rsa, std::size_t csa, const float* b,
+              std::size_t rsb, std::size_t csb, float* c, bool accumulate);
+};
+
+/// The builds this host can run, narrowest first; gemm uses the last.
+std::span<const GemmKernel> gemm_kernels();
+
+/// Routes the calling thread's gemm calls through `kernel` (one of
+/// gemm_kernels()); nullptr restores the automatic choice. For tests that
+/// run the layers on every build.
+void use_gemm_kernel(const GemmKernel* kernel);
+
+}  // namespace detail
 
 /// C[M,N] = A[M,K] * B[K,N] via gemm. Throws std::invalid_argument on
 /// shape mismatch.

@@ -1,8 +1,9 @@
-// Fixed-size thread pool used by the ML module to parallelize per-sample
-// gradient computation within a batch (the paper's HUs "can run multiple
-// operations in parallel to speed up the simulation", §4). Results are
-// reduced in deterministic index order, so parallelism never changes
-// numerical output.
+// Fixed-size thread pool (the paper's HUs "can run multiple operations in
+// parallel to speed up the simulation", §4). The global pool spreads
+// evaluation batches (ml::evaluate) and synthetic-image rendering; the
+// campaign engine runs its workers on a pool of its own. Training jobs are
+// single-threaded and do not use it. Results are reduced in deterministic
+// index order, so parallelism never changes numerical output.
 //
 // This is the only place in the tree allowed to construct std::thread
 // (enforced by rr-lint's `raw-thread` rule). Shared state is annotated for

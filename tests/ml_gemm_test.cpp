@@ -4,12 +4,16 @@
 // scalar dot product for matmul_bt, plus the per-sample im2col Conv2D and
 // the Linear layer written on top of them. The kernel promises the same
 // float operations in the same order, so every comparison here is memcmp
-// equality, never a tolerance.
+// equality, never a tolerance. The plain TESTs run the kernel build the
+// host dispatches to; the Isa/GemmKernelOracle suite runs every build
+// (SSE2, AVX2, AVX-512F) the host supports and skips the others.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -154,12 +158,12 @@ void check_shape(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-// The kernel's register tile (src/ml/tensor.cpp). The edge sizes below sit
-// on both sides of each tile boundary.
+// The SSE2 build's register tile (src/ml/tensor.cpp). The edge sizes below
+// sit on both sides of each tile boundary.
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 8;
 
-TEST(GemmOracle, TileEdgeShapes) {
+void tile_edge_shapes() {
   const std::size_t dims[] = {1,       kMr - 1, kMr,        kMr + 1,
                               kNr - 1, kNr + 1, 2 * kNr + 3};
   std::uint64_t seed = 0;
@@ -170,14 +174,14 @@ TEST(GemmOracle, TileEdgeShapes) {
   }
 }
 
-TEST(GemmOracle, CacheBlockEdges) {
+void cache_block_edges() {
   // Cross the MC (72), NC (512) and KC (256) cache blocks, so later k
   // blocks resume the partial sums stored in C.
   check_shape(77, 515, 300, 1);
   check_shape(129, 9, 513, 2);
 }
 
-TEST(GemmOracle, PaperCnnShapes) {
+void paper_cnn_shapes() {
   // Batch 16, 3x32x32 input: conv1 6x75 * 75x784, conv2 16x150 * 150x100,
   // then Linear 400->120->84->10; each with its backward-pass transposes.
   const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
@@ -189,7 +193,7 @@ TEST(GemmOracle, PaperCnnShapes) {
   for (const auto& [m, n, k] : shapes) check_shape(m, n, k, ++seed);
 }
 
-TEST(GemmOracle, MlpShapes) {
+void mlp_shapes() {
   // make_mlp(24, 128, 10) at batch 16: the campaign MLP on 24-d blobs.
   const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
       {16, 128, 24},  {128, 24, 16}, {16, 24, 128}, {16, 128, 128},
@@ -197,6 +201,11 @@ TEST(GemmOracle, MlpShapes) {
   std::uint64_t seed = 200;
   for (const auto& [m, n, k] : shapes) check_shape(m, n, k, ++seed);
 }
+
+TEST(GemmOracle, TileEdgeShapes) { tile_edge_shapes(); }
+TEST(GemmOracle, CacheBlockEdges) { cache_block_edges(); }
+TEST(GemmOracle, PaperCnnShapes) { paper_cnn_shapes(); }
+TEST(GemmOracle, MlpShapes) { mlp_shapes(); }
 
 TEST(GemmOracle, SignedZeroAndEmptyInnerDim) {
   // Every product is -0: the sum starts from +0, so the result is +0.
@@ -383,8 +392,8 @@ void check_layer(Layer& layer, Ref& ref, const std::vector<std::size_t>& in,
 class ConvOracle : public ::testing::TestWithParam<
                        std::tuple<std::size_t, std::size_t>> {};
 
-TEST_P(ConvOracle, MatchesPerSampleReferenceBitwise) {
-  const auto [stride, pad] = GetParam();
+void conv_oracle(std::size_t stride, std::size_t pad) {
+  SCOPED_TRACE(::testing::Message() << "stride " << stride << " pad " << pad);
   util::Rng rng{10 + stride * 7 + pad};
   // The paper CNN's two convolutions, on a batch that is not a tile
   // multiple, plus a small odd-sized one.
@@ -411,11 +420,16 @@ TEST_P(ConvOracle, MatchesPerSampleReferenceBitwise) {
   }
 }
 
+TEST_P(ConvOracle, MatchesPerSampleReferenceBitwise) {
+  const auto [stride, pad] = GetParam();
+  conv_oracle(stride, pad);
+}
+
 INSTANTIATE_TEST_SUITE_P(StridePadding, ConvOracle,
                          ::testing::Combine(::testing::Values(1, 2),
                                             ::testing::Values(0, 2)));
 
-TEST(LinearOracle, MatchesReferenceBitwise) {
+void linear_oracle() {
   util::Rng rng{20};
   // Paper CNN head and campaign MLP layers, at batch 16 and an odd batch.
   const std::tuple<std::size_t, std::size_t, std::size_t> configs[] = {
@@ -432,6 +446,154 @@ TEST(LinearOracle, MatchesReferenceBitwise) {
                   Tensor{{out}}, {}};
     check_layer(lin, ref, {batch, in}, rng);
   }
+}
+
+TEST(LinearOracle, MatchesReferenceBitwise) { linear_oracle(); }
+
+// ---- every kernel build the host supports ---------------------------------
+
+/// Routes this thread's gemm calls through the build named by the
+/// parameter for the test's duration; skips a build the host cannot run.
+class GemmKernelOracle : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const detail::GemmKernel& kernel : detail::gemm_kernels()) {
+      if (std::strcmp(kernel.name, GetParam()) == 0) {
+        detail::use_gemm_kernel(&kernel);
+        return;
+      }
+    }
+    GTEST_SKIP() << "this host cannot run the " << GetParam() << " kernel";
+  }
+  void TearDown() override { detail::use_gemm_kernel(nullptr); }
+};
+
+TEST_P(GemmKernelOracle, TileEdgeShapes) { tile_edge_shapes(); }
+TEST_P(GemmKernelOracle, CacheBlockEdges) { cache_block_edges(); }
+TEST_P(GemmKernelOracle, PaperCnnShapes) { paper_cnn_shapes(); }
+TEST_P(GemmKernelOracle, MlpShapes) { mlp_shapes(); }
+
+TEST_P(GemmKernelOracle, WideTileEdgeShapes) {
+  // Both sides of the AVX2 (6 x 16) and AVX-512F (6 x 32) tile widths, the
+  // 4 x 4 transposing B pack and the KC (256) block, in every operand
+  // layout check_shape covers.
+  std::uint64_t seed = 300;
+  for (const std::size_t n : {1, 15, 16, 17, 31, 32, 33, 784}) {
+    for (const std::size_t m : {1, 5, 6, 7, 13}) {
+      for (const std::size_t k : {1, 6, 255, 256, 257}) {
+        check_shape(m, n, k, ++seed);
+      }
+    }
+  }
+}
+
+TEST_P(GemmKernelOracle, SignedZeroProducts) {
+  // A wide tile broadcasts each packed A value in the kernel; a -0 in A
+  // must stay -0 there, or -0 * +x would become +0. Only products of -0
+  // keep a sum at -0 when C starts at -0.
+  for (const std::size_t n : {8, 16, 32, 33}) {
+    Tensor a{{7, 2}};
+    for (float& v : a.values()) v = -0.0F;
+    Tensor b{{2, n}};
+    for (float& v : b.values()) v = 1.0F;
+    Tensor c{{7, n}};
+    for (float& v : c.values()) v = -0.0F;
+    Tensor want = c;
+    ref_matmul_into(a, b, want, true);
+    matmul_into(a, b, c, true);
+    EXPECT_TRUE(bitwise_equal(c, want)) << "n=" << n;
+    EXPECT_TRUE(std::signbit(c[0]));
+  }
+}
+
+TEST_P(GemmKernelOracle, ConvMatchesPerSampleReference) {
+  for (const std::size_t stride : {1, 2}) {
+    for (const std::size_t pad : {0, 2}) conv_oracle(stride, pad);
+  }
+}
+
+TEST_P(GemmKernelOracle, LinearMatchesReference) { linear_oracle(); }
+
+INSTANTIATE_TEST_SUITE_P(Isa, GemmKernelOracle,
+                         ::testing::Values("sse2", "avx2", "avx512f"),
+                         [](const auto& info) {
+                           return std::string{info.param};
+                         });
+
+TEST(GemmKernels, BaselineIsAlwaysListedFirst) {
+  const auto kernels = detail::gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "sse2");
+}
+
+// ---- ReLU backward ----------------------------------------------------------
+
+TEST(ReluOracle, BackwardMatchesBranchyLoopBitwise) {
+  // The old backward: copy the gradient, zero it where the input is <= 0.
+  // NaN inputs pass the gradient through; both zeros block it.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> inputs = {nan,   -nan,   -0.0F,   0.0F, denorm,
+                                     -denorm, -1.5F, 2.5F,  inf,  -inf,
+                                     1e-30F, -1e-30F, 3.0F, -7.0F, 0.5F,
+                                     -0.0F,   nan};
+  const std::vector<float> grads = {1.0F,   -2.0F, 3.0F,  -0.0F, 0.0F,
+                                    nan,    4.0F,  -5.0F, 6.0F,  denorm,
+                                    -7.0F,  8.0F,  -0.0F, 9.0F,  -denorm,
+                                    10.0F,  -0.0F};
+  const std::size_t n = inputs.size();
+  const Tensor x{{1, n}, inputs};
+  const Tensor go{{1, n}, grads};
+  Tensor want = go;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] <= 0.0F) want[i] = 0.0F;
+  }
+  ReLU relu;
+  relu.forward(x);
+  EXPECT_TRUE(bitwise_equal(relu.backward(go), want));
+
+  // And on a large random batch, long enough for the vector loop body.
+  util::Rng rng{500};
+  Tensor xr = random_tensor({16, 6, 28, 28}, rng);
+  for (std::size_t i = 0; i < xr.size(); i += 97) xr[i] = -0.0F;
+  for (std::size_t i = 0; i < xr.size(); i += 101) xr[i] = 0.0F;
+  const Tensor gr = random_tensor(xr.shape(), rng);
+  Tensor want_r = gr;
+  for (std::size_t i = 0; i < xr.size(); ++i) {
+    if (xr[i] <= 0.0F) want_r[i] = 0.0F;
+  }
+  relu.forward(xr);
+  EXPECT_TRUE(bitwise_equal(relu.backward(gr), want_r));
+}
+
+// ---- build flags ------------------------------------------------------------
+
+#if defined(__x86_64__) || defined(__i386__)
+/// Compiled for a CPU with FMA: a build that allowed contraction would emit
+/// one fused multiply-add here.
+[[gnu::noinline]] __attribute__((target("fma"))) float mul_add_with_fma(
+    float a, float b, float c) {
+  return a * b + c;
+}
+#endif
+
+TEST(Build, NoFloatContraction) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("fma")) GTEST_SKIP() << "host has no FMA";
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 exactly; rounded to float it is
+  // 1 + 2^-11 (a tie, to even). Two roundings give 0, a fused one 2^-24.
+  volatile float a = 1.0F + 0x1p-12F;
+  volatile float c = -(1.0F + 0x1p-11F);
+  const float got = mul_add_with_fma(a, a, c);
+  EXPECT_EQ(got, 0.0F) << "the build contracts a * b + c into an FMA "
+                          "(need -ffp-contract=off, CMakeLists.txt)";
+  EXPECT_NE(std::fma(static_cast<float>(a), static_cast<float>(a),
+                     static_cast<float>(c)),
+            0.0F);
+#else
+  GTEST_SKIP() << "x86-only check";
+#endif
 }
 
 }  // namespace

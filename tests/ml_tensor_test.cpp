@@ -119,8 +119,8 @@ TEST(Matmul, AccumulateFlag) {
 
 // Property: the transposed variants agree with explicit transposition,
 // exactly, since all three sum each element in ascending k from zero.
-// Shapes up to 40 cross the GEMM kernel's 6x8 register tile several times,
-// so full and edge tiles of every operand layout are exercised.
+// Shapes up to 40 cross the GEMM kernel's 6-row and 8/16/32-column register
+// tiles, so full and edge tiles of every operand layout are exercised.
 class MatmulVariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MatmulVariants, TransposedVariantsAgree) {
