@@ -1,8 +1,10 @@
 // roadrunner_campaign — the multi-run orchestrator: expands an INI campaign
 // spec (base experiment × sweep axes × replicate seeds) into jobs, runs
 // them in parallel with live progress (jobs/s, ETA), lands every finished
-// job in a resumable on-disk store, and writes/prints the per-point
-// aggregate (mean / stddev / 95% CI over seeds).
+// job in a resumable on-disk store, writes/prints the per-point aggregate
+// (mean / stddev / 95% CI over seeds), and renders the spec's `[report]`
+// tables (campaign/report.hpp): the resilience, adversarial, drift and
+// traffic sweeps are examples/<name>.ini run through this binary.
 //
 //   ./examples/roadrunner_campaign spec.ini [--workers=N] [--store=DIR]
 //        [--out=aggregate.csv] [--plot=metric] [--seeds=N] [--fresh]
@@ -37,13 +39,14 @@
 // simulated seconds, so the job that died mid-run resumes from its last
 // snapshot instead of t=0 (snapshots land in --checkpoint-dir, default
 // <store>/checkpoints, and are deleted once the job's record is stored).
-// --fresh ignores (but does not delete) nothing — it simply uses a
-// throwaway in-memory run with no store. With no arguments it runs
+// --fresh runs without a store, so nothing is resumed or written to disk
+// (an existing store is left as it is). With no arguments it runs
 // examples/campaign.ini if present, else a small built-in demo campaign.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <set>
 #include <string>
@@ -51,6 +54,7 @@
 
 #include "campaign/aggregate.hpp"
 #include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
@@ -148,8 +152,10 @@ int run(int argc, char** argv) {
   // --workers=O fails fast even with --dry-run. 0 and negatives used to be
   // silently coerced to "auto-size"; now they are a usage error.
   std::size_t worker_count = 0;
+  std::size_t seeds = 0;  // 0: keep the spec's [campaign] seeds
   try {
     worker_count = util::parse_worker_count(args, "workers");
+    seeds = util::parse_positive_count(args, "seeds", 0);
   } catch (const std::invalid_argument& e) {
     return usage_error(argv[0], e.what());
   }
@@ -168,10 +174,7 @@ int run(int argc, char** argv) {
   }
 
   campaign::CampaignSpec spec = campaign::campaign_from_ini(ini);
-  if (args.has("seeds")) {
-    spec.seeds_per_point = static_cast<std::size_t>(
-        args.get_int("seeds", static_cast<std::int64_t>(spec.seeds_per_point)));
-  }
+  if (seeds > 0) spec.seeds_per_point = seeds;
 
   if (args.get_bool("dry-run", false)) {
     const std::vector<campaign::Job> jobs = campaign::expand(spec);
@@ -330,6 +333,7 @@ int run(int argc, char** argv) {
     std::printf("\n%s vs sweep point:\n%s\n", metric.c_str(),
                 util::ascii_chart({series}).c_str());
   }
+  campaign::write_report(std::cout, spec, summaries);
   return 0;
 }
 

@@ -1,5 +1,6 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -97,12 +98,27 @@ std::string job_hash(const util::IniFile& experiment) {
   return out;
 }
 
+std::size_t zip_rows(const CampaignSpec& spec) {
+  return spec.zipped.empty() ? 1 : spec.zipped.front().values.size();
+}
+
+std::size_t grid_combos(const CampaignSpec& spec) {
+  std::size_t combos = 1;
+  for (const auto& axis : spec.grid) combos *= axis.values.size();
+  return combos;
+}
+
 std::size_t point_count(const CampaignSpec& spec) {
-  std::size_t zip_rows = 1;
-  if (!spec.zipped.empty()) zip_rows = spec.zipped.front().values.size();
-  std::size_t grid_combos = 1;
-  for (const auto& axis : spec.grid) grid_combos *= axis.values.size();
-  return zip_rows * grid_combos;
+  return zip_rows(spec) * grid_combos(spec);
+}
+
+std::vector<std::size_t> grid_pick(const CampaignSpec& spec, std::size_t g) {
+  std::vector<std::size_t> pick(spec.grid.size(), 0);
+  for (std::size_t a = spec.grid.size(); a-- > 0;) {
+    pick[a] = g % spec.grid[a].values.size();
+    g /= spec.grid[a].values.size();
+  }
+  return pick;
 }
 
 std::vector<Job> expand(const CampaignSpec& spec) {
@@ -119,24 +135,13 @@ std::vector<Job> expand(const CampaignSpec& spec) {
     }
   }
 
-  const std::size_t zip_rows =
-      spec.zipped.empty() ? 1 : spec.zipped.front().values.size();
-  std::size_t grid_combos = 1;
-  for (const auto& axis : spec.grid) grid_combos *= axis.values.size();
-
+  const std::size_t combos = grid_combos(spec);
   std::vector<Job> jobs;
-  jobs.reserve(zip_rows * grid_combos * spec.seeds_per_point);
+  jobs.reserve(point_count(spec) * spec.seeds_per_point);
 
-  for (std::size_t z = 0; z < zip_rows; ++z) {
-    for (std::size_t g = 0; g < grid_combos; ++g) {
-      // Decompose the flat grid index: first axis varies slowest.
-      std::vector<std::size_t> pick(spec.grid.size(), 0);
-      std::size_t rest = g;
-      for (std::size_t a = spec.grid.size(); a-- > 0;) {
-        pick[a] = rest % spec.grid[a].values.size();
-        rest /= spec.grid[a].values.size();
-      }
-
+  for (std::size_t z = 0; z < zip_rows(spec); ++z) {
+    for (std::size_t g = 0; g < combos; ++g) {
+      const std::vector<std::size_t> pick = grid_pick(spec, g);
       util::IniFile point = spec.base;
       std::string label;
       for (const auto& axis : spec.zipped) {
@@ -149,7 +154,7 @@ std::vector<Job> expand(const CampaignSpec& spec) {
         append_label(label, spec.grid[a].key, spec.grid[a].values[pick[a]]);
       }
 
-      const std::size_t point_index = z * grid_combos + g;
+      const std::size_t point_index = z * combos + g;
       for (std::size_t s = 0; s < spec.seeds_per_point; ++s) {
         Job job;
         job.point_index = point_index;
@@ -171,8 +176,13 @@ std::vector<Job> expand(const CampaignSpec& spec) {
 CampaignSpec campaign_from_ini(const util::IniFile& ini) {
   CampaignSpec spec;
   spec.name = ini.get("campaign", "name", spec.name);
-  spec.seeds_per_point = static_cast<std::size_t>(ini.get_int(
-      "campaign", "seeds", static_cast<std::int64_t>(spec.seeds_per_point)));
+  const std::int64_t seeds = ini.get_int(
+      "campaign", "seeds", static_cast<std::int64_t>(spec.seeds_per_point));
+  if (seeds < 1) {
+    throw std::invalid_argument{"campaign: [campaign] seeds must be >= 1, got " +
+                                std::to_string(seeds)};
+  }
+  spec.seeds_per_point = static_cast<std::size_t>(seeds);
   spec.base_seed =
       ini.get_uint64("campaign", "base_seed", spec.base_seed);
   spec.pair_seeds = ini.get_bool("campaign", "pair_seeds", spec.pair_seeds);
@@ -196,9 +206,36 @@ CampaignSpec campaign_from_ini(const util::IniFile& ini) {
   spec.grid = parse_axes("sweep");
   spec.zipped = parse_axes("sweep.zip");
 
+  // A typo must not silently drop a table: unknown keys and empty metric
+  // names are errors, and a [report] section needs a metrics list.
+  const std::vector<std::string> sections = ini.sections();
+  auto metric_list = [&ini](const std::string& key) {
+    std::vector<std::string> names = split_list(ini.get("report", key));
+    for (const auto& name : names) {
+      if (name.empty()) {
+        throw std::invalid_argument{"campaign: [report] " + key +
+                                    " must list metric names, none empty"};
+      }
+    }
+    return names;
+  };
+  for (const auto& key : ini.keys("report")) {
+    if (key != "metrics" && key != "scorecard") {
+      throw std::invalid_argument{"campaign: unknown [report] key '" + key +
+                                  "' (expected metrics or scorecard)"};
+    }
+  }
+  if (std::find(sections.begin(), sections.end(), "report") != sections.end()) {
+    spec.report.metrics = metric_list("metrics");
+    if (ini.has("report", "scorecard")) {
+      spec.report.scorecard = metric_list("scorecard");
+    }
+  }
+
   // Everything that is not campaign machinery is the base experiment.
-  for (const auto& section : ini.sections()) {
-    if (section == "campaign" || section == "sweep" || section == "sweep.zip") {
+  for (const auto& section : sections) {
+    if (section == "campaign" || section == "sweep" ||
+        section == "sweep.zip" || section == "report") {
       continue;
     }
     for (const auto& key : ini.keys(section)) {

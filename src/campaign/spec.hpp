@@ -25,6 +25,15 @@ struct SweepAxis {
   std::vector<std::string> values;
 };
 
+/// The `[report]` section: which tables `roadrunner_campaign` prints after
+/// the aggregate CSV (campaign/report.hpp). Empty `metrics` = no report.
+struct ReportSpec {
+  /// One table each: zip rows x grid combinations of the metric's mean.
+  std::vector<std::string> metrics;
+  /// Optional: one table of zip rows x these metrics at the last grid point.
+  std::vector<std::string> scorecard;
+};
+
 struct CampaignSpec {
   std::string name = "campaign";
   /// Base experiment template; sweep axes override keys on top of it.
@@ -45,6 +54,8 @@ struct CampaignSpec {
   /// (default), seeds also mix in the point index, so no two jobs share a
   /// substrate.
   bool pair_seeds = false;
+  /// Presentation only: never part of a job's experiment or hash.
+  ReportSpec report;
 };
 
 /// One executable unit: a fully resolved experiment INI (base + axis
@@ -76,8 +87,19 @@ std::string job_hash(const util::IniFile& experiment);
 /// zip lengths, or zero seeds_per_point.
 std::vector<Job> expand(const CampaignSpec& spec);
 
-/// Number of sweep points the spec expands to (jobs / seeds_per_point).
+/// Number of sweep points the spec expands to (jobs / seeds_per_point):
+/// zip_rows(spec) x grid_combos(spec).
 std::size_t point_count(const CampaignSpec& spec);
+
+/// Rows of the `[sweep.zip]` axes (1 when there are none).
+std::size_t zip_rows(const CampaignSpec& spec);
+
+/// Combinations of the `[sweep]` grid axes (1 when there are none).
+std::size_t grid_combos(const CampaignSpec& spec);
+
+/// The value index of each grid axis at flat grid combination `g`, first
+/// axis slowest; point index = zip_row * grid_combos(spec) + g.
+std::vector<std::size_t> grid_pick(const CampaignSpec& spec, std::size_t g);
 
 /// Parses a campaign INI file:
 ///
@@ -91,10 +113,17 @@ std::size_t point_count(const CampaignSpec& spec);
 ///   [sweep.zip]          # zipped axes (optional, equal lengths)
 ///   strategy.name = federated, opportunistic
 ///   strategy.round_duration_s = 30, 200
+///   [report]             # tables printed after the aggregate (optional)
+///   metrics = final_accuracy, rounds_completed   # one table each
+///   scorecard = v2c_bytes_delivered   # optional: at the last grid point
 ///   ... every other section is the base experiment ...
 ///
+/// `[campaign]`, `[sweep]`, `[sweep.zip]` and `[report]` never reach the
+/// base experiment, so adding or editing a report moves no job hash.
 /// Throws std::runtime_error / std::invalid_argument on malformed keys
-/// (missing '.'), empty value lists, or mismatched zip lengths.
+/// (missing '.'), empty value lists, mismatched zip lengths, `seeds < 1`,
+/// an unknown `[report]` key, or a `[report]` without a non-empty
+/// `metrics` list.
 CampaignSpec campaign_from_ini(const util::IniFile& ini);
 
 }  // namespace roadrunner::campaign

@@ -57,8 +57,8 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   throw std::invalid_argument{"CliArgs: bad boolean for --" + name};
 }
 
-std::size_t parse_worker_count(const CliArgs& args, const std::string& name,
-                               std::size_t fallback) {
+std::size_t parse_positive_count(const CliArgs& args, const std::string& name,
+                                 std::size_t fallback) {
   if (!args.has(name)) return fallback;
   const std::string value = args.get(name, "");
   long long parsed = 0;
@@ -74,10 +74,20 @@ std::size_t parse_worker_count(const CliArgs& args, const std::string& name,
   }
   if (!ok || parsed <= 0) {
     throw std::invalid_argument{"--" + name + "=" + value +
-                                ": expected a positive integer (omit the "
-                                "flag to auto-size to the hardware)"};
+                                ": expected a positive integer"};
   }
   return static_cast<std::size_t>(parsed);
+}
+
+std::size_t parse_worker_count(const CliArgs& args, const std::string& name,
+                               std::size_t fallback) {
+  try {
+    return parse_positive_count(args, name, fallback);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument{std::string{e.what()} +
+                                " (omit the flag to auto-size to the "
+                                "hardware)"};
+  }
 }
 
 }  // namespace roadrunner::util

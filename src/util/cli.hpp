@@ -38,6 +38,13 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Parses a count flag that must be a positive integer when present
+/// (`--seeds=N`). An absent flag returns `fallback`; 0, negatives and junk
+/// (including trailing garbage like "1x") throw std::invalid_argument with
+/// a usage-ready message naming the flag and value.
+std::size_t parse_positive_count(const CliArgs& args, const std::string& name,
+                                 std::size_t fallback);
+
 /// Parses a worker/parallelism count flag. An absent flag returns
 /// `fallback` (0 conventionally means "auto-size to the hardware"); a flag
 /// that is present must be a positive integer — `--workers=0`, negatives,

@@ -1,12 +1,14 @@
 // Tests for the campaign subsystem: spec expansion, job hashing, the
 // resumable result store, parallel-execution determinism (the engine's
 // core contract: per-job metrics are bit-identical under any worker
-// count), resume-after-kill, and statistical aggregation.
+// count), resume-after-kill, statistical aggregation, and the `[report]`
+// tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -15,6 +17,7 @@
 
 #include "campaign/aggregate.hpp"
 #include "campaign/engine.hpp"
+#include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
 
@@ -186,6 +189,136 @@ rounds = 3
 TEST(CampaignSpec, FromIniRejectsMalformedSweepKey) {
   const auto ini = util::IniFile::parse("[sweep]\nvehicles = 1, 2\n");
   EXPECT_THROW(campaign::campaign_from_ini(ini), std::runtime_error);
+}
+
+/// campaign_from_ini's error message for `text`, or "" if it parsed.
+std::string from_ini_error(const std::string& text) {
+  try {
+    (void)campaign::campaign_from_ini(util::IniFile::parse(text));
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CampaignSpec, FromIniRejectsZeroSeeds) {
+  EXPECT_NE(from_ini_error("[campaign]\nseeds = 0\n").find("[campaign] seeds"),
+            std::string::npos);
+}
+
+TEST(CampaignSpec, FromIniRejectsNegativeSeeds) {
+  // Used to wrap through size_t into a 2^64-job vector::reserve.
+  EXPECT_NE(
+      from_ini_error("[campaign]\nseeds = -2\n").find("[campaign] seeds"),
+      std::string::npos);
+}
+
+// --------------------------------------------------------------- report --
+
+TEST(CampaignReport, FromIniParsesMetricsAndScorecard) {
+  const auto spec = campaign::campaign_from_ini(util::IniFile::parse(R"(
+[sweep]
+scenario.vehicles = 10, 20
+[report]
+metrics = final_accuracy, purity:final
+scorecard = transfers_V2C_failed_fault-outage
+)"));
+  EXPECT_EQ(spec.report.metrics,
+            (std::vector<std::string>{"final_accuracy", "purity:final"}));
+  EXPECT_EQ(spec.report.scorecard,
+            (std::vector<std::string>{"transfers_V2C_failed_fault-outage"}));
+  EXPECT_FALSE(spec.base.has("report", "metrics"));
+}
+
+TEST(CampaignReport, ReportSectionMovesNoJobHash) {
+  const std::string campaign = R"(
+[campaign]
+seeds = 2
+[sweep]
+scenario.vehicles = 10, 20
+[sweep.zip]
+strategy.name = federated, gossip
+[strategy]
+rounds = 3
+)";
+  const auto plain =
+      campaign::expand(campaign::campaign_from_ini(util::IniFile::parse(campaign)));
+  const auto reported = campaign::expand(campaign::campaign_from_ini(
+      util::IniFile::parse(campaign +
+                           "[report]\nmetrics = final_accuracy\n"
+                           "scorecard = uploads\n")));
+  ASSERT_EQ(plain.size(), 8U);
+  ASSERT_EQ(reported.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(reported[i].hash, plain[i].hash) << i;
+    EXPECT_EQ(reported[i].seed, plain[i].seed) << i;
+    EXPECT_EQ(reported[i].point_label, plain[i].point_label) << i;
+  }
+}
+
+TEST(CampaignReport, UnknownKeyOrEmptyMetricsFailTheParse) {
+  const std::string sweep = "[sweep]\nscenario.vehicles = 10, 20\n";
+  for (const char* report :
+       {"[report]\nmetrics = final_accuracy\nmetric = uploads\n",
+        "[report]\nmetrics = final_accuracy\nscorecards = uploads\n",
+        "[report]\nmetrics =\n", "[report]\n",
+        "[report]\nscorecard = uploads\n",
+        "[report]\nmetrics = final_accuracy,, uploads\n",
+        "[report]\nmetrics = final_accuracy\nscorecard =\n"}) {
+    EXPECT_NE(from_ini_error(sweep + report).find("[report]"),
+              std::string::npos)
+        << report;
+  }
+}
+
+campaign::PointSummary point(std::size_t index,
+                             const std::map<std::string, double>& means) {
+  campaign::PointSummary summary;
+  summary.point_index = index;
+  for (const auto& [name, mean] : means) {
+    summary.metrics[name].n = 1;
+    summary.metrics[name].mean = mean;
+  }
+  return summary;
+}
+
+TEST(CampaignReport, RendersAxisLabelsAndDashesForMissingCells) {
+  // 2 zip rows x 3 grid values; point 4 never ran, point 2 lacks
+  // final_accuracy. krum_select is the same on every row, so it is not
+  // part of the row label.
+  campaign::CampaignSpec spec;
+  spec.grid = {{"adversary", "fraction", {"0", "0.5", "1"}}};
+  spec.zipped = {{"strategy", "aggregation", {"mean", "median"}},
+                 {"strategy", "krum_select", {"5", "5"}},
+                 {"strategy", "name", {"federated", "gossip"}}};
+  spec.report.metrics = {"final_accuracy"};
+  spec.report.scorecard = {"final_accuracy", "uploads"};
+  const std::vector<campaign::PointSummary> summaries = {
+      point(0, {{"final_accuracy", 0.9}, {"uploads", 10}}),
+      point(1, {{"final_accuracy", 0.5}, {"uploads", 12}}),
+      point(2, {{"uploads", 14}}),
+      point(3, {{"final_accuracy", 0.875}, {"uploads", 8}}),
+      point(5, {{"final_accuracy", 0.25}, {"uploads", 9.5}}),
+  };
+  std::ostringstream out;
+  campaign::write_report(out, spec, summaries);
+  EXPECT_EQ(out.str(),
+            "\n"
+            "final_accuracy by adversary.fraction (mean over seeds):\n"
+            "name/aggregation         0       0.5         1\n"
+            "federated/mean    0.900000  0.500000         -\n"
+            "gossip/median     0.875000         -  0.250000\n"
+            "\n"
+            "scorecard at adversary.fraction=1 (mean over seeds):\n"
+            "name/aggregation  final_accuracy    uploads\n"
+            "federated/mean                 -  14.000000\n"
+            "gossip/median           0.250000   9.500000\n");
+}
+
+TEST(CampaignReport, NoReportSectionWritesNothing) {
+  std::ostringstream out;
+  campaign::write_report(out, tiny_spec(), {point(0, {{"final_accuracy", 1}})});
+  EXPECT_EQ(out.str(), "");
 }
 
 // ---------------------------------------------------------------- store --

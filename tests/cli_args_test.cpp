@@ -1,5 +1,5 @@
 // Regression tests for CLI flag parsing — in particular the
-// `parse_worker_count` contract: `--workers=0`, negative counts, and junk
+// `parse_worker_count` / `parse_positive_count` contract: `--workers=0`, negative counts, and junk
 // used to be silently accepted (0 auto-sized, negatives wrapped through
 // size_t into absurd thread counts); they must now throw with a
 // usage-ready message.
@@ -61,6 +61,26 @@ TEST(ParseWorkerCount, ErrorMessageNamesTheFlagAndValue) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--workers"), std::string::npos) << what;
     EXPECT_NE(what.find("positive integer"), std::string::npos) << what;
+  }
+}
+
+TEST(ParsePositiveCount, SeedsMustBeAPositiveInteger) {
+  // --seeds=-1 used to wrap through size_t into a 2^64-job reserve, and
+  // --seeds=abc leaked a bare "stoll" from std::stoll.
+  EXPECT_EQ(util::parse_positive_count(make_args({}), "seeds", 0), 0U);
+  EXPECT_EQ(util::parse_positive_count(make_args({"--seeds=3"}), "seeds", 0),
+            3U);
+  for (const char* bad : {"--seeds=0", "--seeds=-1", "--seeds=abc",
+                          "--seeds=2x", "--seeds="}) {
+    try {
+      util::parse_positive_count(make_args({bad}), "seeds", 0);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--seeds"), std::string::npos) << what;
+      EXPECT_NE(what.find("positive integer"), std::string::npos) << what;
+      EXPECT_EQ(what.find("auto-size"), std::string::npos) << what;
+    }
   }
 }
 
