@@ -106,31 +106,11 @@ bool AdversaryController::jamming_blocked(comm::ChannelKind kind,
 }
 
 void AdversaryController::save_state(util::BinWriter& out) const {
-  for (const std::uint64_t word : rng_.state()) out.u64(word);
-  out.u64(plan_.events.size());
-  out.u64(compromised_count());
-  out.u64(counters_.poisoned_updates);
-  out.u64(counters_.byzantine_updates);
-  out.u64(counters_.sybil_clones);
-  out.u64(counters_.label_flip_trainings);
+  util::save_fields(out, *this);
 }
 
 void AdversaryController::load_state(util::BinReader& in) {
-  std::array<std::uint64_t, 4> state{};
-  for (std::uint64_t& word : state) word = in.u64();
-  const std::uint64_t events = in.u64();
-  const std::uint64_t compromised = in.u64();
-  if (events != plan_.events.size() ||
-      compromised != compromised_count()) {
-    throw std::runtime_error{
-        "adversary: snapshot plan shape mismatch; the adversary plan must "
-        "not change across a restore"};
-  }
-  rng_.set_state(state);
-  counters_.poisoned_updates = in.u64();
-  counters_.byzantine_updates = in.u64();
-  counters_.sybil_clones = in.u64();
-  counters_.label_flip_trainings = in.u64();
+  util::load_fields(in, *this, "adversary");
 }
 
 }  // namespace roadrunner::adversary

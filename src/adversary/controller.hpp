@@ -7,12 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/adversary_plan.hpp"
 #include "comm/fault_hook.hpp"
 #include "ml/net.hpp"
-#include "util/binary_io.hpp"
+#include "util/archive.hpp"
 #include "util/rng.hpp"
 
 namespace roadrunner::adversary {
@@ -23,6 +24,12 @@ struct AttackCounters {
   std::uint64_t byzantine_updates = 0;   ///< payloads replaced with garbage
   std::uint64_t sybil_clones = 0;        ///< extra cloned sends injected
   std::uint64_t label_flip_trainings = 0;  ///< trainings run on flipped labels
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(poisoned_updates, byzantine_updates, sybil_clones,
+       label_flip_trainings);
+  }
 };
 
 /// What transform_outgoing did to one message.
@@ -83,12 +90,22 @@ class AdversaryController final : public comm::FaultHook {
                                      double time_s) const override;
 
   // ----- checkpoint support -------------------------------------------------
-  /// Dynamic state only: the RNG stream position and the attack counters.
-  /// The compromised sets are re-drawn identically at construction, so they
-  /// are validated (not stored) across a restore.
+  /// Dynamic state only (util/archive.hpp): the RNG stream position and the
+  /// attack counters. The compromised sets are re-drawn identically at
+  /// construction, so only their shape is stored, and a snapshot taken
+  /// under a different plan shape throws std::runtime_error.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_);
+    if (ar.length(plan_.events.size()) != plan_.events.size() ||
+        ar.length(compromised_count()) != compromised_count()) {
+      throw std::runtime_error{
+          "adversary: snapshot plan shape mismatch; the adversary plan must "
+          "not change across a restore"};
+    }
+    ar(counters_);
+  }
   void save_state(util::BinWriter& out) const;
-  /// Throws std::runtime_error if the snapshot was taken under a different
-  /// adversary plan shape.
   void load_state(util::BinReader& in);
 
  private:

@@ -29,6 +29,14 @@ struct JobRecord {
   double wall_seconds = 0.0;
   std::vector<std::pair<std::string, double>> metrics;
 
+  /// Wire layout (dist protocol, util/archive.hpp): metric values travel
+  /// as raw f64 bits, so records survive the wire bit-exactly.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(hash, point_index, seed_index, seed, point_label, strategy_name,
+       wall_seconds, metrics);
+  }
+
   /// Value of a metric by exact name; `fallback` when absent.
   [[nodiscard]] double metric(const std::string& name,
                               double fallback = 0.0) const;

@@ -21,6 +21,17 @@
 // Unknown *future* versions, bad magic, bad CRC, and truncation are all
 // rejected with distinct std::runtime_error messages; extra (unknown)
 // section tags are ignored, so the format can grow compatibly.
+//
+// Payloads: every stateful class (agents, messages, the event queue, the
+// network, fault/adversary/traffic run state, strategies, metrics, trace)
+// lists its persisted state once, in a `fields(ar)` member that the writer
+// and the reader both run (util/archive.hpp). The sections are one table
+// in sim_io.cpp, {tag, written(sim), absent(snapshot), visitor}, walked by
+// save() and restore() alike. To add a field, append it to its class's
+// fields() — behind `ar.version() >= N` with a kFormatVersion bump if
+// older snapshots must still restore. To add a section, add a tag and a
+// row. CheckpointBytes.RestoreThenSaveReproducesTheImage checks that every
+// section reads back to the bytes it was written from.
 #pragma once
 
 #include <map>

@@ -1,48 +1,79 @@
-// Internal: serializes/reinstates a core::Simulator's private dynamic
-// state. Declared a friend of Simulator; used only by the snapshot
-// save/restore orchestration in snapshot.cpp.
+// Internal: the snapshot's section table. Each row pairs a section tag with
+// one visitor, a field walk that save() runs with a util::ArchiveWriter and
+// restore() runs with a util::ArchiveReader, so a section's two directions
+// are one piece of code. SimulatorIo, a friend of core::Simulator, gives the
+// visitors the simulator's private state. Used by snapshot.cpp, by the
+// writer oracle in the tests, and by the snapshot fuzz harness.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <string>
+
+#include "checkpoint/checkpoint.hpp"
 #include "core/simulator.hpp"
-#include "util/binary_io.hpp"
+#include "util/archive.hpp"
 
 namespace roadrunner::checkpoint {
 
+// Section tags. Readers skip tags they do not know, so future versions can
+// add sections without breaking old snapshots (only *removing* one, or
+// changing a payload layout, needs a format-version bump).
+inline constexpr std::uint32_t kSectionMeta = 1;
+inline constexpr std::uint32_t kSectionIni = 2;
+inline constexpr std::uint32_t kSectionSim = 3;
+inline constexpr std::uint32_t kSectionQueue = 4;
+inline constexpr std::uint32_t kSectionStrategy = 5;
+inline constexpr std::uint32_t kSectionMetrics = 6;
+inline constexpr std::uint32_t kSectionTrace = 7;
+inline constexpr std::uint32_t kSectionAdversary = 8;  // since v3
+inline constexpr std::uint32_t kSectionWorkload = 9;   // since v4
+inline constexpr std::uint32_t kSectionTraffic = 10;   // since v5
+
+/// What the section visitors read or write.
+struct Snapshot {
+  SnapshotInfo& info;    ///< the meta and ini sections
+  core::Simulator* sim;  ///< everything else; null while peeking
+  const std::string& path;  ///< error-message context
+};
+
+/// One row of the section table.
+struct Section {
+  std::uint32_t tag;
+  /// Prefix of the errors the section's reader raises.
+  const char* context;
+  /// Whether save() writes the section for this simulator.
+  bool (*written)(const core::Simulator& sim);
+  /// What restore() does when the file lacks the section: nothing, or
+  /// throw because the rebuilt simulator needs it.
+  void (*absent)(const Snapshot& snapshot);
+  void (*write)(util::ArchiveWriter& ar, Snapshot& snapshot);
+  void (*read)(util::ArchiveReader& ar, Snapshot& snapshot);
+};
+
 class SimulatorIo {
  public:
-  /// Agent state, RNG streams, comm bookkeeping, network counters.
-  static void save_sim(const core::Simulator& sim, util::BinWriter& out);
-  /// Pending event queue (typed entries; training futures forced and
-  /// embedded). Throws std::runtime_error on pending closure computations.
-  static void save_queue(const core::Simulator& sim, util::BinWriter& out);
-  /// Adversary-controller run state (RNG stream + attack counters); the
-  /// snapshot carries this section only when an adversary plan is active.
-  static void save_adversary(const core::Simulator& sim, util::BinWriter& out);
-  /// Traffic-runtime dynamic state (live signal phases, queue occupancy,
-  /// platoon membership, applied-event counters); the snapshot carries this
-  /// section only when a traffic timeline is active (format v5).
-  static void save_traffic(const core::Simulator& sim, util::BinWriter& out);
-  static void save_metrics(const core::Simulator& sim, util::BinWriter& out);
-  static void save_trace(const core::Simulator& sim, util::BinWriter& out);
-
-  /// Overlays saved dynamic state onto a freshly built simulator (same
-  /// scenario, same seed). Marks it restored so run() continues mid-flight.
-  /// `version` is the snapshot's format version (layout details such as the
-  /// per-cause failure array changed between v2 and v3).
-  static void restore_sim(core::Simulator& sim, util::BinReader& in,
-                          std::uint32_t version);
-  static void restore_queue(core::Simulator& sim, util::BinReader& in);
-  static void restore_adversary(core::Simulator& sim, util::BinReader& in);
-  static void restore_traffic(core::Simulator& sim, util::BinReader& in);
-  static void restore_metrics(core::Simulator& sim, util::BinReader& in);
-  static void restore_trace(core::Simulator& sim, util::BinReader& in);
-
   static std::uint64_t pending_events(const core::Simulator& sim) {
     return sim.queue_.size();
   }
   static std::uint64_t executed_events(const core::Simulator& sim) {
     return sim.queue_.executed_count();
   }
+
+  /// Every section, in file order. save() writes each row whose `written`
+  /// holds; restore() reads each row the file has, in this order, and
+  /// calls `absent` for the others.
+  static std::span<const Section> sections();
+
+ private:
+  // The visitors too long for a table row: agent state, RNG streams and
+  // comm bookkeeping; the pending queue; the strategy's field list.
+  template <class Ar>
+  static void sim_state(Ar& ar, core::Simulator& sim);
+  template <class Ar>
+  static void queue_state(Ar& ar, core::Simulator& sim);
+  template <class Ar>
+  static void strategy_state(Ar& ar, core::Simulator& sim);
 };
 
 }  // namespace roadrunner::checkpoint

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -19,41 +20,10 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'R', 'C', 'K'};
 
-// Section tags. Readers skip tags they do not know, so future versions can
-// add sections without breaking old snapshots (only *removing* one, or
-// changing a payload layout, needs a format-version bump).
-constexpr std::uint32_t kSectionMeta = 1;
-constexpr std::uint32_t kSectionIni = 2;
-constexpr std::uint32_t kSectionSim = 3;
-constexpr std::uint32_t kSectionQueue = 4;
-constexpr std::uint32_t kSectionStrategy = 5;
-constexpr std::uint32_t kSectionMetrics = 6;
-constexpr std::uint32_t kSectionTrace = 7;
-constexpr std::uint32_t kSectionAdversary = 8;  // since v3; only when active
-// since v4; only for density/drift workloads. Fingerprint, not state: the
-// stream and eval windows rebuild from the embedded INI.
-constexpr std::uint32_t kSectionWorkload = 9;
-// since v5; only when a traffic timeline is active. Dynamic state only
-// (live phases, queue occupancy, platoon membership, counters) — the
-// timeline rebuilds from the embedded INI.
-constexpr std::uint32_t kSectionTraffic = 10;
-
 struct Frame {
   std::uint32_t version = 0;
   std::string file_bytes;  ///< backing storage for the section views
   std::map<std::uint32_t, std::string_view> sections;
-
-  [[nodiscard]] util::BinReader section(std::uint32_t tag) const {
-    auto it = sections.find(tag);
-    if (it == sections.end()) {
-      throw std::runtime_error{"checkpoint: snapshot is missing section " +
-                               std::to_string(tag)};
-    }
-    return util::BinReader{it->second};
-  }
-  [[nodiscard]] bool has(std::uint32_t tag) const {
-    return sections.count(tag) != 0;
-  }
 };
 
 /// Fully validates an in-memory snapshot image: magic, version, CRC
@@ -137,64 +107,28 @@ util::BinWriter& thread_frame() {
   return frame;
 }
 
-/// True when the simulator runs a workload the fingerprint section covers.
-bool workload_fingerprinted(const core::Simulator& sim) {
-  return sim.ml().density() || sim.ml().has_eval_windows();
-}
-
-void save_workload(const core::Simulator& sim, util::BinWriter& out) {
-  const core::MlService& ml = sim.ml();
-  out.u8(ml.density() ? 1 : 0);
-  out.u64(ml.density_spec().components);
-  out.u64(ml.density_spec().dims);
-  const auto& windows = ml.eval_windows();
-  out.u64(windows.size());
-  for (const auto& w : windows) {
-    out.f64(w.start_s);
-    out.u64(w.data.size());
+/// Reads each of `rows` that `frame` holds into `snapshot`, in table order;
+/// a row the frame lacks runs its `absent` rule instead.
+void read_sections(const Frame& frame, Snapshot& snapshot,
+                   std::span<const Section> rows) {
+  for (const Section& row : rows) {
+    const auto it = frame.sections.find(row.tag);
+    if (it == frame.sections.end()) {
+      row.absent(snapshot);
+      continue;
+    }
+    util::BinReader in{it->second};
+    util::ArchiveReader ar{in, row.context, frame.version};
+    row.read(ar, snapshot);
   }
 }
 
-/// Restore-side consistency guard: the rebuilt substrate must present the
-/// same workload the snapshot's agent models were trained under. A mismatch
-/// means a fork override changed the workload (or the build diverged) —
-/// the saved GMM stats / eval series would silently mis-score, so reject.
-void verify_workload(const core::Simulator& sim, util::BinReader& in,
-                     const std::string& path) {
-  const core::MlService& ml = sim.ml();
-  const bool density = in.u8() != 0;
-  const std::uint64_t components = in.u64();
-  const std::uint64_t dims = in.u64();
-  const std::uint64_t window_count = in.u64();
-  bool ok = density == ml.density() &&
-            (!density || (components == ml.density_spec().components &&
-                          dims == ml.density_spec().dims)) &&
-            window_count == ml.eval_windows().size();
-  for (std::uint64_t i = 0; ok && i < window_count; ++i) {
-    const double start_s = in.f64();
-    const std::uint64_t size = in.u64();
-    ok = start_s == ml.eval_windows()[i].start_s &&
-         size == ml.eval_windows()[i].data.size();
-  }
-  if (!ok) {
-    throw std::runtime_error{
-        "checkpoint: '" + path +
-        "' was saved under a different workload (objective family, GMM "
-        "shape, or eval-window layout changed) — overrides must not alter "
-        "the [workload] or [drift] configuration"};
-  }
-}
-
-SnapshotInfo read_meta(const Frame& frame) {
+/// The meta and ini sections: the first two rows, which need no simulator.
+SnapshotInfo read_meta(const Frame& frame, const std::string& path) {
   SnapshotInfo info;
   info.format_version = frame.version;
-  util::BinReader meta = frame.section(kSectionMeta);
-  info.sim_time_s = meta.f64();
-  info.events_executed = meta.u64();
-  info.pending_events = meta.u64();
-  info.strategy_name = meta.str();
-  info.seed = meta.u64();
-  info.experiment_ini = frame.section(kSectionIni).str();
+  Snapshot snapshot{info, nullptr, path};
+  read_sections(frame, snapshot, SimulatorIo::sections().first(2));
   return info;
 }
 
@@ -225,7 +159,7 @@ RestoredRun restore_impl(const std::string& path,
         std::to_string(kMinRestoreVersion) + ".." +
         std::to_string(kFormatVersion) + " — re-run from the experiment INI"};
   }
-  const SnapshotInfo info = read_meta(frame);
+  SnapshotInfo info = read_meta(frame, path);
 
   util::IniFile experiment = util::IniFile::parse(info.experiment_ini);
   for (const auto& [dotted, value] : overrides) {
@@ -246,53 +180,8 @@ RestoredRun restore_impl(const std::string& path,
         run.strategy->name() +
         "' — overrides must not change the strategy"};
   }
-
-  util::BinReader sim_section = frame.section(kSectionSim);
-  SimulatorIo::restore_sim(*run.simulator, sim_section, frame.version);
-  util::BinReader queue_section = frame.section(kSectionQueue);
-  SimulatorIo::restore_queue(*run.simulator, queue_section);
-  if (frame.has(kSectionAdversary)) {
-    util::BinReader adversary_section = frame.section(kSectionAdversary);
-    SimulatorIo::restore_adversary(*run.simulator, adversary_section);
-  }
-  if (frame.has(kSectionTraffic)) {
-    if (!run.simulator->traffic().enabled()) {
-      throw std::runtime_error{
-          "checkpoint: '" + path +
-          "' carries traffic state but the rebuilt experiment has no active "
-          "traffic plan — overrides must not alter [traffic] or [platoon]"};
-    }
-    util::BinReader traffic_section = frame.section(kSectionTraffic);
-    SimulatorIo::restore_traffic(*run.simulator, traffic_section);
-  } else if (run.simulator->traffic().enabled()) {
-    throw std::runtime_error{
-        "checkpoint: '" + path +
-        "' has no traffic section but the rebuilt experiment activates a "
-        "traffic plan — overrides must not alter [traffic] or [platoon]"};
-  }
-  if (frame.has(kSectionWorkload)) {
-    util::BinReader workload_section = frame.section(kSectionWorkload);
-    verify_workload(*run.simulator, workload_section, path);
-  } else if (workload_fingerprinted(*run.simulator)) {
-    // The snapshot predates (or never had) a drift workload but the
-    // rebuilt experiment selects one: only possible via fork overrides.
-    throw std::runtime_error{
-        "checkpoint: '" + path +
-        "' has no workload fingerprint but the experiment now selects a "
-        "density/drift workload — overrides must not alter [workload]"};
-  }
-  util::BinReader strategy_section = frame.section(kSectionStrategy);
-  run.strategy->set_snapshot_version(frame.version);
-  run.strategy->load_state(strategy_section);
-  run.strategy->set_snapshot_version(UINT32_MAX);
-  if (frame.has(kSectionMetrics)) {
-    util::BinReader metrics_section = frame.section(kSectionMetrics);
-    SimulatorIo::restore_metrics(*run.simulator, metrics_section);
-  }
-  if (frame.has(kSectionTrace)) {
-    util::BinReader trace_section = frame.section(kSectionTrace);
-    SimulatorIo::restore_trace(*run.simulator, trace_section);
-  }
+  Snapshot snapshot{info, run.simulator.get(), path};
+  read_sections(frame, snapshot, SimulatorIo::sections().subspan(2));
 
   RR_LOG_INFO("checkpoint")
       << "restored '" << path << "' at t=" << info.sim_time_s << "s ("
@@ -316,41 +205,26 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
   const std::size_t count_at = frame.size();
   frame.u32(0);
   std::uint32_t count = 0;
-  const auto add = [&](std::uint32_t tag, const auto& write) {
-    frame.u32(tag);
+  SnapshotInfo info{kFormatVersion,
+                    sim.now(),
+                    SimulatorIo::executed_events(sim),
+                    SimulatorIo::pending_events(sim),
+                    sim.strategy() ? sim.strategy()->name() : std::string{},
+                    sim.config().seed,
+                    experiment.to_string()};
+  // The visitors serve restore too, so they take the simulator mutable;
+  // the writer only reads through it.
+  Snapshot snapshot{info, const_cast<core::Simulator*>(&sim), path};
+  util::ArchiveWriter ar{frame};
+  for (const Section& row : SimulatorIo::sections()) {
+    if (!row.written(sim)) continue;
+    frame.u32(row.tag);
     const std::size_t size_at = frame.size();
     frame.u64(0);
-    write(sim, frame);
+    row.write(ar, snapshot);
     frame.patch_u64(size_at, frame.size() - size_at - sizeof(std::uint64_t));
     ++count;
-  };
-
-  add(kSectionMeta, [](const core::Simulator& s, util::BinWriter& out) {
-    out.f64(s.now());
-    out.u64(SimulatorIo::executed_events(s));
-    out.u64(SimulatorIo::pending_events(s));
-    out.str(s.strategy() ? s.strategy()->name() : std::string{});
-    out.u64(s.config().seed);
-  });
-  add(kSectionIni, [&](const core::Simulator&, util::BinWriter& out) {
-    out.str(experiment.to_string());
-  });
-  add(kSectionSim, SimulatorIo::save_sim);
-  add(kSectionQueue, SimulatorIo::save_queue);
-  if (sim.adversary().enabled()) {
-    add(kSectionAdversary, SimulatorIo::save_adversary);
   }
-  if (workload_fingerprinted(sim)) {
-    add(kSectionWorkload, save_workload);
-  }
-  if (sim.traffic().enabled()) {
-    add(kSectionTraffic, SimulatorIo::save_traffic);
-  }
-  add(kSectionStrategy, [](const core::Simulator& s, util::BinWriter& out) {
-    if (s.strategy()) s.strategy()->save_state(out);
-  });
-  add(kSectionMetrics, SimulatorIo::save_metrics);
-  add(kSectionTrace, SimulatorIo::save_trace);
 
   frame.patch_u32(count_at, count);
   frame.u32(util::crc32(frame.buffer().data(), frame.size()));
@@ -397,11 +271,11 @@ RestoredRun fork(const std::string& path,
 }
 
 SnapshotInfo peek(const std::string& path) {
-  return read_meta(read_frame(path));
+  return read_meta(read_frame(path), path);
 }
 
 SnapshotInfo peek_bytes(const std::string& image) {
-  return read_meta(parse_frame(image, "<memory>"));
+  return read_meta(parse_frame(image, "<memory>"), "<memory>");
 }
 
 scenario::RunResult run_resumable(const util::IniFile& experiment,

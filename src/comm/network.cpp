@@ -160,8 +160,5 @@ const ChannelStats& Network::stats(ChannelKind kind) const {
   return stats_[static_cast<std::size_t>(kind)];
 }
 
-void Network::set_stats(ChannelKind kind, const ChannelStats& stats) {
-  stats_[static_cast<std::size_t>(kind)] = stats;
-}
 
 }  // namespace roadrunner::comm

@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "comm/channel.hpp"
 #include "comm/coverage.hpp"
@@ -42,6 +44,26 @@ struct ChannelStats {
   /// failed_by_cause[status] counts failures with that LinkStatus; the
   /// kOk slot stays zero and the others sum to transfers_failed.
   std::array<std::uint64_t, kLinkStatusCount> failed_by_cause{};
+
+  /// Archive field list (util/archive.hpp). The cause array is
+  /// count-prefixed since format v3, so the enum can grow without another
+  /// format bump; v2 wrote exactly the 8 causes it knew, and newer causes
+  /// (kJamming) start at zero when restoring one.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(transfers_attempted, transfers_delivered, transfers_failed,
+       bytes_attempted, bytes_delivered);
+    const std::uint64_t causes = ar.version() >= 3
+                                     ? ar.length(failed_by_cause.size())
+                                     : std::uint64_t{8};
+    if (causes > failed_by_cause.size()) {
+      throw std::runtime_error{
+          "checkpoint: snapshot has " + std::to_string(causes) +
+          " failure causes but this build knows only " +
+          std::to_string(failed_by_cause.size())};
+    }
+    for (std::uint64_t c = 0; c < causes; ++c) ar(failed_by_cause[c]);
+  }
 };
 
 class Network {
@@ -100,15 +122,13 @@ class Network {
   [[nodiscard]] const ChannelStats& stats(ChannelKind kind) const;
 
   // ----- checkpoint support -------------------------------------------------
-  /// The delivery-loss RNG stream, for snapshotting (it advances on every
-  /// roll_delivery; restoring it replays the same loss sequence).
-  [[nodiscard]] std::array<std::uint64_t, 4> rng_state() const {
-    return rng_.state();
+  /// The delivery-loss RNG stream (it advances on every roll_delivery;
+  /// restoring it replays the same loss sequence) and the per-channel
+  /// counters, as an archive field list (util/archive.hpp).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_, stats_);
   }
-  void set_rng_state(const std::array<std::uint64_t, 4>& state) {
-    rng_.set_state(state);
-  }
-  void set_stats(ChannelKind kind, const ChannelStats& stats);
 
  private:
   /// The single shared viability path behind check_link and roll_delivery:

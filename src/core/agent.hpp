@@ -5,12 +5,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "comm/network.hpp"
 #include "hu/hardware_unit.hpp"
 #include "ml/dataset.hpp"
 #include "ml/net.hpp"
+#include "ml/serialize.hpp"
 
 namespace roadrunner::core {
 
@@ -45,6 +49,39 @@ struct Agent {
   Agent(AgentId id_, AgentKind kind_, mobility::NodeId node_,
         hu::DeviceClass device)
       : id{id_}, kind{kind_}, node{node_}, hu{std::move(device)} {}
+
+  /// Run state as an archive field list (util/archive.hpp): the model and
+  /// its bookkeeping, the data view's indices, and HU occupancy. Restored
+  /// indices attach to this agent's dataset, or to `fallback` when the
+  /// fresh agent has none (e.g. the cloud under centralized ML); an index
+  /// past the dataset throws std::runtime_error.
+  template <class Ar>
+  void fields(Ar& ar, const std::shared_ptr<const ml::Dataset>& fallback) {
+    ar(model, model_data_amount, model_updated_s, training);
+    if constexpr (Ar::kLoading) {
+      std::vector<std::uint32_t> indices;
+      ar(indices);
+      if (indices.empty()) {
+        data = ml::DatasetView{};
+      } else {
+        const auto& base = data.base_ptr() ? data.base_ptr() : fallback;
+        if (!base) {
+          throw std::runtime_error{
+              "checkpoint: no dataset to attach restored data view"};
+        }
+        for (std::uint32_t idx : indices) {
+          if (idx >= base->size()) {
+            throw std::runtime_error{
+                "checkpoint: data index out of range in snapshot"};
+          }
+        }
+        data = ml::DatasetView{base, std::move(indices)};
+      }
+    } else {
+      ar(data.indices());
+    }
+    ar(hu);
+  }
 };
 
 }  // namespace roadrunner::core

@@ -26,6 +26,11 @@ class BasicEventQueue {
     SimTime at = 0.0;
     std::uint64_t seq = 0;
     Payload payload;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(at, seq, payload);
+    }
   };
 
   /// Schedules `payload` at absolute time `at`. Scheduling in the past
@@ -66,22 +71,19 @@ class BasicEventQueue {
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
 
   // ----- checkpoint support -------------------------------------------------
-  /// The pending entries in unspecified (heap) order. Execution order is a
-  /// strict total order on (at, seq), so serializing in any order and
-  /// re-scheduling via restore() reproduces the exact pop sequence.
+  /// The pending entries in unspecified (heap) order.
   [[nodiscard]] const std::vector<Entry>& entries() const { return heap_; }
 
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
-
-  /// Reinstates a saved queue: pending entries (any order, seq values
-  /// preserved) plus the three progress counters.
-  void restore(std::vector<Entry> entries, std::uint64_t next_seq,
-               std::uint64_t executed, SimTime current_time) {
-    heap_ = std::move(entries);
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    next_seq_ = next_seq;
-    executed_ = executed;
-    current_time_ = current_time;
+  /// The progress counters and the pending entries (seq values preserved)
+  /// as an archive field list (util/archive.hpp). Execution order is a
+  /// strict total order on (at, seq), so the reader re-heapifies whatever
+  /// order the entries were saved in and pops the exact same sequence.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(next_seq_, executed_, current_time_, heap_);
+    if constexpr (Ar::kLoading) {
+      std::make_heap(heap_.begin(), heap_.end(), Later{});
+    }
   }
 
  private:

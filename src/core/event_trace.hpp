@@ -38,6 +38,12 @@ struct TraceEvent {
   AgentId a = kNoAgent;  ///< primary agent (sender, trainee, ...)
   AgentId b = kNoAgent;  ///< secondary agent (receiver, peer) if any
   std::string detail;    ///< tag, failure reason, ...
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(time_s, kind, a, b, detail);
+    ar.check(kind <= TraceKind::kMessageCorrupted, "bad trace kind");
+  }
 };
 
 class EventTrace {
@@ -60,6 +66,15 @@ class EventTrace {
   void export_csv(std::ostream& out) const;
 
   void clear() { events_.clear(); }
+
+  /// The recorded events as an archive field list (util/archive.hpp). A
+  /// disabled trace (e.g. a fork that turns tracing off) reads the saved
+  /// history and drops it.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(events_);
+    if (!enabled_) events_.clear();
+  }
 
  private:
   bool enabled_;

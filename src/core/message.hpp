@@ -9,7 +9,7 @@
 
 #include "comm/channel.hpp"
 #include "core/agent.hpp"
-#include "ml/net.hpp"
+#include "ml/serialize.hpp"
 
 namespace roadrunner::core {
 
@@ -41,6 +41,16 @@ struct Message {
 
   /// Fixed per-message protocol overhead (headers, ids, tag).
   static constexpr std::uint64_t kHeaderBytes = 256;
+
+  /// Archive field list (util/archive.hpp). Agent ids are range-checked by
+  /// the caller, which knows the agent count.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(from, to, channel, tag, round, origin, data_amount, model,
+       extra_bytes, corrupted);
+    ar.check(static_cast<std::size_t>(channel) < comm::kChannelKindCount,
+             "bad channel kind in snapshot");
+  }
 
   /// Bytes the communication module charges for this message.
   [[nodiscard]] std::uint64_t wire_bytes() const {

@@ -27,6 +27,7 @@
 
 #include "ml/dataset.hpp"
 #include "ml/net.hpp"
+#include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +36,12 @@ namespace roadrunner::core {
 struct TrainResult {
   ml::Weights weights;
   ml::TrainReport report;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(weights, report.final_loss, report.final_accuracy,
+       report.samples_seen, report.flops, report.steps);
+  }
 };
 
 /// Configuration of the GMM density objective (telemetry workload).

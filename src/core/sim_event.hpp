@@ -13,6 +13,8 @@
 
 #include <functional>
 #include <future>
+#include <stdexcept>
+#include <utility>
 
 #include "core/message.hpp"
 #include "core/ml_service.hpp"
@@ -46,6 +48,42 @@ struct SimEvent {
   Message msg;                ///< kDeliver payload
   std::shared_future<TrainResult> job;  ///< kFinishTraining result
   std::function<void(strategy::StrategyContext&, bool)> work;  ///< closure
+
+  /// Archive field list (util/archive.hpp). An in-flight training job is
+  /// forced on write and stored as its result (the job is deterministic:
+  /// its RNG was fixed at launch); the reader hands it back as a ready
+  /// future. A closure cannot be written, and the reader rejects its kind
+  /// with any byte past the last enumerator. Agent ids are range-checked
+  /// by the caller, which knows the agent count.
+  template <class Ar>
+  void fields(Ar& ar) {
+    if constexpr (!Ar::kLoading) {
+      if (kind == SimEventKind::kClosureComputation) {
+        throw std::runtime_error{
+            "checkpoint: cannot snapshot a pending closure-based "
+            "computation; strategies must use the tagged start_computation "
+            "overload to be checkpointable"};
+      }
+    }
+    ar(kind);
+    ar.check(kind != SimEventKind::kClosureComputation &&
+                 kind <= SimEventKind::kPlatoonManeuver,
+             "bad event kind in snapshot");
+    ar(agent, tag, duration_s, data_amount);
+    if (kind == SimEventKind::kDeliver) {
+      ar(msg);
+    } else if (kind == SimEventKind::kFinishTraining) {
+      if constexpr (Ar::kLoading) {
+        TrainResult result;
+        ar(result);
+        std::promise<TrainResult> ready;
+        ready.set_value(std::move(result));
+        job = ready.get_future().share();
+      } else {
+        ar(job.get());
+      }
+    }
+  }
 };
 
 }  // namespace roadrunner::core

@@ -6,187 +6,6 @@
 
 namespace roadrunner::dist {
 
-namespace {
-
-util::BinReader reader(const std::string& payload) {
-  return util::BinReader{std::string_view{payload}};
-}
-
-}  // namespace
-
-std::string encode_hello(const Hello& msg) {
-  util::BinWriter w;
-  w.u32(msg.version);
-  w.str(msg.worker_name);
-  return w.take();
-}
-
-Hello decode_hello(const std::string& payload) {
-  auto r = reader(payload);
-  Hello msg;
-  msg.version = r.u32();
-  msg.worker_name = r.str();
-  return msg;
-}
-
-std::string encode_welcome(const Welcome& msg) {
-  util::BinWriter w;
-  w.u32(msg.version);
-  w.str(msg.campaign_name);
-  w.u64(msg.total_jobs);
-  w.f64(msg.checkpoint_every_s);
-  return w.take();
-}
-
-Welcome decode_welcome(const std::string& payload) {
-  auto r = reader(payload);
-  Welcome msg;
-  msg.version = r.u32();
-  msg.campaign_name = r.str();
-  msg.total_jobs = r.u64();
-  msg.checkpoint_every_s = r.f64();
-  return msg;
-}
-
-std::string encode_job_assign(const JobAssign& msg) {
-  util::BinWriter w;
-  w.u64(msg.job_index);
-  w.str(msg.hash);
-  w.u64(msg.point_index);
-  w.u64(msg.seed_index);
-  w.u64(msg.seed);
-  w.str(msg.point_label);
-  w.str(msg.experiment_text);
-  return w.take();
-}
-
-JobAssign decode_job_assign(const std::string& payload) {
-  auto r = reader(payload);
-  JobAssign msg;
-  msg.job_index = r.u64();
-  msg.hash = r.str();
-  msg.point_index = r.u64();
-  msg.seed_index = r.u64();
-  msg.seed = r.u64();
-  msg.point_label = r.str();
-  msg.experiment_text = r.str();
-  return msg;
-}
-
-std::string encode_no_work(const NoWork& msg) {
-  util::BinWriter w;
-  w.u32(msg.retry_ms);
-  return w.take();
-}
-
-NoWork decode_no_work(const std::string& payload) {
-  auto r = reader(payload);
-  NoWork msg;
-  msg.retry_ms = r.u32();
-  return msg;
-}
-
-void encode_record(const campaign::JobRecord& record, std::string& out) {
-  util::BinWriter w;
-  w.str(record.hash);
-  w.u64(record.point_index);
-  w.u64(record.seed_index);
-  w.u64(record.seed);
-  w.str(record.point_label);
-  w.str(record.strategy_name);
-  w.f64(record.wall_seconds);
-  w.u64(record.metrics.size());
-  for (const auto& [name, value] : record.metrics) {
-    w.str(name);
-    w.f64(value);
-  }
-  out += w.buffer();
-}
-
-campaign::JobRecord decode_record(const std::string& payload) {
-  auto r = reader(payload);
-  campaign::JobRecord record;
-  record.hash = r.str();
-  record.point_index = static_cast<std::size_t>(r.u64());
-  record.seed_index = static_cast<std::size_t>(r.u64());
-  record.seed = r.u64();
-  record.point_label = r.str();
-  record.strategy_name = r.str();
-  record.wall_seconds = r.f64();
-  const std::uint64_t n = r.u64();
-  // Each metric costs at least 16 payload bytes (u64 name length + f64
-  // value), so a count beyond remaining/16 is a corrupt or hostile prefix —
-  // reject it before reserve() turns it into a giant allocation.
-  if (n > r.remaining() / 16) {
-    throw std::runtime_error{"dist: metric count " + std::to_string(n) +
-                             " exceeds the payload's capacity"};
-  }
-  record.metrics.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    const double value = r.f64();
-    record.metrics.emplace_back(std::move(name), value);
-  }
-  return record;
-}
-
-std::string encode_job_result(const JobResultMsg& msg) {
-  util::BinWriter w;
-  w.u64(msg.job_index);
-  std::string out = w.take();
-  encode_record(msg.record, out);
-  return out;
-}
-
-JobResultMsg decode_job_result(const std::string& payload) {
-  auto r = reader(payload);
-  JobResultMsg msg;
-  msg.job_index = r.u64();
-  // The record is the remainder of the payload; re-parse it through the
-  // shared decoder to keep one source of truth for the layout.
-  msg.record = decode_record(payload.substr(sizeof(std::uint64_t)));
-  return msg;
-}
-
-std::string encode_result_ack(const ResultAck& msg) {
-  util::BinWriter w;
-  w.boolean(msg.accepted);
-  return w.take();
-}
-
-ResultAck decode_result_ack(const std::string& payload) {
-  auto r = reader(payload);
-  ResultAck msg;
-  msg.accepted = r.boolean();
-  return msg;
-}
-
-std::string encode_heartbeat(const Heartbeat& msg) {
-  util::BinWriter w;
-  w.u64(msg.job_index);
-  return w.take();
-}
-
-Heartbeat decode_heartbeat(const std::string& payload) {
-  auto r = reader(payload);
-  Heartbeat msg;
-  msg.job_index = r.u64();
-  return msg;
-}
-
-std::string encode_shutdown(const Shutdown& msg) {
-  util::BinWriter w;
-  w.str(msg.reason);
-  return w.take();
-}
-
-Shutdown decode_shutdown(const std::string& payload) {
-  auto r = reader(payload);
-  Shutdown msg;
-  msg.reason = r.str();
-  return msg;
-}
-
 bool send_frame(util::Socket& socket, MsgType type,
                 const std::string& payload) {
   if (payload.size() > kMaxFramePayload) {

@@ -35,9 +35,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "campaign/store.hpp"
+#include "util/archive.hpp"
 #include "util/socket.hpp"
 
 namespace roadrunner::dist {
@@ -65,9 +67,17 @@ struct Frame {
   std::string payload;
 };
 
+// Each payload is its message's field list (util/archive.hpp), encoded
+// in order.
+
 struct Hello {
   std::uint32_t version = kProtocolVersion;
   std::string worker_name;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(version, worker_name);
+  }
 };
 
 struct Welcome {
@@ -77,6 +87,11 @@ struct Welcome {
   /// Mid-job autosave period the coordinator wants workers to use
   /// (simulated seconds; 0 disables).
   double checkpoint_every_s = 0.0;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(version, campaign_name, total_jobs, checkpoint_every_s);
+  }
 };
 
 struct JobAssign {
@@ -89,55 +104,132 @@ struct JobAssign {
   /// The fully resolved experiment, as INI text (IniFile::to_string —
   /// round-trip stable, so the worker reconstructs the identical Job).
   std::string experiment_text;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(job_index, hash, point_index, seed_index, seed, point_label,
+       experiment_text);
+  }
 };
 
 struct NoWork {
   std::uint32_t retry_ms = 250;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(retry_ms);
+  }
 };
 
 struct JobResultMsg {
   std::uint64_t job_index = 0;
   campaign::JobRecord record;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(job_index, record);
+  }
 };
 
 struct ResultAck {
   /// False when the coordinator already held a record for this job hash
   /// (the job was requeued and finished elsewhere first).
   bool accepted = true;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(accepted);
+  }
 };
 
 struct Heartbeat {
   std::uint64_t job_index = 0;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(job_index);
+  }
 };
 
 struct Shutdown {
   std::string reason;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(reason);
+  }
 };
 
-// Payload encode/decode. Decoders throw std::runtime_error on truncated or
-// malformed payloads (BinReader overruns surface as exceptions, never as
-// garbage reads).
-std::string encode_hello(const Hello& msg);
-Hello decode_hello(const std::string& payload);
-std::string encode_welcome(const Welcome& msg);
-Welcome decode_welcome(const std::string& payload);
-std::string encode_job_assign(const JobAssign& msg);
-JobAssign decode_job_assign(const std::string& payload);
-std::string encode_no_work(const NoWork& msg);
-NoWork decode_no_work(const std::string& payload);
-std::string encode_job_result(const JobResultMsg& msg);
-JobResultMsg decode_job_result(const std::string& payload);
-std::string encode_result_ack(const ResultAck& msg);
-ResultAck decode_result_ack(const std::string& payload);
-std::string encode_heartbeat(const Heartbeat& msg);
-Heartbeat decode_heartbeat(const std::string& payload);
-std::string encode_shutdown(const Shutdown& msg);
-Shutdown decode_shutdown(const std::string& payload);
+/// A message's payload: its field list, in order.
+template <class Msg>
+std::string encode(const Msg& msg) {
+  util::BinWriter w;
+  util::save_fields(w, msg);
+  return w.take();
+}
 
-/// JobRecord <-> bytes (shared by JobResultMsg and tests). Metric values
-/// travel as raw f64 bits, so records survive the wire bit-exactly.
-void encode_record(const campaign::JobRecord& record, std::string& out);
-campaign::JobRecord decode_record(const std::string& payload);
+/// Parses a payload written by encode(). Throws std::runtime_error on a
+/// truncated or malformed payload, naming `context` for a count that
+/// exceeds the bytes left (BinReader overruns surface as exceptions, never
+/// as garbage reads). Trailing bytes are ignored.
+template <class Msg>
+Msg decode(const std::string& payload, std::string_view context) {
+  util::BinReader r{payload};
+  Msg msg;
+  util::load_fields(r, msg, context);
+  return msg;
+}
+
+inline std::string encode_hello(const Hello& msg) { return encode(msg); }
+inline Hello decode_hello(const std::string& payload) {
+  return decode<Hello>(payload, "dist: hello");
+}
+inline std::string encode_welcome(const Welcome& msg) { return encode(msg); }
+inline Welcome decode_welcome(const std::string& payload) {
+  return decode<Welcome>(payload, "dist: welcome");
+}
+inline std::string encode_job_assign(const JobAssign& msg) {
+  return encode(msg);
+}
+inline JobAssign decode_job_assign(const std::string& payload) {
+  return decode<JobAssign>(payload, "dist: job assignment");
+}
+inline std::string encode_no_work(const NoWork& msg) { return encode(msg); }
+inline NoWork decode_no_work(const std::string& payload) {
+  return decode<NoWork>(payload, "dist: no-work reply");
+}
+inline std::string encode_job_result(const JobResultMsg& msg) {
+  return encode(msg);
+}
+inline JobResultMsg decode_job_result(const std::string& payload) {
+  return decode<JobResultMsg>(payload, "dist: job result");
+}
+inline std::string encode_result_ack(const ResultAck& msg) {
+  return encode(msg);
+}
+inline ResultAck decode_result_ack(const std::string& payload) {
+  return decode<ResultAck>(payload, "dist: result ack");
+}
+inline std::string encode_heartbeat(const Heartbeat& msg) {
+  return encode(msg);
+}
+inline Heartbeat decode_heartbeat(const std::string& payload) {
+  return decode<Heartbeat>(payload, "dist: heartbeat");
+}
+inline std::string encode_shutdown(const Shutdown& msg) { return encode(msg); }
+inline Shutdown decode_shutdown(const std::string& payload) {
+  return decode<Shutdown>(payload, "dist: shutdown");
+}
+
+/// JobRecord <-> bytes (shared by JobResultMsg and tests); encode_record
+/// appends to `out`.
+inline void encode_record(const campaign::JobRecord& record,
+                          std::string& out) {
+  out += encode(record);
+}
+inline campaign::JobRecord decode_record(const std::string& payload) {
+  return decode<campaign::JobRecord>(payload, "dist: job record");
+}
 
 /// Sends one framed message. Returns false if the peer has gone away.
 bool send_frame(util::Socket& socket, MsgType type,

@@ -156,22 +156,11 @@ std::vector<double> FaultInjector::note_delivery(comm::ChannelKind kind,
 }
 
 void FaultInjector::save_state(util::BinWriter& out) const {
-  for (std::uint64_t word : rng_.state()) out.u64(word);
-  out.u64(probes_.size());
-  for (const RecoveryProbe& probe : probes_) out.boolean(probe.recovered);
+  util::save_fields(out, *this);
 }
 
 void FaultInjector::load_state(util::BinReader& in) {
-  std::array<std::uint64_t, 4> state{};
-  for (auto& word : state) word = in.u64();
-  rng_.set_state(state);
-  const std::uint64_t n = in.u64();
-  if (n != probes_.size()) {
-    throw std::runtime_error{
-        "fault: snapshot probe count mismatch; the fault plan must not "
-        "change across a restore"};
-  }
-  for (RecoveryProbe& probe : probes_) probe.recovered = in.boolean();
+  util::load_fields(in, *this, "fault");
 }
 
 }  // namespace roadrunner::fault

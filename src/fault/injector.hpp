@@ -5,16 +5,17 @@
 //
 // Determinism: the injector's only mutable state is a dedicated RNG stream
 // (forked as "fault" from the master seed) and the recovery-probe flags; both
-// round-trip through save_state/load_state so a checkpoint taken mid-fault-
-// window resumes bit-identically. Everything else is static plan data.
+// are its checkpoint field list, so a checkpoint taken mid-fault-window
+// resumes bit-identically. Everything else is static plan data.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/fault_hook.hpp"
 #include "fault/fault_plan.hpp"
-#include "util/binary_io.hpp"
+#include "util/archive.hpp"
 #include "util/rng.hpp"
 
 namespace roadrunner::fault {
@@ -75,7 +76,19 @@ class FaultInjector final : public comm::FaultHook {
   [[nodiscard]] std::vector<double> note_delivery(comm::ChannelKind kind,
                                                   double time_s);
 
-  // ----- checkpoint support (state_io protocol) --------------------------------
+  // ----- checkpoint support ----------------------------------------------------
+  /// Run state only (util/archive.hpp): the RNG stream and the probe flags.
+  /// A probe count that differs from the rebuilt plan's throws.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_);
+    if (ar.length(probes_.size()) != probes_.size()) {
+      throw std::runtime_error{
+          "fault: snapshot probe count mismatch; the fault plan must not "
+          "change across a restore"};
+    }
+    for (RecoveryProbe& probe : probes_) ar(probe.recovered);
+  }
   void save_state(util::BinWriter& out) const;
   void load_state(util::BinReader& in);
 

@@ -69,14 +69,12 @@ class HardwareUnit {
   [[nodiscard]] double total_busy_time() const { return total_busy_; }
 
   // ----- checkpoint support -------------------------------------------------
-  /// Currently reserved slot end times (unordered; compaction is lazy and
-  /// order-independent, so round-tripping these preserves behaviour).
-  [[nodiscard]] const std::vector<double>& slot_ends() const {
-    return slot_ends_;
-  }
-  void restore_state(std::vector<double> slot_ends, double total_busy) {
-    slot_ends_ = std::move(slot_ends);
-    total_busy_ = total_busy;
+  /// Occupancy as an archive field list (util/archive.hpp): the reserved
+  /// slot end times (unordered; compaction is lazy and order-independent,
+  /// so round-tripping them preserves behaviour) and the busy total.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(slot_ends_, total_busy_);
   }
 
  private:

@@ -27,6 +27,10 @@ void validate_name(const std::string& name, const char* what) {
 
 }  // namespace
 
+bool Registry::valid_name(const std::string& name) {
+  return !name.empty() && name.find_first_of("\r\n") == std::string::npos;
+}
+
 void Registry::add_point(const std::string& series, double time_s,
                          double value) {
   validate_name(series, "series");

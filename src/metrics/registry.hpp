@@ -16,6 +16,11 @@ namespace roadrunner::metrics {
 struct Point {
   double time_s = 0.0;
   double value = 0.0;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(time_s, value);
+  }
 };
 
 class Registry {
@@ -51,7 +56,24 @@ class Registry {
 
   void clear();
 
+  /// Every series and counter as an archive field list (util/archive.hpp);
+  /// the reader holds restored names to the rule add_point enforces.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(series_, counters_);
+    if constexpr (Ar::kLoading) {
+      for (const auto& entry : series_) {
+        ar.check(valid_name(entry.first), "bad series name");
+      }
+      for (const auto& entry : counters_) {
+        ar.check(valid_name(entry.first), "bad counter name");
+      }
+    }
+  }
+
  private:
+  [[nodiscard]] static bool valid_name(const std::string& name);
+
   std::map<std::string, std::vector<Point>> series_;
   std::map<std::string, double> counters_;
 };

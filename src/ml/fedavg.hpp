@@ -12,12 +12,18 @@
 #include <vector>
 
 #include "ml/net.hpp"
+#include "ml/serialize.hpp"
 
 namespace roadrunner::ml {
 
 struct WeightedModel {
   Weights weights;
   double data_amount = 0.0;  ///< d_i; must be > 0 to contribute
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(weights, data_amount);
+  }
 };
 
 /// Flat federated average. All contributions must have identical tensor

@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/net.hpp"
@@ -39,6 +40,12 @@ void encode_weights(const Weights& w, Put&& put) {
   }
 }
 
+/// Archive field (util/archive.hpp) for a model: a u64 length, then the
+/// format above — the bytes of `bytes(serialize_weights(w))`. The writer
+/// encodes straight from the tensors and back-patches the length.
+template <class Ar>
+void fields(Ar& ar, Weights& w);
+
 /// Serializes weights into a byte buffer.
 std::vector<std::uint8_t> serialize_weights(const Weights& w);
 
@@ -54,5 +61,25 @@ void save_weights(const Weights& weights, const std::string& path);
 /// Loads a model written by save_weights. Throws std::runtime_error on
 /// missing or malformed files.
 Weights load_weights(const std::string& path);
+
+template <class Ar>
+void fields(Ar& ar, Weights& w) {
+  if constexpr (Ar::kLoading) {
+    const std::string_view bytes = ar.in().view(ar.in().u64());
+    w = bytes.empty()
+            ? Weights{}
+            : deserialize_weights(
+                  {reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                   bytes.size()});
+  } else {
+    auto& out = ar.out();
+    const std::size_t at = out.size();
+    out.u64(0);
+    encode_weights(w, [&out](const void* data, std::size_t size) {
+      out.raw(data, size);
+    });
+    out.patch_u64(at, out.size() - at - sizeof(std::uint64_t));
+  }
+}
 
 }  // namespace roadrunner::ml

@@ -1,6 +1,5 @@
 #include "strategy/centralized.hpp"
 
-#include "strategy/state_io.hpp"
 
 namespace roadrunner::strategy {
 
@@ -122,18 +121,6 @@ void CentralizedStrategy::on_finish(StrategyContext& ctx) {
                             ctx.metrics().last_value(config_.accuracy_series));
   ctx.metrics().set_counter("central_uploads_completed",
                             static_cast<double>(uploaded_.size()));
-}
-
-void CentralizedStrategy::save_state(util::BinWriter& out) const {
-  io::write_id_set(out, uploaded_);
-  io::write_id_set(out, in_flight_);
-  out.boolean(server_dirty_);
-}
-
-void CentralizedStrategy::load_state(util::BinReader& in) {
-  uploaded_ = io::read_id_set(in);
-  in_flight_ = io::read_id_set(in);
-  server_dirty_ = in.boolean();
 }
 
 }  // namespace roadrunner::strategy

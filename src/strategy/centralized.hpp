@@ -44,8 +44,14 @@ class CentralizedStrategy final : public LearningStrategy {
     return uploaded_.size();
   }
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(uploaded_, in_flight_, server_dirty_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
   static constexpr const char* kTagData = "raw-data";
   enum TimerId : int { kTimerServerTrain = 1, kTimerRetry = 2, kTimerStop = 3 };

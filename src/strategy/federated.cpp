@@ -1,6 +1,5 @@
 #include "strategy/federated.hpp"
 
-#include "strategy/state_io.hpp"
 
 namespace roadrunner::strategy {
 
@@ -45,16 +44,6 @@ void FederatedStrategy::on_training_failed(StrategyContext& ctx, AgentId id,
                                            int /*round_tag*/) {
   (void)ctx;
   trained_round_.erase(id);
-}
-
-void FederatedStrategy::save_state(util::BinWriter& out) const {
-  RoundBasedStrategy::save_state(out);
-  io::write_round_map(out, trained_round_);
-}
-
-void FederatedStrategy::load_state(util::BinReader& in) {
-  RoundBasedStrategy::load_state(in);
-  trained_round_ = io::read_round_map(in);
 }
 
 }  // namespace roadrunner::strategy

@@ -22,8 +22,15 @@ class FederatedStrategy final : public RoundBasedStrategy {
   void on_training_failed(StrategyContext& ctx, AgentId id,
                           int round_tag) override;
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    RoundBasedStrategy::fields(ar);
+    ar(trained_round_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
  protected:
   void on_vehicle_message(StrategyContext& ctx, const Message& msg) override;

@@ -1,6 +1,5 @@
 #include "strategy/federated_clustering.hpp"
 
-#include "strategy/state_io.hpp"
 
 #include "ml/kmeans.hpp"
 
@@ -111,31 +110,6 @@ void FederatedClusteringStrategy::on_computation_complete(StrategyContext& ctx,
   ml::kmeans_fit(local, vdata, config_.local_iterations);
   ctx.set_model(id, to_weights(local), static_cast<double>(vdata.size()));
   trained_round_[id] = fit.round;
-}
-
-void FederatedClusteringStrategy::save_state(util::BinWriter& out) const {
-  RoundBasedStrategy::save_state(out);
-  io::write_round_map(out, trained_round_);
-  out.u64(pending_fits_.size());
-  for (const auto& [id, fit] : pending_fits_) {
-    out.u64(id);
-    out.i64(fit.round);
-    io::write_weights(out, fit.start);
-  }
-}
-
-void FederatedClusteringStrategy::load_state(util::BinReader& in) {
-  RoundBasedStrategy::load_state(in);
-  trained_round_ = io::read_round_map(in);
-  pending_fits_.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const AgentId id = in.u64();
-    PendingFit fit;
-    fit.round = static_cast<int>(in.i64());
-    fit.start = io::read_weights(in);
-    pending_fits_[id] = std::move(fit);
-  }
 }
 
 void FederatedClusteringStrategy::on_global_updated(

@@ -36,8 +36,15 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
   void on_computation_complete(StrategyContext& ctx, AgentId id,
                                int completion_tag, bool success) override;
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    RoundBasedStrategy::fields(ar);
+    ar(trained_round_, pending_fits_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
  protected:
   [[nodiscard]] ml::Weights initial_global_model(StrategyContext& ctx)
@@ -59,6 +66,11 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
   struct PendingFit {
     int round = -1;
     ml::Weights start;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(round, start);
+    }
   };
 
   FederatedClusteringConfig config_;

@@ -1,6 +1,5 @@
 #include "strategy/gossip.hpp"
 
-#include "strategy/state_io.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -178,27 +177,6 @@ void GossipStrategy::on_finish(StrategyContext& ctx) {
                             ctx.metrics().last_value(config_.accuracy_series));
   ctx.metrics().set_counter("gossip_total_merges",
                             static_cast<double>(total_merges_));
-}
-
-void GossipStrategy::save_state(util::BinWriter& out) const {
-  out.u64(last_merge_.size());
-  for (const auto& [id, t] : last_merge_) {
-    out.u64(id);
-    out.f64(t);
-  }
-  io::write_id_vector(out, probe_);
-  out.u64(total_merges_);
-}
-
-void GossipStrategy::load_state(util::BinReader& in) {
-  last_merge_.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const AgentId id = in.u64();
-    last_merge_[id] = in.f64();
-  }
-  probe_ = io::read_id_vector(in);
-  total_merges_ = in.u64();
 }
 
 }  // namespace roadrunner::strategy

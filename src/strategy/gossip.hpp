@@ -57,8 +57,14 @@ class GossipStrategy final : public LearningStrategy {
 
   [[nodiscard]] std::uint64_t total_merges() const { return total_merges_; }
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(last_merge_, probe_, total_merges_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
   static constexpr const char* kTagGossip = "gossip-model";
   enum TimerId : int { kTimerRetrain = 1, kTimerEval = 2, kTimerStop = 3 };

@@ -11,7 +11,7 @@
 #include "comm/channel.hpp"
 #include "core/ml_service.hpp"
 #include "strategy/context.hpp"
-#include "util/binary_io.hpp"
+#include "util/archive.hpp"
 
 namespace roadrunner::strategy {
 
@@ -75,32 +75,50 @@ class LearningStrategy {
                                        bool /*success*/) {}
 
   // ----- checkpointing -----------------------------------------------------
-  /// Serializes the strategy's mutable run state (round counters, pending
-  /// sets, buffered models — NOT configuration, which is rebuilt from the
-  /// experiment description). Paired with load_state: a freshly constructed
-  /// strategy given load_state(save_state's output) must behave identically
-  /// to the original from that point on. The default (empty) pairing suits
-  /// stateless strategies.
+  /// The strategy's mutable run state (round counters, pending sets,
+  /// buffered models — NOT configuration, which is rebuilt from the
+  /// experiment description). A strategy with run state lists it once, in
+  /// a public field list (util/archive.hpp), and overrides this pair as
+  /// the two walks of that list:
+  ///
+  ///   template <class Ar>
+  ///   void fields(Ar& ar) {
+  ///     Base::fields(ar);  // when deriving from a stateful strategy
+  ///     ar(round_, buffered_models_);
+  ///   }
+  ///   void save_state(util::BinWriter& out) const override {
+  ///     util::save_fields(out, *this);
+  ///   }
+  ///   void load_state(util::BinReader& in) override {
+  ///     load_fields(in, *this);
+  ///   }
+  ///
+  /// A freshly constructed strategy given load_state(save_state's output)
+  /// then behaves identically to the original from that point on. A field
+  /// added in a later snapshot format is read behind `ar.version()`. The
+  /// default (empty) pair suits stateless strategies.
   virtual void save_state(util::BinWriter& /*out*/) const {}
   virtual void load_state(util::BinReader& /*in*/) {}
 
   /// Set by the checkpoint restorer immediately before load_state with the
-  /// snapshot's on-disk format version, so strategies can skip fields that
-  /// older snapshots do not contain. Outside a restore it reports the
-  /// latest version (strategies constructed fresh carry all fields).
+  /// snapshot's on-disk format version, so field lists can skip fields that
+  /// older snapshots do not contain. Outside a restore it is the latest
+  /// layout (strategies constructed fresh carry all fields).
   void set_snapshot_version(std::uint32_t version) {
     snapshot_version_ = version;
   }
 
  protected:
-  /// Format version of the snapshot currently being restored; UINT32_MAX
-  /// (= "latest") when not restoring.
-  [[nodiscard]] std::uint32_t snapshot_version() const {
-    return snapshot_version_;
+  /// Reads `self`'s field list in the layout of the snapshot being
+  /// restored.
+  template <class Self>
+  void load_fields(util::BinReader& in, Self& self) const {
+    util::load_fields(in, self, "checkpoint: strategy section",
+                      snapshot_version_);
   }
 
  private:
-  std::uint32_t snapshot_version_ = UINT32_MAX;
+  std::uint32_t snapshot_version_ = util::kLatestLayout;
 };
 
 }  // namespace roadrunner::strategy

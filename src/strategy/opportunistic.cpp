@@ -1,6 +1,5 @@
 #include "strategy/opportunistic.hpp"
 
-#include "strategy/state_io.hpp"
 
 namespace roadrunner::strategy {
 
@@ -231,66 +230,6 @@ void OpportunisticStrategy::on_message_failed(StrategyContext& ctx,
   } else if (msg.tag == kTagReturn) {
     ctx.metrics().increment("opp_returns_discarded");
   }
-}
-
-void OpportunisticStrategy::save_state(util::BinWriter& out) const {
-  RoundBasedStrategy::save_state(out);
-  out.u64(reporters_.size());
-  for (const auto& [id, r] : reporters_) {
-    out.u64(id);
-    out.i64(r.round);
-    io::write_weights(out, r.round_global);
-    io::write_weighted_models(out, r.collected);
-    io::write_id_vector(out, r.origins);  // since format v3
-    out.boolean(r.trained);
-  }
-  out.u64(participated_.size());
-  for (const auto& [round, id] : participated_) {
-    out.i64(round);
-    out.u64(id);
-  }
-  out.u64(offer_source_.size());
-  for (const auto& [to, from] : offer_source_) {
-    out.u64(to);
-    out.u64(from);
-  }
-  out.i64(exchanges_this_round_);
-  out.u64(total_exchanges_);
-}
-
-void OpportunisticStrategy::load_state(util::BinReader& in) {
-  RoundBasedStrategy::load_state(in);
-  reporters_.clear();
-  const std::uint64_t rn = in.u64();
-  for (std::uint64_t i = 0; i < rn; ++i) {
-    const AgentId id = in.u64();
-    ReporterState r;
-    r.round = static_cast<int>(in.i64());
-    r.round_global = io::read_weights(in);
-    r.collected = io::read_weighted_models(in);
-    if (snapshot_version() >= 3) {
-      r.origins = io::read_id_vector(in);
-    } else {
-      r.origins.assign(r.collected.size(), core::kNoAgent);
-    }
-    r.trained = in.boolean();
-    reporters_[id] = std::move(r);
-  }
-  participated_.clear();
-  const std::uint64_t pn = in.u64();
-  for (std::uint64_t i = 0; i < pn; ++i) {
-    const int round = static_cast<int>(in.i64());
-    const AgentId id = in.u64();
-    participated_.emplace(round, id);
-  }
-  offer_source_.clear();
-  const std::uint64_t on = in.u64();
-  for (std::uint64_t i = 0; i < on; ++i) {
-    const AgentId to = in.u64();
-    offer_source_[to] = in.u64();
-  }
-  exchanges_this_round_ = static_cast<int>(in.i64());
-  total_exchanges_ = in.u64();
 }
 
 }  // namespace roadrunner::strategy

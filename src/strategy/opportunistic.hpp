@@ -52,8 +52,16 @@ class OpportunisticStrategy final : public RoundBasedStrategy {
   static constexpr const char* kTagOffer = "opp-offer";
   static constexpr const char* kTagReturn = "opp-return";
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    RoundBasedStrategy::fields(ar);
+    ar(reporters_, participated_, offer_source_, exchanges_this_round_,
+       total_exchanges_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
  protected:
   void on_selected(StrategyContext& ctx, AgentId vehicle, int round) override;
@@ -71,6 +79,17 @@ class OpportunisticStrategy final : public RoundBasedStrategy {
     /// accounting when the intermediate aggregation uses a robust rule).
     std::vector<AgentId> origins;
     bool trained = false;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(round, round_global, collected);
+      if (ar.version() >= 3) {
+        ar(origins);
+      } else {
+        origins.assign(collected.size(), core::kNoAgent);
+      }
+      ar(trained);
+    }
   };
 
   void maybe_offer(StrategyContext& ctx, AgentId reporter,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "strategy/state_io.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
 
@@ -269,38 +268,6 @@ void RoundBasedStrategy::on_finish(StrategyContext& ctx) {
   ctx.metrics().set_counter("rounds_completed", round_ - (done_ ? 0 : 1));
   ctx.metrics().set_counter("final_accuracy",
                             ctx.metrics().last_value(config_.accuracy_series));
-}
-
-void RoundBasedStrategy::save_state(util::BinWriter& out) const {
-  out.i64(round_);
-  io::write_weights(out, global_);
-  io::write_id_set(out, selected_);
-  io::write_id_set(out, pending_);
-  io::write_id_set(out, data_contributors_);
-  out.u64(round_robin_cursor_);
-  io::write_weighted_models(out, contributions_);
-  out.boolean(collecting_);
-  out.boolean(done_);
-  io::write_id_vector(out, contribution_origins_);  // since format v3
-}
-
-void RoundBasedStrategy::load_state(util::BinReader& in) {
-  round_ = static_cast<int>(in.i64());
-  global_ = io::read_weights(in);
-  selected_ = io::read_id_set(in);
-  pending_ = io::read_id_set(in);
-  data_contributors_ = io::read_id_set(in);
-  round_robin_cursor_ = in.u64();
-  contributions_ = io::read_weighted_models(in);
-  collecting_ = in.boolean();
-  done_ = in.boolean();
-  if (snapshot_version() >= 3) {
-    contribution_origins_ = io::read_id_vector(in);
-  } else {
-    // v2 snapshots predate origin tracking; adversary accounting for any
-    // in-flight round restarts blind (v2 runs have no adversaries anyway).
-    contribution_origins_.assign(contributions_.size(), core::kNoAgent);
-  }
 }
 
 }  // namespace roadrunner::strategy

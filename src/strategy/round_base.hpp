@@ -15,6 +15,7 @@
 
 #include "ml/fedavg.hpp"
 #include "ml/robust.hpp"
+#include "ml/serialize.hpp"
 #include "strategy/learning_strategy.hpp"
 
 namespace roadrunner::strategy {
@@ -57,10 +58,24 @@ class RoundBasedStrategy : public LearningStrategy {
                          comm::LinkStatus reason) override;
 
   /// Round machinery state (round counter, global model, selection and
-  /// contribution buffers). Derived strategies extend both by calling the
-  /// base first.
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  /// contribution buffers). Derived strategies extend it by calling the
+  /// base's field list first.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(round_, global_, selected_, pending_, data_contributors_,
+       round_robin_cursor_, contributions_, collecting_, done_);
+    if (ar.version() >= 3) {
+      ar(contribution_origins_);
+    } else {
+      // v2 snapshots predate origin tracking; adversary accounting for any
+      // in-flight round restarts blind (v2 runs have no adversaries anyway).
+      contribution_origins_.assign(contributions_.size(), core::kNoAgent);
+    }
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
   [[nodiscard]] int current_round() const { return round_; }
   [[nodiscard]] const ml::Weights& global_model() const { return global_; }

@@ -1,6 +1,5 @@
 #include "strategy/rsu_assisted.hpp"
 
-#include "strategy/state_io.hpp"
 
 namespace roadrunner::strategy {
 
@@ -165,48 +164,6 @@ void RsuAssistedStrategy::maybe_upload_to_rsu(StrategyContext& ctx,
     // The server no longer needs a direct reply from this vehicle.
     drop_pending(ctx, vehicle);
   }
-}
-
-void RsuAssistedStrategy::save_state(util::BinWriter& out) const {
-  RoundBasedStrategy::save_state(out);
-  out.u64(pending_.size());
-  for (const auto& [id, p] : pending_) {
-    out.u64(id);
-    out.i64(p.round);
-    out.boolean(p.handed_off);
-  }
-  out.u64(rsu_buffers_.size());
-  for (const auto& [id, b] : rsu_buffers_) {
-    out.u64(id);
-    out.i64(b.round);
-    io::write_weighted_models(out, b.collected);
-    io::write_id_vector(out, b.origins);
-  }
-  out.u64(rsu_relayed_);
-}
-
-void RsuAssistedStrategy::load_state(util::BinReader& in) {
-  RoundBasedStrategy::load_state(in);
-  pending_.clear();
-  const std::uint64_t pn = in.u64();
-  for (std::uint64_t i = 0; i < pn; ++i) {
-    const AgentId id = in.u64();
-    PendingModel p;
-    p.round = static_cast<int>(in.i64());
-    p.handed_off = in.boolean();
-    pending_[id] = p;
-  }
-  rsu_buffers_.clear();
-  const std::uint64_t bn = in.u64();
-  for (std::uint64_t i = 0; i < bn; ++i) {
-    const AgentId id = in.u64();
-    RsuBuffer b;
-    b.round = static_cast<int>(in.i64());
-    b.collected = io::read_weighted_models(in);
-    b.origins = io::read_id_vector(in);
-    rsu_buffers_[id] = std::move(b);
-  }
-  rsu_relayed_ = in.u64();
 }
 
 }  // namespace roadrunner::strategy

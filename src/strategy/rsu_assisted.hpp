@@ -43,8 +43,15 @@ class RsuAssistedStrategy final : public RoundBasedStrategy {
   /// Contributions that travelled vehicle->RSU->wire instead of V2C.
   [[nodiscard]] std::uint64_t rsu_relayed() const { return rsu_relayed_; }
 
-  void save_state(util::BinWriter& out) const override;
-  void load_state(util::BinReader& in) override;
+  template <class Ar>
+  void fields(Ar& ar) {
+    RoundBasedStrategy::fields(ar);
+    ar(pending_, rsu_buffers_, rsu_relayed_);
+  }
+  void save_state(util::BinWriter& out) const override {
+    util::save_fields(out, *this);
+  }
+  void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
   static constexpr const char* kTagRsuUpload = "rsu-upload";
   static constexpr const char* kTagRsuRelay = "rsu-relay";
@@ -61,11 +68,21 @@ class RsuAssistedStrategy final : public RoundBasedStrategy {
   struct PendingModel {
     int round = -1;
     bool handed_off = false;  ///< already uploaded to an RSU
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(round, handed_off);
+    }
   };
   struct RsuBuffer {
     int round = -1;
     std::vector<ml::WeightedModel> collected;
     std::vector<AgentId> origins;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(round, collected, origins);
+    }
   };
   RsuAssistedConfig config_;
   std::map<AgentId, PendingModel> pending_;

@@ -84,42 +84,4 @@ void TrafficRuntime::export_counters(metrics::Registry& metrics) const {
                       static_cast<double>(members));
 }
 
-void TrafficRuntime::save_state(util::BinWriter& out) const {
-  out.u64(ns_green_.size());
-  for (const std::uint8_t g : ns_green_) out.u8(g);
-  for (const std::uint32_t q : ns_queue_) out.u32(q);
-  for (const std::uint32_t q : ew_queue_) out.u32(q);
-  out.u64(platoon_size_.size());
-  for (const std::uint32_t s : platoon_size_) out.u32(s);
-  out.u64(phases_applied_);
-  out.u64(maneuvers_applied_);
-  out.u64(joins_);
-  out.u64(leaves_);
-  out.u64(splits_);
-}
-
-void TrafficRuntime::load_state(util::BinReader& in) {
-  const std::uint64_t signals = in.u64();
-  if (signals != ns_green_.size()) {
-    throw std::runtime_error{
-        "traffic: snapshot signal count mismatch; the traffic plan must not "
-        "change across a restore"};
-  }
-  for (std::uint8_t& g : ns_green_) g = in.u8();
-  for (std::uint32_t& q : ns_queue_) q = in.u32();
-  for (std::uint32_t& q : ew_queue_) q = in.u32();
-  const std::uint64_t platoons = in.u64();
-  if (platoons != platoon_size_.size()) {
-    throw std::runtime_error{
-        "traffic: snapshot platoon count mismatch; the traffic plan must "
-        "not change across a restore"};
-  }
-  for (std::uint32_t& s : platoon_size_) s = in.u32();
-  phases_applied_ = in.u64();
-  maneuvers_applied_ = in.u64();
-  joins_ = in.u64();
-  leaves_ = in.u64();
-  splits_ = in.u64();
-}
-
 }  // namespace roadrunner::traffic

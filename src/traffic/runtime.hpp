@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "metrics/registry.hpp"
 #include "traffic/traffic_model.hpp"
-#include "util/binary_io.hpp"
 
 namespace roadrunner::traffic {
 
@@ -64,13 +64,29 @@ class TrafficRuntime {
     return maneuvers_applied_;
   }
 
-  /// Serializes the dynamic state only (phases, occupancy, membership,
-  /// counters); the timeline is static per (seed, plan).
-  void save_state(util::BinWriter& out) const;
-  /// Restores dynamic state; throws std::runtime_error when the snapshot's
-  /// shape does not match this timeline (the plan must not change across a
-  /// restore).
-  void load_state(util::BinReader& in);
+  /// The dynamic state only (phases, occupancy, membership, counters) as
+  /// an archive field list (util/archive.hpp); the timeline is static per
+  /// (seed, plan). A signal or platoon count that differs from this
+  /// timeline's throws std::runtime_error: the plan must not change across
+  /// a restore.
+  template <class Ar>
+  void fields(Ar& ar) {
+    if (ar.length(ns_green_.size()) != ns_green_.size()) {
+      throw std::runtime_error{
+          "traffic: snapshot signal count mismatch; the traffic plan must "
+          "not change across a restore"};
+    }
+    ar.items(ns_green_);
+    ar.items(ns_queue_);
+    ar.items(ew_queue_);
+    if (ar.length(platoon_size_.size()) != platoon_size_.size()) {
+      throw std::runtime_error{
+          "traffic: snapshot platoon count mismatch; the traffic plan must "
+          "not change across a restore"};
+    }
+    ar.items(platoon_size_);
+    ar(phases_applied_, maneuvers_applied_, joins_, leaves_, splits_);
+  }
 
  private:
   TrafficTimeline timeline_;

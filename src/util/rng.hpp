@@ -107,6 +107,13 @@ class Rng {
   /// std::invalid_argument.
   void set_state(const std::array<std::uint64_t, 4>& state);
 
+  /// The four state words as an archive field list (util/archive.hpp).
+  template <class Ar>
+  void fields(Ar& ar) {
+    for (std::uint64_t& word : s_) ar(word);
+    ar.check((s_[0] | s_[1] | s_[2] | s_[3]) != 0, "all-zero RNG state");
+  }
+
   // ----- jump-ahead ---------------------------------------------------------
   /// Advances a generator by a fixed number of next() calls in O(1). The
   /// xoshiro256** state update is linear over GF(2), so n steps are one

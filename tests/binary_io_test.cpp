@@ -17,7 +17,7 @@
 
 #include "crc32_reference.hpp"
 #include "ml/serialize.hpp"
-#include "strategy/state_io.hpp"
+#include "util/archive.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -288,11 +288,18 @@ ml::Weights sample_weights() {
           ml::Tensor{}};
 }
 
+/// A model read through its archive field (ml/serialize.hpp).
+ml::Weights read_weights(BinReader& in) {
+  ml::Weights w;
+  load_fields(in, w, "weights");
+  return w;
+}
+
 TEST(BinaryIo, WriteWeightsEqualsLengthPrefixedSerializeWeights) {
   for (const ml::Weights& w : {ml::Weights{}, sample_weights()}) {
     BinWriter in_place;
     in_place.u8(0xEE);  // an unaligned start, as inside a section
-    strategy::io::write_weights(in_place, w);
+    save_fields(in_place, w);
 
     BinWriter reference;
     reference.u8(0xEE);
@@ -301,7 +308,7 @@ TEST(BinaryIo, WriteWeightsEqualsLengthPrefixedSerializeWeights) {
 
     BinReader r{in_place.buffer()};
     EXPECT_EQ(r.u8(), 0xEE);
-    const ml::Weights back = strategy::io::read_weights(r);
+    const ml::Weights back = read_weights(r);
     EXPECT_TRUE(r.done());
     ASSERT_EQ(back.size(), w.size());
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -316,7 +323,7 @@ TEST(BinaryIo, ReadWeightsRejectsMalformedPayloads) {
   BinWriter empty;
   empty.u64(0);
   BinReader r0{empty.buffer()};
-  EXPECT_TRUE(strategy::io::read_weights(r0).empty());
+  EXPECT_TRUE(read_weights(r0).empty());
   EXPECT_TRUE(r0.done());
 
   const std::vector<std::uint8_t> good = ml::serialize_weights(sample_weights());
@@ -326,7 +333,7 @@ TEST(BinaryIo, ReadWeightsRejectsMalformedPayloads) {
     w.u64(claimed);
     w.raw(payload.data(), payload.size());
     BinReader r{w.buffer()};
-    return strategy::io::read_weights(r);
+    return read_weights(r);
   };
   EXPECT_NO_THROW(read(good, good.size()));
   // The length field overruns the input.

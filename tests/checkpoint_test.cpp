@@ -5,6 +5,8 @@
 // it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,9 +18,12 @@
 
 #include "checkpoint/checkpoint.hpp"
 #include "checkpoint/sim_io.hpp"
+#include "core/event_queue.hpp"
+#include "core/sim_event.hpp"
 #include "crc32_reference.hpp"
 #include "scenario/experiment.hpp"
 #include "strategy/learning_strategy.hpp"
+#include "util/archive.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -406,6 +411,200 @@ TEST(CheckpointEncounters, TamperedListIsRejected) {
   fs::remove(snap);
 }
 
+// Tampered fields behind a valid CRC: each must fail as a
+// std::runtime_error naming its section, never index past the agent table
+// or allocate what a count claims.
+namespace tamper {
+
+constexpr std::uint32_t kSim = 3;
+constexpr std::uint32_t kQueue = 4;
+constexpr std::uint32_t kTrace = 7;
+
+/// Offset and size of section `tag`'s payload in a snapshot image.
+std::pair<std::size_t, std::size_t> find_section(const std::string& image,
+                                                 std::uint32_t tag) {
+  util::BinReader in{image};
+  (void)in.u32();  // magic
+  (void)in.u32();  // version
+  const std::uint32_t count = in.u32();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t t = in.u32();
+    const std::uint64_t size = in.u64();
+    const std::size_t at = image.size() - in.remaining();
+    if (t == tag) return {at, size};
+    (void)in.sub(size);
+  }
+  ADD_FAILURE() << "no section " << tag;
+  return {0, 0};
+}
+
+std::string payload(const std::string& image, std::uint32_t tag) {
+  const auto [at, size] = find_section(image, tag);
+  return image.substr(at, size);
+}
+
+/// `image` with section `tag`'s payload replaced (size field included) and
+/// the CRC trailer resealed.
+std::string with_payload(std::string image, std::uint32_t tag,
+                         const std::string& bytes) {
+  const auto [at, size] = find_section(image, tag);
+  image.replace(at, size, bytes);
+  util::BinWriter len;
+  len.u64(bytes.size());
+  image.replace(at - 8, 8, len.buffer());
+  reseal(image);
+  return image;
+}
+
+std::string u64_bytes(std::uint64_t v) {
+  util::BinWriter w;
+  w.u64(v);
+  return w.take();
+}
+
+/// A temp file of this test's own: ctest runs the tests in parallel.
+fs::path test_file(const std::string& suffix) {
+  return tmp_file(
+      std::string{"rr_tamper_"} +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      suffix + ".rrck");
+}
+
+/// Every autosave image of a federated run of `test_ini`.
+std::vector<std::string> autosaves(double every_s) {
+  const auto ini = util::IniFile::parse(test_ini("federated"));
+  const fs::path path = test_file("source");
+  std::vector<std::string> images;
+  scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+  auto sim = scn.make_simulator();
+  sim->set_strategy(scenario::strategy_from_ini(ini));
+  sim->set_autosave(every_s, [&](core::Simulator& s) {
+    checkpoint::save(s, ini, path.string());
+    images.push_back(slurp(path));
+  });
+  (void)sim->run();
+  fs::remove(path);
+  return images;
+}
+
+/// Offsets of the queue section's entries within its payload, with their
+/// events, found by reading the payload with the queue's own field lists.
+std::vector<std::pair<std::size_t, core::SimEvent>> queue_entries(
+    const std::string& queue) {
+  util::BinReader in{queue};
+  util::ArchiveReader ar{in, "test"};
+  std::uint64_t next_seq = 0;
+  std::uint64_t executed = 0;
+  double now = 0.0;
+  ar(next_seq, executed, now);
+  std::vector<std::pair<std::size_t, core::SimEvent>> entries;
+  for (std::uint64_t i = 0, n = in.u64(); i < n; ++i) {
+    const std::size_t at = queue.size() - in.remaining();
+    core::BasicEventQueue<core::SimEvent>::Entry entry;
+    ar(entry);
+    entries.emplace_back(at, std::move(entry.payload));
+  }
+  return entries;
+}
+
+// Within a queue entry: at (8), seq (8), kind (1), then the event's agent;
+// a kDeliver's message follows tag, duration and data amount (24).
+constexpr std::size_t kEventAgent = 17;
+constexpr std::size_t kMessageFrom = kEventAgent + 8 + 24;
+
+void expect_rejected(const std::string& image, const std::string& section,
+                     const std::string& needle) {
+  const fs::path path = test_file("tampered");
+  spit(path, image);
+  try {
+    (void)checkpoint::restore(path.string());
+    ADD_FAILURE() << section << ": restore accepted a tampered " << needle;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(section + " section"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+  fs::remove(path);
+}
+
+}  // namespace tamper
+
+TEST(CheckpointTamper, OutOfRangeSenderIsRejected) {
+  for (const std::string& image : tamper::autosaves(5.0)) {
+    const std::string queue = tamper::payload(image, tamper::kQueue);
+    for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+      if (ev.kind != core::SimEventKind::kDeliver) continue;
+      std::string bad = queue;
+      bad.replace(at + tamper::kMessageFrom, 8, tamper::u64_bytes(1 << 20));
+      tamper::expect_rejected(
+          tamper::with_payload(image, tamper::kQueue, bad), "queue",
+          "message sender 1048576");
+      return;
+    }
+  }
+  FAIL() << "no autosave has a message in flight";
+}
+
+TEST(CheckpointTamper, OutOfRangeEventAgentIsRejected) {
+  const std::string image = tamper::autosaves(150.0).front();
+  const std::string queue = tamper::payload(image, tamper::kQueue);
+  for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+    if (ev.agent == core::kNoAgent) continue;
+    std::string bad = queue;
+    bad.replace(at + tamper::kEventAgent, 8, tamper::u64_bytes(1 << 20));
+    tamper::expect_rejected(tamper::with_payload(image, tamper::kQueue, bad),
+                            "queue", "event agent 1048576");
+    return;
+  }
+  FAIL() << "no pending event names an agent";
+}
+
+TEST(CheckpointTamper, BadBacklogKeyIsRejected) {
+  // The sim section ends with the send backlog's count; an idle backlog
+  // gains one entry with a bad key (sender or channel) and no messages.
+  const std::string image = tamper::autosaves(150.0).front();
+  const std::string sim = tamper::payload(image, tamper::kSim);
+  ASSERT_EQ(sim.substr(sim.size() - 8), tamper::u64_bytes(0));
+  const auto backlog = [&](std::uint64_t sender, std::uint8_t channel) {
+    util::BinWriter w;
+    w.u64(1);
+    w.u64(sender);
+    w.u8(channel);
+    w.u64(0);
+    return tamper::with_payload(image, tamper::kSim,
+                                sim.substr(0, sim.size() - 8) + w.buffer());
+  };
+  // The splice itself is well-formed: a valid key restores.
+  const fs::path path = tamper::test_file("spliced");
+  spit(path, backlog(0, 0));
+  EXPECT_NO_THROW((void)checkpoint::restore(path.string()));
+  fs::remove(path);
+  tamper::expect_rejected(backlog(1 << 20, 0), "sim", "sender 1048576");
+  tamper::expect_rejected(backlog(0, 7), "sim", "bad channel kind");
+}
+
+TEST(CheckpointTamper, BadTraceKindIsRejected) {
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string trace = tamper::payload(image, tamper::kTrace);
+  ASSERT_GT(trace.size(), 17U);
+  trace[8 + 8] = static_cast<char>(0xEE);  // count, time_s, then the kind
+  tamper::expect_rejected(tamper::with_payload(image, tamper::kTrace, trace),
+                          "trace", "bad trace kind");
+}
+
+TEST(CheckpointTamper, HugeCountIsRejectedBeforeAllocation) {
+  // Agent 0's data-index count: after the agent count, its model (u64
+  // length + bytes), data amount, update time and training flag.
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string sim = tamper::payload(image, tamper::kSim);
+  util::BinReader in{sim};
+  (void)in.u64();
+  const std::size_t at = 8 + 8 + in.u64() + 8 + 8 + 1;
+  sim.replace(at, 8, tamper::u64_bytes(std::uint64_t{1} << 40));
+  tamper::expect_rejected(tamper::with_payload(image, tamper::kSim, sim),
+                          "sim", "count 1099511627776 exceeds");
+}
+
 TEST(CheckpointErrors, MissingFileThrows) {
   EXPECT_THROW(checkpoint::restore("/nonexistent/nope.rrck"),
                std::runtime_error);
@@ -496,8 +695,9 @@ namespace oracle {
 // The snapshot assembly save() used before it wrote in one pass, kept
 // verbatim as the reference: every section in its own BinWriter, all of
 // them copied into a second frame buffer behind their tags and sizes, and
-// the frame sealed with the bytewise CRC-32 loop. Weights inside the
-// payloads are written by io::write_weights, which
+// the frame sealed with the bytewise CRC-32 loop. The simulator-state
+// payloads come from the section table's rows; weights inside them are
+// written by their archive field, which
 // BinaryIo.WriteWeightsEqualsLengthPrefixedSerializeWeights pins to the
 // `bytes(serialize_weights(w))` this assembly used.
 
@@ -517,6 +717,19 @@ constexpr std::uint32_t kSectionTraffic = 10;
 
 bool workload_fingerprinted(const core::Simulator& sim) {
   return sim.ml().density() || sim.ml().has_eval_windows();
+}
+
+/// Section `tag`'s payload for `sim`, from its row of the section table.
+void payload(std::uint32_t tag, const core::Simulator& sim,
+             util::BinWriter& out) {
+  checkpoint::SnapshotInfo info;
+  const std::string path;
+  checkpoint::Snapshot snapshot{info, const_cast<core::Simulator*>(&sim),
+                                path};
+  util::ArchiveWriter ar{out};
+  for (const checkpoint::Section& row : SimulatorIo::sections()) {
+    if (row.tag == tag) row.write(ar, snapshot);
+  }
 }
 
 void save_workload(const core::Simulator& sim, util::BinWriter& out) {
@@ -556,16 +769,16 @@ std::string image(const core::Simulator& sim,
   add(kSectionIni, std::move(ini));
 
   util::BinWriter sim_state;
-  SimulatorIo::save_sim(sim, sim_state);
+  payload(kSectionSim, sim, sim_state);
   add(kSectionSim, std::move(sim_state));
 
   util::BinWriter queue;
-  SimulatorIo::save_queue(sim, queue);
+  payload(kSectionQueue, sim, queue);
   add(kSectionQueue, std::move(queue));
 
   if (sim.adversary().enabled()) {
     util::BinWriter adversary;
-    SimulatorIo::save_adversary(sim, adversary);
+    payload(kSectionAdversary, sim, adversary);
     add(kSectionAdversary, std::move(adversary));
   }
 
@@ -577,7 +790,7 @@ std::string image(const core::Simulator& sim,
 
   if (sim.traffic().enabled()) {
     util::BinWriter traffic;
-    SimulatorIo::save_traffic(sim, traffic);
+    payload(kSectionTraffic, sim, traffic);
     add(kSectionTraffic, std::move(traffic));
   }
 
@@ -586,11 +799,11 @@ std::string image(const core::Simulator& sim,
   add(kSectionStrategy, std::move(strategy));
 
   util::BinWriter metrics;
-  SimulatorIo::save_metrics(sim, metrics);
+  payload(kSectionMetrics, sim, metrics);
   add(kSectionMetrics, std::move(metrics));
 
   util::BinWriter trace;
-  SimulatorIo::save_trace(sim, trace);
+  payload(kSectionTrace, sim, trace);
   add(kSectionTrace, std::move(trace));
 
   util::BinWriter frame;
@@ -806,6 +1019,116 @@ TEST(CheckpointWriterOracle, FourThreadsSavingAtOnceMatchTheReferenceAssembly) {
     EXPECT_EQ(checks[i].mismatches, 0U)
         << strategies[i] << ": " << checks[i].first_mismatch;
   }
+}
+
+// ------------------------------------------- restore-then-save symmetry --
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Restores each autosave and saves the restored simulator again at once.
+/// A field that the writer stores and the reader skips, reads short, or
+/// puts in the wrong place shows up as a byte difference, in any section.
+struct SymmetryCheck {
+  std::size_t saves = 0;
+  std::size_t mismatches = 0;
+  std::size_t saves_in_flight = 0;
+  std::set<std::uint32_t> tags;
+  std::string last_image;
+  std::string first_mismatch;
+};
+
+SymmetryCheck restore_then_save_everywhere(const util::IniFile& ini,
+                                           const std::string& name,
+                                           double every_s) {
+  const fs::path saved = tmp_file("rr_bytes_" + name + ".rrck");
+  const fs::path again = tmp_file("rr_bytes_" + name + "_again.rrck");
+  SymmetryCheck check;
+  scenario::Scenario scn{scenario::scenario_from_ini(ini)};
+  auto sim = scn.make_simulator();
+  sim->set_strategy(scenario::strategy_from_ini(ini));
+  sim->set_autosave(every_s, [&](core::Simulator& s) {
+    checkpoint::save(s, ini, saved.string());
+    {
+      checkpoint::RestoredRun run = checkpoint::restore(saved.string());
+      checkpoint::save(*run.simulator, run.experiment, again.string());
+    }
+    check.last_image = slurp(saved);
+    const std::string image = slurp(again);
+    ++check.saves;
+    check.saves_in_flight += trainings_in_flight(s) > 0 ? 1 : 0;
+    for (std::uint32_t tag : oracle::section_tags(check.last_image)) {
+      check.tags.insert(tag);
+    }
+    if (image != check.last_image && check.mismatches++ == 0) {
+      std::size_t at = 0;
+      while (at < std::min(image.size(), check.last_image.size()) &&
+             image[at] == check.last_image[at]) {
+        ++at;
+      }
+      check.first_mismatch = "t=" + std::to_string(s.now()) +
+                             ": first difference at byte " +
+                             std::to_string(at);
+    }
+  });
+  (void)sim->run();
+  fs::remove(saved);
+  fs::remove(again);
+  return check;
+}
+
+TEST(CheckpointBytes, RestoreThenSaveReproducesTheImage) {
+  struct Case {
+    std::string name;
+    util::IniFile ini;
+    double every_s;
+    std::uint64_t final_fnv;  ///< FNV-1a-64 of the last autosave image
+  };
+  const auto example = [](const char* file) {
+    return util::IniFile::load(std::string{RR_EXAMPLES_DIR} + "/" + file);
+  };
+  // The FNV pins were taken with the per-direction save/restore code this
+  // schema replaced; they hold the bytes of format v5 still.
+  const auto family = [](const char* strategy) {
+    return util::IniFile::parse(test_ini(strategy));
+  };
+  const std::vector<Case> cases = {
+      {"federated", family("federated"), 30.0, 0xbbe706189851de0fULL},
+      {"opportunistic", family("opportunistic"), 30.0, 0xda3069d0b556794dULL},
+      {"gossip", family("gossip"), 30.0, 0x7e512dc6ba3f2780ULL},
+      {"rsu_assisted", family("rsu_assisted"), 30.0, 0x9aee11fe02037010ULL},
+      {"federated_clustering", family("federated_clustering"), 30.0,
+       0x998c295182665fd8ULL},
+      {"centralized", family("centralized"), 30.0, 0x9815b05d6393fc06ULL},
+      {"adversarial", example("adversarial.ini"), 200.0,
+       0x33489bd9d72517f6ULL},
+      {"drift", example("drift.ini"), 200.0, 0x7a196b70463b4d10ULL},
+      {"traffic", example("traffic.ini"), 200.0, 0xf9e0b2b15b87894aULL},
+  };
+  std::size_t saves = 0;
+  std::size_t saves_in_flight = 0;
+  std::set<std::uint32_t> tags;
+  for (const Case& c : cases) {
+    const SymmetryCheck check =
+        restore_then_save_everywhere(c.ini, c.name, c.every_s);
+    EXPECT_GT(check.saves, 2U) << c.name;
+    EXPECT_EQ(check.mismatches, 0U) << c.name << ": " << check.first_mismatch;
+    EXPECT_EQ(fnv1a64(check.last_image), c.final_fnv)
+        << c.name << std::hex << ": 0x" << fnv1a64(check.last_image);
+    saves += check.saves;
+    saves_in_flight += check.saves_in_flight;
+    tags.insert(check.tags.begin(), check.tags.end());
+  }
+  EXPECT_GT(saves, 100U);
+  // Some saves force a training job still in flight into the queue
+  // section, and together the runs write every section tag there is.
+  EXPECT_GT(saves_in_flight, 0U);
+  EXPECT_EQ(tags, (std::set<std::uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
 }
 
 }  // namespace

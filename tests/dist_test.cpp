@@ -202,6 +202,85 @@ TEST(DistProtocol, TruncatedPayloadThrows) {
                std::runtime_error);
 }
 
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(DistProtocol, EncodedBytesArePinned) {
+  // One payload per message type, pinned byte for byte: the wire layout is
+  // part of the protocol version, so a change here needs a version bump.
+  dist::JobAssign assign;
+  assign.job_index = 3;
+  assign.hash = "ab";
+  assign.point_index = 1;
+  assign.seed_index = 2;
+  assign.seed = 0xDEADBEEFULL;
+  assign.point_label = "p";
+  assign.experiment_text = "[s]";
+  campaign::JobRecord record;
+  record.hash = "h";
+  record.point_index = 4;
+  record.seed_index = 5;
+  record.seed = 6;
+  record.point_label = "l";
+  record.strategy_name = "fl";
+  record.wall_seconds = 0.5;
+  record.metrics = {{"m", -0.0}, {"n", 0.1}};
+  std::string record_bytes;
+  dist::encode_record(record, record_bytes);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {hex(dist::encode_hello({7, "w"})),
+       "07000000010000000000000077"},
+      {hex(dist::encode_welcome({1, "c", 42, 0.1})),
+       "010000000100000000000000632a000000000000009a9999999999b9"
+       "3f"},
+      {hex(dist::encode_job_assign(assign)),
+       "03000000000000000200000000000000616201000000000000000200"
+       "000000000000efbeadde000000000100000000000000700300000000"
+       "0000005b735d"},
+      {hex(dist::encode_no_work({250})),
+       "fa000000"},
+      {hex(dist::encode_job_result({17, record})),
+       "11000000000000000100000000000000680400000000000000050000"
+       "0000000000060000000000000001000000000000006c020000000000"
+       "0000666c000000000000e03f02000000000000000100000000000000"
+       "6d000000000000008001000000000000006e9a9999999999b93f"},
+      {hex(dist::encode_result_ack({false})),
+       "00"},
+      {hex(dist::encode_heartbeat({9})),
+       "0900000000000000"},
+      {hex(dist::encode_shutdown({"done"})),
+       "0400000000000000646f6e65"},
+      {hex(record_bytes),
+       "01000000000000006804000000000000000500000000000000060000"
+       "000000000001000000000000006c0200000000000000666c00000000"
+       "0000e03f020000000000000001000000000000006d00000000000000"
+       "8001000000000000006e9a9999999999b93f"},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(cases[i].first, cases[i].second) << "message " << i;
+  }
+}
+
+TEST(DistProtocol, HostileMetricCountIsRejectedBeforeAllocation) {
+  campaign::JobRecord record;
+  record.metrics = {{"m", 1.0}};
+  std::string bytes;
+  dist::encode_record(record, bytes);
+  // The u64 metric count sits just before the last metric's 17 bytes
+  // (u64 name length, one name byte, f64 value).
+  const std::size_t count_at = bytes.size() - 17 - 8;
+  for (std::size_t i = 0; i < 8; ++i) bytes[count_at + i] = '\x7f';
+  EXPECT_THROW((void)dist::decode_record(bytes), std::runtime_error);
+}
+
 // ---- framing over a real socket -------------------------------------------
 
 TEST(DistProtocol, FramesTravelOverLoopback) {

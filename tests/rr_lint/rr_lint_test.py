@@ -37,7 +37,6 @@ EXPECTED_FAIL = {
     "metric_newline.cpp": "metric-name",
     "fp_accum.cpp": "fp-unordered-accum",
     "parallel_mutation.cpp": "parallel-mutation",
-    "checkpoint/tag_unread.cpp": "ckpt-tag-symmetry",
     "dist/msgtype_missing.cpp": "msgtype-exhaustive",
     "dist/len_narrow.cpp": "len-narrow",
     "unknown_suppression.cpp": "unknown-suppression",

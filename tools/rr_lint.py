@@ -14,9 +14,8 @@ strings and raw strings are stripped into a token stream with bracket pair
 maps and enclosing-scope tracking, plus a local ``#include "..."`` graph.
 That enables lightweight flow-sensitive rules: floating-point accumulation
 inside unordered iteration, unguarded shared-state mutation in
-``parallel_for``/``submit`` lambdas, checkpoint section-tag write/read
-symmetry, dist ``MsgType`` switch exhaustiveness, and unguarded narrowing
-of length fields. Suppression hygiene is enforced too: an ``allow(...)``
+``parallel_for``/``submit`` lambdas, dist ``MsgType`` switch
+exhaustiveness, and unguarded narrowing of length fields. Suppression hygiene is enforced too: an ``allow(...)``
 naming an unknown rule is an error, and a suppression that no longer
 matches any finding is reported as stale.
 
@@ -186,27 +185,6 @@ the output by the iteration index, or make the target atomic. For a
 pattern the analyzer cannot see through (e.g. a container with internal
 synchronization), suppress with `// rr-lint: allow(parallel-mutation)`
 and name the synchronization in a comment.""",
-    },
-    "ckpt-tag-symmetry": {
-        "summary": "checkpoint section tags must be written, read back, and "
-                   "presence-guarded when conditional",
-        "scope": "src/checkpoint/ (kSection* tags; add/section/has call sites)",
-        "explain": """\
-The RRCK format is a tagged section table; restore compatibility is
-carried entirely by the write/read symmetry of those tags. A tag that is
-written but never read is dead payload that silently bloats snapshots; a
-tag that is read but never written can only ever throw on fresh
-snapshots; and a *conditionally* written tag (adversary/workload/traffic
-sections exist only when the feature is on) that is restored without a
-`frame.has(tag)` presence guard mis-parses every snapshot from an older
-format version or a run with the feature disabled — the has() check IS
-the version guard that keeps kMinRestoreVersion snapshots loadable.
-
-Fix: every `add(kSectionX, ...)` needs a matching `frame.section(kSectionX)`
-or `frame.has(kSectionX)` on the restore path; writes that sit inside an
-`if` must be read behind `has()`. Remove dead tag constants. If a tag is
-intentionally write-only (e.g. forensic payload), suppress on the write
-line with `// rr-lint: allow(ckpt-tag-symmetry)` and document it.""",
     },
     "msgtype-exhaustive": {
         "summary": "dist MsgType switches must cover every enumerator or have default",
@@ -1126,97 +1104,6 @@ def check_parallel_mutation(tf: TokFile, atomics: set, findings):
                     report(j, name, f"mutating call `.{tj.text}()`")
 
 
-# ---- ckpt-tag-symmetry ----------------------------------------------------
-
-SECTION_CONST_RE = re.compile(
-    r"\bconstexpr\s+(?:std\s*::\s*)?uint32_t\s+(kSection\w+)\s*=")
-
-CKPT_WRITE_FNS = {"add", "emplace_back", "push_back"}
-CKPT_READ_FNS = {"section", "has"}
-
-
-def _enclosed_by_if(tf: TokFile, j: int) -> bool:
-    """True if token j sits inside an `if (...) { ... }` block."""
-    toks, pair, enc = tf.toks, tf.pair, tf.enc
-    blk = enc[j]
-    guard = 0
-    while blk is not None and guard < 64:
-        guard += 1
-        # The token before the block's '{' should close an if-condition.
-        k = blk - 1
-        if k >= 0 and toks[k].kind == "op" and toks[k].text == ")":
-            o = pair.get(k)
-            if o is not None and o >= 1 and toks[o - 1].kind == "id" and \
-                    toks[o - 1].text == "if":
-                return True
-        blk = enc[blk]
-    return False
-
-
-def check_ckpt_tag_symmetry(tokfiles, findings):
-    """Cross-file pass over the linted src/checkpoint/ files: every written
-    kSection* tag needs a read, and conditional writes need a has() guard."""
-    group = [tf for tf in tokfiles if "/checkpoint/" in posix(tf.path)]
-    if not group:
-        return
-    declared = {}   # tag -> (tf, line)
-    writes = {}     # tag -> list of (tf, line, conditional)
-    reads = {}      # tag -> set of fn names used ("section"/"has")
-    for tf in group:
-        for m in SECTION_CONST_RE.finditer(tf.code):
-            line = tf.code.count("\n", 0, m.start()) + 1
-            declared.setdefault(m.group(1), (tf, line))
-        toks, pair = tf.toks, tf.pair
-        for i, t in enumerate(toks):
-            if t.kind != "id" or i + 1 >= len(toks) or toks[i + 1].text != "(":
-                continue
-            op = i + 1
-            # First argument token that is a kSection identifier.
-            cp = pair.get(op, op)
-            tag = None
-            for j in range(op + 1, min(cp, op + 6)):
-                tj = toks[j]
-                if tj.kind == "id" and tj.text.startswith("kSection"):
-                    tag = tj.text
-                    break
-                if tj.kind == "op" and tj.text == ",":
-                    break
-            if tag is None:
-                continue
-            if t.text in CKPT_WRITE_FNS:
-                writes.setdefault(tag, []).append(
-                    (tf, t.line, _enclosed_by_if(tf, i)))
-            elif t.text in CKPT_READ_FNS:
-                reads.setdefault(tag, set()).add(t.text)
-    for tag, sites in sorted(writes.items()):
-        tf, line, _ = sites[0]
-        if tag not in reads:
-            findings.append(Finding(
-                tf.path, line, "ckpt-tag-symmetry",
-                f"section tag `{tag}` is written but never read back via "
-                "section()/has() — dead payload or missing restore path"))
-            continue
-        if any(cond for _, _, cond in sites) and "has" not in reads[tag]:
-            findings.append(Finding(
-                tf.path, line, "ckpt-tag-symmetry",
-                f"section tag `{tag}` is conditionally written but restored "
-                "without a has() presence guard — older or feature-off "
-                "snapshots will mis-parse"))
-    for tag, fns in sorted(reads.items()):
-        if tag not in writes and tag in declared:
-            tf, line = declared[tag]
-            findings.append(Finding(
-                tf.path, line, "ckpt-tag-symmetry",
-                f"section tag `{tag}` is read via {'/'.join(sorted(fns))}() "
-                "but never written — restore can only ever fail or skip"))
-    for tag, (tf, line) in sorted(declared.items()):
-        if tag not in writes and tag not in reads:
-            findings.append(Finding(
-                tf.path, line, "ckpt-tag-symmetry",
-                f"section tag `{tag}` is declared but neither written nor "
-                "read — delete the dead constant"))
-
-
 # ---- msgtype-exhaustive ---------------------------------------------------
 
 MSGTYPE_ENUM_RE = re.compile(
@@ -1453,7 +1340,6 @@ def lint_files(files, root=None):
 
     unsuppressed = []   # all findings, before suppression accounting
     raw_map = {}
-    tokfiles = []
     for path in files:
         text = texts[path]
         raw_lines = text.split("\n")
@@ -1470,14 +1356,12 @@ def lint_files(files, root=None):
         check_metric_names(path, code, unsuppressed)
 
         tf = TokFile(path, code)
-        tokfiles.append(tf)
         unames = unordered_names(code) | extra
         check_fp_unordered_accum(tf, unames, fp_scalar_names(code), unsuppressed)
         check_parallel_mutation(tf, atomic_names(code), unsuppressed)
         check_msgtype_exhaustive(tf, msgtype_enum, unsuppressed)
         check_len_narrow(tf, code_lines, unsuppressed)
 
-    check_ckpt_tag_symmetry(tokfiles, unsuppressed)
 
     # Suppression accounting: filter findings whose line carries a matching
     # allow(), track which suppressions fired, and report unknown or stale
