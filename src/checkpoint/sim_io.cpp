@@ -30,6 +30,18 @@ void check_message(const util::ArchiveReader& ar, const core::Message& msg,
   check_agent(ar, msg.to, agents, "message recipient");
 }
 
+/// Restore-side range check for an event tag that indexes a table the INI
+/// rebuilt (the fault plan, the traffic timeline): the event indexes it
+/// when it fires.
+void check_index(const util::ArchiveReader& ar, int index, std::size_t size,
+                 const char* role) {
+  if (index < 0 || static_cast<std::size_t>(index) >= size) {
+    ar.fail(std::string{role} + " " + std::to_string(index) +
+            " is out of range (the scenario has " + std::to_string(size) +
+            ")");
+  }
+}
+
 /// A (sender, channel) key of the transfer and backlog maps.
 void check_sender(const util::ArchiveReader& ar,
                   const std::pair<AgentId, comm::ChannelKind>& key,
@@ -99,6 +111,19 @@ void SimulatorIo::queue_state(Ar& ar, core::Simulator& sim) {
         check_agent(ar, ev.agent, agents, "event agent");
       }
       if (ev.kind == SimEventKind::kDeliver) check_message(ar, ev.msg, agents);
+      if (ev.kind == SimEventKind::kFaultCrash) {
+        const auto& plan = sim.injector_.plan().events;
+        check_index(ar, ev.tag, plan.size(), "crash event's fault plan index");
+        ar.check(plan[static_cast<std::size_t>(ev.tag)].kind ==
+                     fault::FaultKind::kVehicleCrash,
+                 "crash event names a fault that is not a vehicle_crash");
+      } else if (ev.kind == SimEventKind::kSignalPhase) {
+        check_index(ar, ev.tag, sim.traffic_.timeline().phases.size(),
+                    "signal phase index");
+      } else if (ev.kind == SimEventKind::kPlatoonManeuver) {
+        check_index(ar, ev.tag, sim.traffic_.timeline().maneuvers.size(),
+                    "platoon maneuver index");
+      }
     }
   }
 }
@@ -108,8 +133,10 @@ void SimulatorIo::strategy_state(Ar& ar, core::Simulator& sim) {
   strategy::LearningStrategy* s = sim.strategy_.get();
   if constexpr (Ar::kLoading) {
     s->set_snapshot_version(ar.version());
+    s->set_snapshot_agents(sim.agents_.size());
     s->load_state(ar.in());
     s->set_snapshot_version(util::kLatestLayout);
+    s->set_snapshot_agents(static_cast<std::size_t>(-1));
   } else if (s != nullptr) {
     s->save_state(ar.out());
   }

@@ -30,6 +30,14 @@ class Layer {
   virtual Tensor forward(const Tensor& x) = 0;
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Accumulates exactly the parameter gradients backward() would, without
+  /// the input gradient: the training step calls it on the first layer
+  /// that has parameters, whose input gradient nothing reads. Default:
+  /// backward() with the result dropped.
+  virtual void accumulate_param_grads(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Learnable parameters and their gradient buffers, same order and shapes.
   virtual std::vector<Tensor*> params() { return {}; }
   virtual std::vector<Tensor*> grads() { return {}; }
@@ -58,6 +66,7 @@ class Linear final : public Layer {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void accumulate_param_grads(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   void init_params(util::Rng& rng) override;
@@ -69,6 +78,8 @@ class Linear final : public Layer {
   [[nodiscard]] std::size_t out_features() const { return out_; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
+
   std::size_t in_, out_;
   Tensor w_, b_, dw_, db_;
   Tensor cached_x_;
@@ -78,9 +89,9 @@ class Linear final : public Layer {
 /// padding. Input [N, Cin, H, W], kernel [Cout, Cin, K, K], output
 /// [N, Cout, OH, OW] with OH = (H + 2*padding - K)/stride + 1 (floor).
 /// Defaults (stride 1, padding 0, "valid") match the paper's LeNet-style
-/// CNN. Implemented as per-sample im2col followed by the packed ml::gemm
-/// kernel on raw pointers, with thread-local scratch for the column
-/// buffers, so no per-sample tensors are allocated.
+/// CNN. Implemented by the direct convolution kernels of
+/// ml/conv_kernels.hpp, which read the image in place and give the bits of
+/// per-sample im2col + ml::gemm.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -88,6 +99,7 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void accumulate_param_grads(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   void init_params(util::Rng& rng) override;
@@ -102,6 +114,8 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::size_t padding() const { return padding_; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
+
   std::size_t cin_, cout_, k_, stride_ = 1, padding_ = 0;
   Tensor w_, b_, dw_, db_;
   Tensor cached_x_;

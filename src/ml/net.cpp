@@ -57,6 +57,17 @@ Tensor Network::backward(const Tensor& grad_out) {
   return cur;
 }
 
+void Network::backward_params(const Tensor& grad_out) {
+  auto first = layers_.begin();
+  while (first != layers_.end() && (*first)->params().empty()) ++first;
+  if (first == layers_.end()) return;
+  Tensor cur = grad_out;
+  for (auto it = layers_.end() - 1; it != first; --it) {
+    cur = (*it)->backward(cur);
+  }
+  (*first)->accumulate_param_grads(cur);
+}
+
 std::vector<Tensor*> Network::params() {
   std::vector<Tensor*> out;
   for (auto& l : layers_) {

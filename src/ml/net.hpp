@@ -51,6 +51,12 @@ class Network {
   /// returns the gradient w.r.t. the network input.
   Tensor backward(const Tensor& grad_out);
 
+  /// Accumulates the parameter gradients backward() would, and nothing
+  /// else: the walk stops at the first layer that has parameters, which
+  /// computes no input gradient (Layer::accumulate_param_grads), and the
+  /// layers below it are not visited. The training step's backward pass.
+  void backward_params(const Tensor& grad_out);
+
   /// All learnable parameters / their gradients, in layer order.
   [[nodiscard]] std::vector<Tensor*> params();
   [[nodiscard]] std::vector<Tensor*> grads();

@@ -75,7 +75,7 @@ TrainReport train_sgd(Network& net, const DatasetView& data,
         }
       }
       LossResult loss = softmax_cross_entropy(logits, batch_y);
-      net.backward(loss.grad);
+      net.backward_params(loss.grad);
       if (config.proximal_mu > 0.0F) {
         const auto params = net.params();
         const auto grads = net.grads();

@@ -47,6 +47,7 @@ class CentralizedStrategy final : public LearningStrategy {
   template <class Ar>
   void fields(Ar& ar) {
     ar(uploaded_, in_flight_, server_dirty_);
+    check_agents(ar, uploaded_, in_flight_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

@@ -26,6 +26,7 @@ class FederatedStrategy final : public RoundBasedStrategy {
   void fields(Ar& ar) {
     RoundBasedStrategy::fields(ar);
     ar(trained_round_);
+    check_agents(ar, trained_round_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

@@ -40,6 +40,7 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
   void fields(Ar& ar) {
     RoundBasedStrategy::fields(ar);
     ar(trained_round_, pending_fits_);
+    check_agents(ar, trained_round_, pending_fits_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

@@ -60,6 +60,7 @@ class GossipStrategy final : public LearningStrategy {
   template <class Ar>
   void fields(Ar& ar) {
     ar(last_merge_, probe_, total_merges_);
+    check_agents(ar, last_merge_, probe_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "comm/channel.hpp"
 #include "core/ml_service.hpp"
@@ -108,6 +111,11 @@ class LearningStrategy {
     snapshot_version_ = version;
   }
 
+  /// Set by the checkpoint restorer with the snapshot version: the
+  /// scenario's agent count, which bounds every agent id a field list
+  /// reads (check_agents). Outside a restore nothing is checked.
+  void set_snapshot_agents(std::size_t agents) { snapshot_agents_ = agents; }
+
  protected:
   /// Reads `self`'s field list in the layout of the snapshot being
   /// restored.
@@ -117,8 +125,51 @@ class LearningStrategy {
                       snapshot_version_);
   }
 
+  /// Restore-side range check for the agent ids a field list has just
+  /// read, so a tampered snapshot fails at restore instead of in a later
+  /// callback's ctx.agent(id). Each argument is a set, vector or map of
+  /// ids (map keys, and values that are ids too; the id of a (round, id)
+  /// pair). No-op when writing. check_origins also accepts kNoAgent, which
+  /// marks a contribution of unknown origin.
+  template <class Ar, class... Fields>
+  void check_agents(const Ar& ar, const Fields&... fields) const {
+    if constexpr (Ar::kLoading) (check_ids(ar, fields, false), ...);
+  }
+  template <class Ar, class... Fields>
+  void check_origins(const Ar& ar, const Fields&... fields) const {
+    if constexpr (Ar::kLoading) (check_ids(ar, fields, true), ...);
+  }
+
  private:
+  void check_ids(const util::ArchiveReader& ar, AgentId id,
+                 bool allow_none) const {
+    if (id < snapshot_agents_ || (allow_none && id == core::kNoAgent)) return;
+    ar.fail("agent id " + std::to_string(id) +
+            " is not an agent (the scenario has " +
+            std::to_string(snapshot_agents_) + ")");
+  }
+  void check_ids(const util::ArchiveReader& ar,
+                 const std::pair<int, AgentId>& round_id,
+                 bool allow_none) const {
+    check_ids(ar, round_id.second, allow_none);
+  }
+  template <class V>
+  void check_ids(const util::ArchiveReader& ar,
+                 const std::pair<const AgentId, V>& entry,
+                 bool allow_none) const {
+    check_ids(ar, entry.first, allow_none);
+    if constexpr (std::is_same_v<V, AgentId>) {
+      check_ids(ar, entry.second, allow_none);
+    }
+  }
+  template <std::ranges::range Range>
+  void check_ids(const util::ArchiveReader& ar, const Range& ids,
+                 bool allow_none) const {
+    for (const auto& id : ids) check_ids(ar, id, allow_none);
+  }
+
   std::uint32_t snapshot_version_ = util::kLatestLayout;
+  std::size_t snapshot_agents_ = static_cast<std::size_t>(-1);
 };
 
 }  // namespace roadrunner::strategy

@@ -57,6 +57,10 @@ class OpportunisticStrategy final : public RoundBasedStrategy {
     RoundBasedStrategy::fields(ar);
     ar(reporters_, participated_, offer_source_, exchanges_this_round_,
        total_exchanges_);
+    check_agents(ar, reporters_, participated_, offer_source_);
+    for (const auto& entry : reporters_) {
+      check_origins(ar, entry.second.origins);
+    }
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

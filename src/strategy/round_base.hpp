@@ -71,6 +71,8 @@ class RoundBasedStrategy : public LearningStrategy {
       // in-flight round restarts blind (v2 runs have no adversaries anyway).
       contribution_origins_.assign(contributions_.size(), core::kNoAgent);
     }
+    check_agents(ar, selected_, pending_, data_contributors_);
+    check_origins(ar, contribution_origins_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

@@ -47,6 +47,10 @@ class RsuAssistedStrategy final : public RoundBasedStrategy {
   void fields(Ar& ar) {
     RoundBasedStrategy::fields(ar);
     ar(pending_, rsu_buffers_, rsu_relayed_);
+    check_agents(ar, pending_, rsu_buffers_);
+    for (const auto& entry : rsu_buffers_) {
+      check_origins(ar, entry.second.origins);
+    }
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);

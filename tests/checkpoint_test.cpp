@@ -418,6 +418,7 @@ namespace tamper {
 
 constexpr std::uint32_t kSim = 3;
 constexpr std::uint32_t kQueue = 4;
+constexpr std::uint32_t kStrategy = 5;
 constexpr std::uint32_t kTrace = 7;
 
 /// Offset and size of section `tag`'s payload in a snapshot image.
@@ -470,9 +471,12 @@ fs::path test_file(const std::string& suffix) {
       suffix + ".rrck");
 }
 
-/// Every autosave image of a federated run of `test_ini`.
-std::vector<std::string> autosaves(double every_s) {
-  const auto ini = util::IniFile::parse(test_ini("federated"));
+/// Every autosave image of a run of `test_ini(strategy)` with `extra`
+/// sections appended.
+std::vector<std::string> autosaves(double every_s,
+                                   const std::string& strategy = "federated",
+                                   const std::string& extra = "") {
+  const auto ini = util::IniFile::parse(test_ini(strategy) + extra);
   const fs::path path = test_file("source");
   std::vector<std::string> images;
   scenario::Scenario scn{scenario::scenario_from_ini(ini)};
@@ -507,9 +511,10 @@ std::vector<std::pair<std::size_t, core::SimEvent>> queue_entries(
   return entries;
 }
 
-// Within a queue entry: at (8), seq (8), kind (1), then the event's agent;
-// a kDeliver's message follows tag, duration and data amount (24).
+// Within a queue entry: at (8), seq (8), kind (1), then the event's agent
+// and tag; a kDeliver's message follows tag, duration and data amount (24).
 constexpr std::size_t kEventAgent = 17;
+constexpr std::size_t kEventTag = kEventAgent + 8;
 constexpr std::size_t kMessageFrom = kEventAgent + 8 + 24;
 
 void expect_rejected(const std::string& image, const std::string& section,
@@ -557,6 +562,98 @@ TEST(CheckpointTamper, OutOfRangeEventAgentIsRejected) {
     return;
   }
   FAIL() << "no pending event names an agent";
+}
+
+/// A vehicle crash, a signalized intersection and a platoon: their events
+/// carry an index into the fault plan or the traffic timeline.
+constexpr const char* kIndexedEvents = R"(
+[fault.0]
+kind = vehicle_crash
+vehicle = 2
+at_s = 450
+reboot_after_s = 60
+[traffic]
+regime = platooned
+[traffic.0]
+gx = 1
+gy = 1
+[platoon]
+count = 1
+size = 3
+join_probability = 1.0
+leave_probability = 1.0
+split_probability = 1.0
+)";
+
+/// Sets the tag of the first pending `kind` event to `tag` and expects the
+/// restore to fail naming `needle`.
+void expect_tag_rejected(core::SimEventKind kind, std::int64_t tag,
+                         const std::string& needle) {
+  const std::string image =
+      tamper::autosaves(150.0, "federated", kIndexedEvents).front();
+  const std::string queue = tamper::payload(image, tamper::kQueue);
+  for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+    if (ev.kind != kind) continue;
+    std::string bad = queue;
+    util::BinWriter w;
+    w.i64(tag);
+    bad.replace(at + tamper::kEventTag, 8, w.buffer());
+    tamper::expect_rejected(tamper::with_payload(image, tamper::kQueue, bad),
+                            "queue", needle);
+    return;
+  }
+  FAIL() << "no pending event of kind " << static_cast<int>(kind);
+}
+
+TEST(CheckpointTamper, OutOfRangeCrashPlanIndexIsRejected) {
+  expect_tag_rejected(core::SimEventKind::kFaultCrash, 1 << 20,
+                      "crash event's fault plan index 1048576");
+  expect_tag_rejected(core::SimEventKind::kFaultCrash, -1,
+                      "crash event's fault plan index -1");
+}
+
+TEST(CheckpointTamper, OutOfRangeSignalPhaseIndexIsRejected) {
+  expect_tag_rejected(core::SimEventKind::kSignalPhase, 1 << 20,
+                      "signal phase index 1048576");
+}
+
+TEST(CheckpointTamper, OutOfRangePlatoonManeuverIndexIsRejected) {
+  expect_tag_rejected(core::SimEventKind::kPlatoonManeuver, 1 << 20,
+                      "platoon maneuver index 1048576");
+}
+
+TEST(CheckpointTamper, OutOfRangeStrategyAgentIsRejected) {
+  // Round-based state: round (8), the global model (u64 length + bytes),
+  // then the selected set's count and ids.
+  {
+    const std::string image = tamper::autosaves(150.0).front();
+    std::string strategy = tamper::payload(image, tamper::kStrategy);
+    util::BinReader in{strategy};
+    (void)in.i64();
+    const std::size_t at = 8 + 8 + in.u64() + 8;
+    util::BinReader count{std::string_view{strategy}.substr(at - 8)};
+    ASSERT_GE(count.u64(), 1U)
+        << "no vehicle selected at the autosave";
+    strategy.replace(at, 8, tamper::u64_bytes(1 << 20));
+    tamper::expect_rejected(
+        tamper::with_payload(image, tamper::kStrategy, strategy), "strategy",
+        "agent id 1048576");
+  }
+  // Gossip state: last-merge map (count, then id and time pairs), then the
+  // probe list's count and ids.
+  {
+    const std::string image = tamper::autosaves(150.0, "gossip").front();
+    std::string strategy = tamper::payload(image, tamper::kStrategy);
+    util::BinReader in{strategy};
+    const std::size_t at = 8 + 16 * in.u64() + 8;
+    util::BinReader count{std::string_view{strategy}.substr(at - 8)};
+    ASSERT_GE(count.u64(), 1U)
+        << "no probe at the autosave";
+    strategy.replace(at, 8, tamper::u64_bytes(1 << 20));
+    tamper::expect_rejected(
+        tamper::with_payload(image, tamper::kStrategy, strategy), "strategy",
+        "agent id 1048576");
+  }
 }
 
 TEST(CheckpointTamper, BadBacklogKeyIsRejected) {

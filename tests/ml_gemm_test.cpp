@@ -1,12 +1,14 @@
-// Bitwise oracle for the packed GEMM kernel (ml::gemm) and the layers built
-// on it. The reference implementations below are the plain loops the kernel
+// Bitwise oracle for the packed GEMM kernel (ml::gemm), the direct
+// convolution kernels (ml/conv_kernels.hpp) and the layers built on them.
+// The reference implementations below are the plain loops the kernels
 // replaced, kept verbatim: i-k-j for matmul, k-i-j for matmul_at and a
-// scalar dot product for matmul_bt, plus the per-sample im2col Conv2D and
-// the Linear layer written on top of them. The kernel promises the same
-// float operations in the same order, so every comparison here is memcmp
-// equality, never a tolerance. The plain TESTs run the kernel build the
-// host dispatches to; the Isa/GemmKernelOracle suite runs every build
-// (SSE2, AVX2, AVX-512F) the host supports and skips the others.
+// scalar dot product for matmul_bt, plus the per-sample im2col Conv2D (with
+// its col2im_add input gradient) and the Linear layer written on top of
+// them. The kernels promise the same float operations in the same order,
+// so every comparison here is memcmp equality, never a tolerance. The plain
+// TESTs run the builds the host dispatches to; the Isa/GemmKernelOracle and
+// Isa/ConvKernelOracle suites run every build (SSE2, AVX2, AVX-512F) the
+// host supports and skip the others.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <tuple>
 #include <vector>
 
+#include "ml/conv_kernels.hpp"
 #include "ml/layers.hpp"
 #include "ml/tensor.hpp"
 #include "util/rng.hpp"
@@ -524,6 +527,178 @@ TEST(GemmKernels, BaselineIsAlwaysListedFirst) {
   const auto kernels = detail::gemm_kernels();
   ASSERT_FALSE(kernels.empty());
   EXPECT_STREQ(kernels.front().name, "sse2");
+}
+
+// ---- direct convolution kernels, every build -------------------------------
+
+/// Routes this thread's Conv2D kernels through the build named by the
+/// parameter for the test's duration; skips a build the host cannot run.
+class ConvKernelOracle : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    for (const detail::ConvKernel& kernel : detail::conv_kernels()) {
+      if (std::strcmp(kernel.name, GetParam()) == 0) {
+        detail::use_conv_kernel(&kernel);
+        return;
+      }
+    }
+    GTEST_SKIP() << "this host cannot run the " << GetParam() << " kernel";
+  }
+  void TearDown() override { detail::use_conv_kernel(nullptr); }
+};
+
+struct ConvCase {
+  std::size_t batch, cin, cout, k, stride, pad, h, w;
+};
+
+/// Overwrites about one value in `every` with NaN, -0, +0 or a denormal
+/// (one NaN bit pattern only: which of two NaN operands an add keeps is
+/// not part of the contract).
+void sprinkle_specials(Tensor& t, std::size_t every, util::Rng& rng) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), -0.0F,
+                            0.0F, std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min() * 3};
+  for (float& v : t.values()) {
+    if (rng.next_below(every) == 0) v = specials[rng.next_below(5)];
+  }
+}
+
+/// Forward, weight gradient and input gradient of one geometry through the
+/// Conv2D layer, twice without zeroing, memcmp-compared with RefConv.
+void conv_kernel_case(const ConvCase& c, std::size_t every) {
+  SCOPED_TRACE(::testing::Message()
+               << "batch " << c.batch << " " << c.cin << "->" << c.cout
+               << " k" << c.k << " stride " << c.stride << " pad " << c.pad
+               << " " << c.h << "x" << c.w << " specials 1/" << every);
+  util::Rng rng{c.batch * 1000 + c.cout * 37 + c.w * 7 + c.stride + c.pad};
+  Conv2D conv{c.cin, c.cout, c.k, c.stride, c.pad};
+  Tensor& w = *conv.params()[0];
+  Tensor& b = *conv.params()[1];
+  w = random_tensor(w.shape(), rng);
+  b = random_tensor(b.shape(), rng);
+  if (every > 0) {
+    sprinkle_specials(w, every, rng);
+    sprinkle_specials(b, every, rng);
+  }
+  RefConv ref{c.cin, c.cout, c.k, c.stride, c.pad, w, b,
+              Tensor{w.shape()}, Tensor{b.shape()}, {}};
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(::testing::Message() << "pass " << pass);
+    Tensor x = random_tensor({c.batch, c.cin, c.h, c.w}, rng);
+    if (every > 0) sprinkle_specials(x, every, rng);
+    const Tensor y = conv.forward(x);
+    ASSERT_TRUE(bitwise_equal(y, ref.forward(x)));
+    Tensor go = random_tensor(y.shape(), rng);
+    if (every > 0) sprinkle_specials(go, every, rng);
+    EXPECT_TRUE(bitwise_equal(conv.backward(go), ref.backward(go)));
+    EXPECT_TRUE(bitwise_equal(*conv.grads()[0], ref.dw));
+    EXPECT_TRUE(bitwise_equal(*conv.grads()[1], ref.db));
+  }
+}
+
+TEST_P(ConvKernelOracle, PaperCnnLayers) {
+  // conv1 and conv2 of the paper CNN at the batch sizes training (16, a
+  // short last batch) and evaluation (64) use.
+  for (const std::size_t batch : {1, 16, 64}) {
+    conv_kernel_case({batch, 3, 6, 5, 1, 0, 32, 32}, 0);
+    conv_kernel_case({batch, 6, 16, 5, 1, 0, 14, 14}, 0);
+  }
+}
+
+TEST_P(ConvKernelOracle, OutputChannelsAroundTheLanes) {
+  // 1, 6, 16 and 17 output channels: a partial, an exact and a spilled
+  // channel group for every vector width.
+  for (const std::size_t cout : {1, 6, 16, 17}) {
+    conv_kernel_case({3, 2, cout, 3, 1, 0, 9, 11}, 0);
+    conv_kernel_case({2, 3, cout, 5, 1, 0, 12, 12}, 0);
+  }
+}
+
+TEST_P(ConvKernelOracle, WidthsOffTheVectorWidth) {
+  // Output widths 1, 3, 5, 7, 9, 15, 17 and 33: below, between and above
+  // 4, 8 and 16 lanes; tall and flat planes for the row tiles.
+  for (const std::size_t ow : {1, 3, 5, 7, 9, 15, 17, 33}) {
+    conv_kernel_case({2, 2, 5, 3, 1, 0, 6, ow + 2}, 0);
+  }
+  conv_kernel_case({2, 1, 3, 2, 1, 0, 2, 40}, 0);
+  conv_kernel_case({2, 1, 3, 2, 1, 0, 23, 3}, 0);
+}
+
+TEST_P(ConvKernelOracle, StrideAndPadding) {
+  for (const std::size_t stride : {1, 2, 3}) {
+    for (const std::size_t pad : {0, 1, 2}) {
+      conv_kernel_case({3, 3, 6, 5, stride, pad, 14, 13}, 0);
+      conv_kernel_case({2, 2, 17, 3, stride, pad, 9, 20}, 0);
+    }
+  }
+}
+
+TEST_P(ConvKernelOracle, NanSignedZeroAndDenormals) {
+  // Specials in the image, the weights, the bias and the gradient; with
+  // padding, a NaN weight times a padded zero must still reach the sums.
+  conv_kernel_case({16, 3, 6, 5, 1, 0, 32, 32}, 7);
+  conv_kernel_case({4, 6, 16, 5, 1, 0, 14, 14}, 5);
+  conv_kernel_case({3, 2, 17, 3, 2, 1, 11, 10}, 4);
+  conv_kernel_case({3, 2, 5, 3, 1, 2, 9, 9}, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, ConvKernelOracle,
+                         ::testing::Values("sse2", "avx2", "avx512f"),
+                         [](const auto& info) {
+                           return std::string{info.param};
+                         });
+
+TEST(ConvKernels, BaselineIsAlwaysListedFirst) {
+  const auto kernels = detail::conv_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "sse2");
+}
+
+// ---- MaxPool2D forward ------------------------------------------------------
+
+TEST(MaxPoolOracle, ForwardMatchesBranchyLoopBitwise) {
+  // The old forward: scan the 2x2 window in row order and take a candidate
+  // only when strictly greater. Ties keep the first, a NaN never wins (nor
+  // loses its place when it comes first), -0 and +0 keep their order.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng{600};
+  Tensor x = random_tensor({3, 4, 9, 11}, rng);
+  const float specials[] = {nan, -0.0F, 0.0F, 1.0F, -1.0F};
+  for (float& v : x.values()) {
+    if (rng.next_below(3) == 0) v = specials[rng.next_below(5)];
+  }
+  const std::size_t h = x.dim(2), w = x.dim(3), oh = h / 2, ow = w / 2;
+  Tensor want{{3, 4, oh, ow}};
+  std::vector<std::uint32_t> want_arg;
+  for (std::size_t plane = 0; plane < 12; ++plane) {
+    const float* px = x.data() + plane * h * w;
+    for (std::size_t oi = 0; oi < oh; ++oi) {
+      for (std::size_t oj = 0; oj < ow; ++oj) {
+        std::size_t best = 2 * oi * w + 2 * oj;
+        float best_v = px[best];
+        for (const std::size_t cand :
+             {best + 1, best + w, best + w + 1}) {
+          if (px[cand] > best_v) {
+            best_v = px[cand];
+            best = cand;
+          }
+        }
+        want[(plane * oh + oi) * ow + oj] = best_v;
+        want_arg.push_back(static_cast<std::uint32_t>(plane * h * w + best));
+      }
+    }
+  }
+  MaxPool2D pool;
+  EXPECT_TRUE(bitwise_equal(pool.forward(x), want));
+  // The argmax shows through backward: each gradient lands on its winner.
+  Tensor go{want.shape()};
+  for (std::size_t i = 0; i < go.size(); ++i) go[i] = static_cast<float>(i + 1);
+  const Tensor dx = pool.backward(go);
+  Tensor want_dx{x.shape()};
+  for (std::size_t i = 0; i < want_arg.size(); ++i) {
+    want_dx[want_arg[i]] += go[i];
+  }
+  EXPECT_TRUE(bitwise_equal(dx, want_dx));
 }
 
 // ---- ReLU backward ----------------------------------------------------------

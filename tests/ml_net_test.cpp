@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ml/models.hpp"
 #include "test_util.hpp"
 
@@ -89,6 +91,59 @@ TEST(Network, ZeroGradClearsAccumulation) {
   EXPECT_GT(norm_before, 0.0);
   net.zero_grad();
   for (Tensor* g : net.grads()) EXPECT_EQ(g->norm(), 0.0);
+}
+
+/// Two accumulating steps through backward() and through the training
+/// path, backward_params(), from the same weights: every parameter
+/// gradient must match bit for bit, though the training path computes no
+/// input gradient at the first parameter layer and visits nothing below it.
+void expect_backward_params_match(Network net,
+                                  const std::vector<std::size_t>& in_shape,
+                                  std::size_t classes, util::Rng& rng) {
+  Network full = net;
+  std::vector<std::size_t> batch_shape{16};
+  batch_shape.insert(batch_shape.end(), in_shape.begin(), in_shape.end());
+  for (int step = 0; step < 2; ++step) {
+    Tensor x{batch_shape};
+    roadrunner::testing::randomize(x, rng);
+    std::vector<std::int32_t> labels(16);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<std::int32_t>(i % classes);
+    }
+    const auto loss_full = softmax_cross_entropy(full.forward(x), labels);
+    const Tensor dx = full.backward(loss_full.grad);
+    EXPECT_EQ(dx.shape(), x.shape());
+    const auto loss = softmax_cross_entropy(net.forward(x), labels);
+    net.backward_params(loss.grad);
+  }
+  const auto want = full.grads();
+  const auto got = net.grads();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->shape(), want[i]->shape());
+    EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                          got[i]->size() * sizeof(float)),
+              0)
+        << "gradient tensor " << i;
+  }
+}
+
+TEST(Network, BackwardParamsMatchesBackwardBitwise) {
+  util::Rng rng{5};
+  Network cnn = make_paper_cnn();
+  prime_and_init(cnn, {3, 32, 32}, rng);
+  expect_backward_params_match(cnn, {3, 32, 32}, 10, rng);
+  Network mlp = make_mlp(24, 32, 4, 0.25F);
+  prime_and_init(mlp, {24}, rng);
+  expect_backward_params_match(mlp, {24}, 4, rng);
+}
+
+TEST(Network, BackwardParamsWithoutParametersIsANoOp) {
+  Network net;
+  net.append(std::make_unique<ReLU>());
+  Tensor x{{2, 3}};
+  net.forward(x);
+  EXPECT_NO_THROW(net.backward_params(Tensor{{2, 3}}));
 }
 
 TEST(Network, SummaryListsLayers) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/gaussian_blobs.hpp"
+#include "data/synthetic_images.hpp"
 #include "ml/models.hpp"
 #include "test_util.hpp"
 
@@ -128,6 +129,50 @@ TEST(Evaluate, SubsetViewEvaluatesOnlySubset) {
   Network net = make_mlp(16, 8, 4);
   prime_and_init(net, {16}, rng);
   EXPECT_EQ(evaluate(net, subset).samples, 5U);
+}
+
+/// FNV-1a-64 over the weight tensors' float bytes, in layer order.
+std::uint64_t fnv1a(const Weights& weights) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const Tensor& t : weights) {
+    const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+    for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+      h ^= p[i];
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden bytes of a seeded train_sgd (2 epochs, 80 samples, batch 16) on
+// the paper CNN and on the MLP. Every kernel behind training (GEMM, the
+// conv kernels, the layer glue, the optimizer) keeps the float operations
+// and their order, so these hashes hold on every host and kernel build.
+TEST(TrainGolden, PaperCnnWeightsHash) {
+  data::SyntheticImageConfig images;
+  images.seed = 11;
+  const auto view = DatasetView::all(
+      std::make_shared<Dataset>(data::make_synthetic_images(80, images)));
+  util::Rng init{12};
+  Network net = make_paper_cnn(3, 32, 10);
+  prime_and_init(net, {3, 32, 32}, init);
+  TrainConfig cfg;
+  util::Rng rng{13};
+  train_sgd(net, view, cfg, rng);
+  EXPECT_EQ(fnv1a(net.weights()), 0x33CF245FD66DBB39ULL)
+      << std::hex << "0x" << fnv1a(net.weights());
+}
+
+TEST(TrainGolden, MlpWeightsHash) {
+  const auto view = blob_view(80, 21);
+  util::Rng init{22};
+  Network net = make_mlp(16, 32, 4);
+  prime_and_init(net, {16}, init);
+  TrainConfig cfg;
+  util::Rng rng{23};
+  train_sgd(net, view, cfg, rng);
+  EXPECT_EQ(fnv1a(net.weights()), 0x15120A4247876FF8ULL)
+      << std::hex << "0x" << fnv1a(net.weights());
 }
 
 }  // namespace
