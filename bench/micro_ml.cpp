@@ -18,7 +18,7 @@
 #include <string_view>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "data/synthetic_images.hpp"
 #include "ml/conv_kernels.hpp"
 #include "ml/fedavg.hpp"
@@ -28,6 +28,7 @@
 #include "ml/robust.hpp"
 #include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
+#include "util/cli.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {

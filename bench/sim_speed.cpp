@@ -9,17 +9,47 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "checkpoint/checkpoint.hpp"
+#include "scenario/scenario.hpp"
 #include "strategy/federated.hpp"
 #include "strategy/learning_strategy.hpp"
 #include "traffic/traffic_plan.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/ini.hpp"
 
 using namespace roadrunner;
 
 namespace {
+
+/// The mid-size urban world the MLP runs use: 60 vehicles, non-IID blobs,
+/// MLP (the same world as examples/paper/a*.ini).
+scenario::ScenarioConfig ablation_scenario(std::uint64_t seed) {
+  scenario::ScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.vehicles = 60;
+  cfg.dataset = "blobs";
+  cfg.blob_config.num_classes = 10;
+  cfg.blob_config.dimensions = 24;
+  cfg.blob_config.center_radius = 2.2;  // overlapping classes: non-trivial
+  cfg.blob_config.spread = 1.0;
+  cfg.train_pool_size = 9000;
+  cfg.test_size = 1500;
+  cfg.partition = "class_skew";
+  cfg.samples_per_vehicle = 60;
+  cfg.classes_per_vehicle = 2;
+  cfg.model = "mlp";
+  cfg.train.learning_rate = 0.02F;
+
+  cfg.city.city_size_m = 3400.0;
+  cfg.city.dwell_mean_s = 250.0;
+  cfg.city.initial_on_probability = 0.75;
+  cfg.city.dwell_on_probability = 0.15;
+  cfg.city.duration_s = 30000.0;
+  cfg.horizon_s = 30000.0;
+  return cfg;
+}
 
 /// A strategy that does nothing: isolates the core+mobility+comm cost.
 struct IdleStrategy final : strategy::LearningStrategy {
@@ -85,7 +115,7 @@ int main(int argc, char** argv) {
 
   // 1. Pure fleet + encounter simulation, no learning.
   for (std::size_t vehicles : {50U, 200U}) {
-    auto cfg = bench::ablation_scenario(31);
+    auto cfg = ablation_scenario(31);
     cfg.vehicles = vehicles;
     cfg.train_pool_size = std::max<std::size_t>(9000, vehicles * 60 * 2);
     cfg.horizon_s = fast ? 4000.0 : 20000.0;
@@ -99,7 +129,7 @@ int main(int argc, char** argv) {
 
   // 2. Full learning workload (FL over the MLP problem).
   {
-    auto cfg = bench::ablation_scenario(31);
+    auto cfg = ablation_scenario(31);
     if (fast) cfg.horizon_s = 8000.0;
     scenario::Scenario scenario{cfg};
     strategy::RoundConfig round;
@@ -113,7 +143,7 @@ int main(int argc, char** argv) {
 
   // 3. Full learning workload with the paper's CNN (heaviest realistic mix).
   {
-    auto cfg = bench::ablation_scenario(31);
+    auto cfg = ablation_scenario(31);
     cfg.dataset = "images";
     cfg.train_pool_size = fast ? 2000 : 6000;
     cfg.test_size = fast ? 200 : 500;
@@ -141,7 +171,7 @@ int main(int argc, char** argv) {
     // (serialize + fsync), so judging it against the toy MLP run — which
     // simulates three orders of magnitude faster than real time — would
     // overstate the overhead of any realistic deployment.
-    auto cfg = bench::ablation_scenario(31);
+    auto cfg = ablation_scenario(31);
     cfg.dataset = "images";
     cfg.train_pool_size = 6000;
     cfg.test_size = 500;
@@ -168,7 +198,7 @@ int main(int argc, char** argv) {
         });
       }
       auto run_report = sim->run();
-      return scenario::Scenario::collect_result(*sim, name, run_report);
+      return scenario.collect_result(*sim, name, run_report);
     };
     const auto baseline = run_once(0.0);
     const auto checkpointed = run_once(ckpt_every);
@@ -191,7 +221,7 @@ int main(int argc, char** argv) {
   // against "mobility only, 200 vehicles" is the cost of the traffic
   // subsystem itself.
   if (args.get_bool("traffic", false)) {
-    auto cfg = bench::ablation_scenario(31);
+    auto cfg = ablation_scenario(31);
     cfg.vehicles = 200;
     cfg.train_pool_size = std::max<std::size_t>(9000, 200 * 60 * 2);
     cfg.horizon_s = fast ? 4000.0 : 20000.0;

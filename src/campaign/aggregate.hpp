@@ -36,8 +36,14 @@ struct PointSummary {
   std::map<std::string, Stats> metrics;  ///< sorted by metric name
 };
 
+/// True for the series digests run_job records (`<series>:final`, `:mean`,
+/// `:timeavg`, `:max`); every other record metric is a counter or a total.
+bool is_series_digest(const std::string& name);
+
 /// Groups records by sweep point and aggregates every metric over the
-/// point's replicates. Points come back sorted by point_index.
+/// point's replicates. A counter some replicates recorded counts as 0 in
+/// the others; a series digest aggregates over the replicates that have it.
+/// Points come back sorted by point_index.
 std::vector<PointSummary> summarize(const std::vector<JobRecord>& records);
 
 /// Long-format aggregate CSV:

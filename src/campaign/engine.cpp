@@ -1,5 +1,6 @@
 #include "campaign/engine.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -79,11 +80,16 @@ JobRecord run_job(const Job& job, const std::string& ckpt_path,
     if (series.empty()) continue;
     record.metrics.emplace_back(name + ":final", series.back().value);
     double sum = 0.0;
-    for (const auto& point : series) sum += point.value;
+    double max = series.front().value;
+    for (const auto& point : series) {
+      sum += point.value;
+      max = std::max(max, point.value);
+    }
     record.metrics.emplace_back(
         name + ":mean", sum / static_cast<double>(series.size()));
     record.metrics.emplace_back(name + ":timeavg",
                                 metrics::time_average(series));
+    record.metrics.emplace_back(name + ":max", max);
   }
   for (std::size_t k = 0; k < comm::kChannelKindCount; ++k) {
     const auto kind = static_cast<comm::ChannelKind>(k);
@@ -99,6 +105,11 @@ JobRecord run_job(const Job& job, const std::string& ckpt_path,
         static_cast<double>(stats.transfers_attempted));
   }
   record.metrics.emplace_back("sim_end_time_s", result.report.sim_end_time_s);
+  // Scenario properties, kept out of the Registry so that no experiment's
+  // metrics CSV changes.
+  record.metrics.emplace_back("partition_skewness", result.partition_skewness);
+  record.metrics.emplace_back("model_bytes",
+                              static_cast<double>(result.model_bytes));
   record.metrics.emplace_back(
       "events_executed", static_cast<double>(result.report.events_executed));
 

@@ -57,10 +57,11 @@ struct CampaignResult {
 /// Runs one experiment INI (as produced by `expand`) and flattens the
 /// result into a JobRecord: every Registry counter under its own name,
 /// every series as `<name>:final` / `<name>:mean` (arithmetic mean of the
-/// points) / `<name>:timeavg` (trapezoidal time-average), channel totals as
-/// `<kind>_bytes_delivered` / `<kind>_transfers_delivered` /
-/// `<kind>_transfers_attempted`, and the report as `sim_end_time_s` /
-/// `events_executed`. Exposed for tests and custom drivers.
+/// points) / `<name>:timeavg` (trapezoidal time-average) / `<name>:max`,
+/// channel totals as `<kind>_bytes_delivered` / `<kind>_transfers_delivered`
+/// / `<kind>_transfers_attempted`, the report as `sim_end_time_s` /
+/// `events_executed`, and the scenario's `partition_skewness` and
+/// `model_bytes`. Exposed for tests and custom drivers.
 JobRecord run_job(const Job& job);
 
 /// Like run_job, but crash-safe: resumes from `ckpt_path` if it exists and

@@ -260,7 +260,7 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
 scenario::RunResult RestoredRun::finish() {
   const std::string name = strategy->name();
   core::Simulator::RunReport report = simulator->run();
-  return scenario::Scenario::collect_result(*simulator, name, report);
+  return scenario->collect_result(*simulator, name, report);
 }
 
 RestoredRun restore(const std::string& path) { return restore_impl(path, {}); }

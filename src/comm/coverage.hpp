@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mobility/geo.hpp"
+#include "util/rng.hpp"
 
 namespace roadrunner::comm {
 
@@ -30,5 +31,13 @@ class CoverageModel {
  private:
   std::vector<DeadZone> dead_zones_;
 };
+
+/// Random 300 m dead zones in a `city_size_m` square, drawn from `rng`
+/// until their summed area reaches `fraction` of the city (overlaps are not
+/// subtracted, so the covered share is approximate). `fraction` 0 gives
+/// full coverage and draws nothing. Throws std::invalid_argument unless
+/// `fraction` is in [0, 1].
+CoverageModel carve_dead_zones(double city_size_m, double fraction,
+                               util::Rng& rng);
 
 }  // namespace roadrunner::comm

@@ -137,15 +137,17 @@ std::vector<ml::DatasetView> partition_dirichlet(const ml::DatasetView& pool,
   return parts;
 }
 
-double partition_skewness(const std::vector<ml::DatasetView>& parts,
-                          const ml::DatasetView& pool) {
-  if (parts.empty() || pool.empty()) return 0.0;
-  const std::size_t num_classes = pool.base().num_classes();
-  const auto pool_hist = pool.class_histogram();
+namespace {
+
+double skewness_against(const std::vector<ml::DatasetView>& parts,
+                        const std::vector<std::size_t>& pool_hist,
+                        std::size_t pool_size) {
+  if (parts.empty() || pool_size == 0) return 0.0;
+  const std::size_t num_classes = pool_hist.size();
   std::vector<double> pool_p(num_classes);
   for (std::size_t c = 0; c < num_classes; ++c) {
     pool_p[c] = static_cast<double>(pool_hist[c]) /
-                static_cast<double>(pool.size());
+                static_cast<double>(pool_size);
   }
 
   double total_tv = 0.0;
@@ -163,6 +165,26 @@ double partition_skewness(const std::vector<ml::DatasetView>& parts,
     ++counted;
   }
   return counted == 0 ? 0.0 : total_tv / static_cast<double>(counted);
+}
+
+}  // namespace
+
+double partition_skewness(const std::vector<ml::DatasetView>& parts,
+                          const ml::DatasetView& pool) {
+  if (pool.empty()) return 0.0;
+  return skewness_against(parts, pool.class_histogram(), pool.size());
+}
+
+double partition_skewness(const std::vector<ml::DatasetView>& parts) {
+  if (parts.empty()) return 0.0;
+  std::vector<std::size_t> pool_hist(parts.front().base().num_classes(), 0);
+  std::size_t pool_size = 0;
+  for (const auto& part : parts) {
+    const auto hist = part.class_histogram();
+    for (std::size_t c = 0; c < hist.size(); ++c) pool_hist[c] += hist[c];
+    pool_size += part.size();
+  }
+  return skewness_against(parts, pool_hist, pool_size);
 }
 
 }  // namespace roadrunner::data

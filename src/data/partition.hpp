@@ -60,9 +60,12 @@ std::vector<ml::DatasetView> partition_dirichlet(const ml::DatasetView& pool,
 
 /// Degree of non-IID-ness of a partition: mean total-variation distance
 /// between each agent's class histogram and the pool's. 0 = perfectly IID
-/// proportions, →1 = fully disjoint classes. Used by tests and the skew
-/// ablation bench.
+/// proportions, →1 = fully disjoint classes.
 double partition_skewness(const std::vector<ml::DatasetView>& parts,
                           const ml::DatasetView& pool);
+
+/// The same against the union of the parts: what a scenario's vehicles
+/// hold between them (recorded by the campaign engine per job).
+double partition_skewness(const std::vector<ml::DatasetView>& parts);
 
 }  // namespace roadrunner::data

@@ -38,6 +38,11 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
     throw std::invalid_argument{"Scenario: zero vehicles"};
   }
   util::Rng master{config_.seed};
+  if (config_.dead_area_fraction > 0.0) {
+    util::Rng coverage_rng = master.fork("coverage");
+    config_.net.coverage = comm::carve_dead_zones(
+        config_.city.city_size_m, config_.dead_area_fraction, coverage_rng);
+  }
 
   // ----- fleet ---------------------------------------------------------------
   if (config_.external_fleet) {
@@ -103,6 +108,7 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
       ml::prime_and_init(prototype_, dataset_->sample_shape(), model_rng);
       model_bytes_ = ml::weights_byte_size(prototype_.weights());
     }
+    partition_skewness_ = data::partition_skewness(vehicle_data_);
     RR_LOG_INFO("scenario")
         << "fleet=" << fleet_->vehicle_count() << " vehicles +"
         << rsu_nodes_.size() << " RSUs; telemetry stream=" << dataset_->size()
@@ -145,6 +151,7 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
   util::Rng model_rng = master.fork("model-init");
   ml::prime_and_init(prototype_, dataset_->sample_shape(), model_rng);
   model_bytes_ = ml::weights_byte_size(prototype_.weights());
+  partition_skewness_ = data::partition_skewness(vehicle_data_);
 
   RR_LOG_INFO("scenario") << "fleet=" << fleet_->vehicle_count()
                           << " vehicles +" << rsu_nodes_.size()
@@ -220,7 +227,7 @@ RunResult Scenario::run(
 
 RunResult Scenario::collect_result(const core::Simulator& sim,
                                    const std::string& strategy_name,
-                                   core::Simulator::RunReport report) {
+                                   core::Simulator::RunReport report) const {
   RunResult result;
   result.strategy_name = strategy_name;
   result.report = report;
@@ -230,6 +237,8 @@ RunResult Scenario::collect_result(const core::Simulator& sim,
         sim.network().stats(static_cast<comm::ChannelKind>(k));
   }
   result.final_accuracy = result.metrics.counter("final_accuracy");
+  result.partition_skewness = partition_skewness_;
+  result.model_bytes = model_bytes_;
   return result;
 }
 

@@ -54,6 +54,10 @@ struct ScenarioConfig {
 
   // ----- communication & hardware ------------------------------------------
   comm::Network::Config net;
+  /// Share of the city carved into random V2C dead zones
+  /// (comm::carve_dead_zones) from the seed's "coverage" stream; when
+  /// above 0 the carved zones replace `net.coverage`.
+  double dead_area_fraction = 0.0;
   hu::DeviceClass vehicle_device = hu::obu_device();
   hu::DeviceClass rsu_device = hu::rsu_device();
   hu::DeviceClass cloud_device = hu::cloud_device();
@@ -108,13 +112,18 @@ struct ScenarioConfig {
   traffic::TrafficPlan traffic;
 };
 
-/// Everything a bench needs from one finished run.
+/// Everything a caller needs from one finished run.
 struct RunResult {
   std::string strategy_name;
   core::Simulator::RunReport report;
   metrics::Registry metrics;
   std::array<comm::ChannelStats, comm::kChannelKindCount> channel_stats;
   double final_accuracy = 0.0;
+  /// Properties of the scenario, not of the run: the mean total-variation
+  /// distance of each vehicle's class mix from the fleet's
+  /// (data::partition_skewness) and the serialized model size.
+  double partition_skewness = 0.0;
+  std::uint64_t model_bytes = 0;
 
   [[nodiscard]] const comm::ChannelStats& channel(
       comm::ChannelKind kind) const {
@@ -137,11 +146,12 @@ class Scenario {
   /// Convenience: make_simulator + set_strategy + run + collect results.
   RunResult run(std::shared_ptr<strategy::LearningStrategy> strategy) const;
 
-  /// Collects a RunResult from a simulator that has finished run() — shared
-  /// by Scenario::run and the checkpoint subsystem's resumed runs.
-  static RunResult collect_result(const core::Simulator& sim,
-                                  const std::string& strategy_name,
-                                  core::Simulator::RunReport report);
+  /// Collects a RunResult from a simulator of this scenario that has
+  /// finished run() — shared by Scenario::run and the checkpoint
+  /// subsystem's resumed runs.
+  [[nodiscard]] RunResult collect_result(
+      const core::Simulator& sim, const std::string& strategy_name,
+      core::Simulator::RunReport report) const;
 
   [[nodiscard]] const mobility::FleetModel& fleet() const { return *fleet_; }
   [[nodiscard]] const ml::DatasetView& test_set() const { return test_set_; }
@@ -175,6 +185,7 @@ class Scenario {
   /// own shape through the suff-stat codec.
   ml::Network prototype_;
   std::uint64_t model_bytes_ = 0;
+  double partition_skewness_ = 0.0;
 };
 
 }  // namespace roadrunner::scenario

@@ -474,8 +474,36 @@ TEST(CampaignEngine, RecordsCarryTheExpectedMetricFamilies) {
   EXPECT_GT(record.metric("accuracy:final", -1.0), -1.0);
   EXPECT_GT(record.metric("accuracy:mean", -1.0), -1.0);
   EXPECT_GT(record.metric("accuracy:timeavg", -1.0), -1.0);
+  EXPECT_GE(record.metric("accuracy:max", -1.0),
+            record.metric("accuracy:final"));
   EXPECT_GT(record.metric("v2c_bytes_delivered"), 0.0);
+  // An iid split of 20 samples over 10 classes is still uneven.
+  EXPECT_GT(record.metric("partition_skewness", -1.0), 0.0);
+  EXPECT_LT(record.metric("partition_skewness", 2.0), 1.0);
+  EXPECT_GT(record.metric("model_bytes"), 0.0);
   EXPECT_GE(record.wall_seconds, 0.0);
+}
+
+TEST(CampaignEngine, ResumedJobRecordsTheSameScenarioMetrics) {
+  auto spec = tiny_spec();
+  spec.grid.clear();
+  spec.seeds_per_point = 1;
+  const campaign::Job job = campaign::expand(spec).front();
+  const campaign::JobRecord plain = campaign::run_job(job);
+
+  // The last autosave stays on disk, so the second call resumes mid-run.
+  const std::string ckpt = temp_dir("resumed_job") + ".rrck";
+  std::filesystem::remove(ckpt);
+  (void)campaign::run_job(job, ckpt, 20.0);
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
+  const campaign::JobRecord resumed = campaign::run_job(job, ckpt, 20.0);
+  std::filesystem::remove(ckpt);
+
+  for (const char* name :
+       {"partition_skewness", "model_bytes", "accuracy:max"}) {
+    EXPECT_EQ(resumed.metric(name, -1.0), plain.metric(name, -2.0)) << name;
+  }
+  EXPECT_EQ(resumed.metrics, plain.metrics);
 }
 
 // ---------------------------------------------------------- aggregation --
@@ -520,6 +548,51 @@ TEST(Aggregate, SummarizeGroupsByPointOverSeeds) {
   EXPECT_EQ(summaries[0].metrics.at("final_accuracy").n, 3U);
   EXPECT_NEAR(summaries[0].metrics.at("final_accuracy").mean, 0.11, 1e-12);
   EXPECT_NEAR(summaries[1].metrics.at("final_accuracy").mean, 0.21, 1e-12);
+}
+
+TEST(Aggregate, SparseCounterCountsAsZeroWhereUnrecorded) {
+  // Five replicates of one point; only two incremented the counter and
+  // only two had points in the series behind `queue:max`.
+  std::vector<campaign::JobRecord> records(5);
+  for (std::size_t s = 0; s < records.size(); ++s) {
+    records[s].seed_index = s;
+    records[s].metrics = {{"final_accuracy", 0.5}};
+  }
+  records[1].metrics.emplace_back("trainings_discarded", 1.0);
+  records[3].metrics.emplace_back("trainings_discarded", 1.0);
+  records[0].metrics.emplace_back("queue:max", 2.0);
+  records[4].metrics.emplace_back("queue:max", 4.0);
+
+  const auto summaries = campaign::summarize(records);
+  ASSERT_EQ(summaries.size(), 1U);
+  const auto& counter = summaries[0].metrics.at("trainings_discarded");
+  EXPECT_EQ(counter.n, 5U);
+  EXPECT_DOUBLE_EQ(counter.mean, 0.4);
+  EXPECT_DOUBLE_EQ(counter.min, 0.0);
+  const auto& digest = summaries[0].metrics.at("queue:max");
+  EXPECT_EQ(digest.n, 2U);
+  EXPECT_DOUBLE_EQ(digest.mean, 3.0);
+  EXPECT_EQ(summaries[0].metrics.at("final_accuracy").n, 5U);
+
+  // No replicate of a point recorded it: the metric stays absent there.
+  campaign::JobRecord other;
+  other.point_index = 1;
+  other.metrics = {{"final_accuracy", 0.25}};
+  records.push_back(other);
+  const auto two = campaign::summarize(records);
+  ASSERT_EQ(two.size(), 2U);
+  EXPECT_EQ(two[1].metrics.count("trainings_discarded"), 0U);
+}
+
+TEST(Aggregate, SeriesDigestsAreToldByTheirSuffix) {
+  for (const char* name :
+       {"accuracy:final", "accuracy:mean", "purity:timeavg", "queue:max"}) {
+    EXPECT_TRUE(campaign::is_series_digest(name)) << name;
+  }
+  for (const char* name : {"final_accuracy", "max", ":max", "a:maximum",
+                           "sim_end_time_s", "v2c_bytes_delivered"}) {
+    EXPECT_FALSE(campaign::is_series_digest(name)) << name;
+  }
 }
 
 TEST(Aggregate, CsvEscapesLabelsAndMetricNames) {

@@ -177,5 +177,41 @@ TEST(Coverage, DeadZoneBoundary) {
                std::invalid_argument);
 }
 
+TEST(Coverage, CarveDeadZonesIsEmptyAtZeroAndSeedStable) {
+  util::Rng rng{5};
+  const util::Rng before = rng;
+  EXPECT_TRUE(carve_dead_zones(3400.0, 0.0, rng).dead_zones().empty());
+  EXPECT_EQ(rng.state(), before.state());  // nothing drawn
+
+  util::Rng a{5};
+  util::Rng b{5};
+  const auto zones_a = carve_dead_zones(3400.0, 0.25, a).dead_zones();
+  const auto zones_b = carve_dead_zones(3400.0, 0.25, b).dead_zones();
+  ASSERT_FALSE(zones_a.empty());
+  ASSERT_EQ(zones_a.size(), zones_b.size());
+  for (std::size_t i = 0; i < zones_a.size(); ++i) {
+    EXPECT_EQ(zones_a[i].center.x, zones_b[i].center.x);
+    EXPECT_EQ(zones_a[i].center.y, zones_b[i].center.y);
+    EXPECT_EQ(zones_a[i].radius_m, 300.0);
+    EXPECT_GE(zones_a[i].center.x, 0.0);
+    EXPECT_LT(zones_a[i].center.x, 3400.0);
+  }
+  // Zones are added until their summed area reaches the fraction.
+  const double zone_area = 3.14159 * 300.0 * 300.0;
+  EXPECT_GE(static_cast<double>(zones_a.size()) * zone_area,
+            0.25 * 3400.0 * 3400.0);
+  EXPECT_LT(static_cast<double>(zones_a.size() - 1) * zone_area,
+            0.25 * 3400.0 * 3400.0);
+
+  util::Rng other{6};
+  const auto zones_c = carve_dead_zones(3400.0, 0.25, other).dead_zones();
+  EXPECT_NE(zones_a.front().center.x, zones_c.front().center.x);
+
+  EXPECT_THROW((void)carve_dead_zones(3400.0, -0.1, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)carve_dead_zones(3400.0, 1.5, rng),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace roadrunner::comm

@@ -103,6 +103,28 @@ TEST(ExperimentErrors, UnknownDatasetSurfacesFromScenarioBuild) {
                           "imagenet");
 }
 
+TEST(ExperimentErrors, DeadAreaFractionOutsideTheUnitIntervalThrows) {
+  for (const char* value : {"-0.1", "1.5", "nan"}) {
+    const auto ini = util::IniFile::parse(
+        std::string{"[network]\ndead_area_fraction = "} + value + "\n");
+    expect_throw_containing([&] { (void)scenario::scenario_from_ini(ini); },
+                            "network.dead_area_fraction");
+  }
+  const auto ok =
+      util::IniFile::parse("[network]\ndead_area_fraction = 0.25\n");
+  EXPECT_DOUBLE_EQ(scenario::scenario_from_ini(ok).dead_area_fraction, 0.25);
+}
+
+TEST(ExperimentErrors, NegativeImageGainJitterThrows) {
+  const auto ini =
+      util::IniFile::parse("[data]\nimage_gain_jitter = -0.05\n");
+  expect_throw_containing([&] { (void)scenario::scenario_from_ini(ini); },
+                          "data.image_gain_jitter");
+  const auto ok = util::IniFile::parse("[data]\nimage_gain_jitter = 0.45\n");
+  EXPECT_DOUBLE_EQ(scenario::scenario_from_ini(ok).image_config.gain_jitter,
+                   0.45);
+}
+
 // ------------------------------------------------- registry name safety --
 
 TEST(RegistryNames, NewlineAndEmptyNamesAreRejected) {

@@ -45,6 +45,21 @@ TEST(Scenario, BuildsFleetDataAndModel) {
   EXPECT_GT(s.model_bytes(), 0U);
 }
 
+TEST(Scenario, DeadAreaFractionCarvesZonesFromTheSeed) {
+  auto cfg = small_config();
+  EXPECT_TRUE(Scenario{cfg}.config().net.coverage.dead_zones().empty());
+  cfg.dead_area_fraction = 0.1;
+  const auto zones = Scenario{cfg}.config().net.coverage.dead_zones();
+  ASSERT_FALSE(zones.empty());
+  const auto again = Scenario{cfg}.config().net.coverage.dead_zones();
+  ASSERT_EQ(again.size(), zones.size());
+  EXPECT_EQ(again.front().center.x, zones.front().center.x);
+  // Each replicate seed gets its own map.
+  cfg.seed += 1;
+  const auto moved = Scenario{cfg}.config().net.coverage.dead_zones();
+  EXPECT_NE(moved.front().center.x, zones.front().center.x);
+}
+
 TEST(Scenario, ValidatesNames) {
   auto cfg = small_config();
   cfg.dataset = "mnist";
