@@ -7,8 +7,9 @@
 // mobility — time-varying encounter opportunities whose count per round
 // fluctuates with density, speed, and V2X range, plus vehicles dropping out
 // mid-round when drivers park — is produced by construction; the knobs below
-// are calibrated in bench/fig4_opp_vs_base.cpp to land in the paper's
-// regime (0–20 V2X exchanges per 200 s round, average just below 10).
+// are calibrated in examples/paper/fig4.ini to land in the paper's regime
+// (0–20 V2X exchanges per 200 s round, average just below 10; checked by
+// fig4.claims).
 // See DESIGN.md §1 for the substitution rationale.
 #pragma once
 

@@ -1,6 +1,5 @@
-// Terminal line charts for bench output: the figure benches print their
-// series as CSV *and* as a quick visual, so the Fig.-4 shape is visible
-// straight from `for b in build/bench/*; do $b; done` without plotting
+// Terminal line charts: roadrunner_campaign plots a metric over the sweep
+// points with them, so a campaign's shape is visible without plotting
 // tooling.
 #pragma once
 
