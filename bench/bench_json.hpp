@@ -1,4 +1,5 @@
-// The one writer of the BENCH_*.json files the CI perf lane compares.
+// The writer of BENCH_ml.json, the micro-benchmark file the CI perf lane
+// compares with tools/perf_compare.py.
 #pragma once
 
 #include <cstdint>
@@ -12,13 +13,10 @@
 
 namespace roadrunner::bench {
 
-/// Machine-readable bench output shared by sim_speed and micro_ml — one
-/// writer so every BENCH_*.json the CI perf lane compares has the same
-/// shape:
+/// Machine-readable micro_ml output, in the shape perf_compare.py reads:
 ///
 ///   {"bench": <name>,
-///    "runs": [{"label": <label>, <metric>: <value>, ...}, ...],
-///    <total metric>: <value>, ...}
+///    "runs": [{"label": <label>, <metric>: <value>, ...}, ...]}
 ///
 /// Doubles are formatted with the CSV layer's shortest-round-trip helper,
 /// so values survive a JSON round trip bit-exactly. Labels and metric keys
@@ -38,14 +36,6 @@ class BenchJson {
     runs_.back().fields.emplace_back(key, std::to_string(value));
   }
 
-  /// Whole-bench scalars appended after the runs array.
-  void total(const std::string& key, double value) {
-    totals_.emplace_back(key, util::CsvWriter::field(value));
-  }
-  void total(const std::string& key, std::uint64_t value) {
-    totals_.emplace_back(key, std::to_string(value));
-  }
-
   bool write(const std::string& path) const {
     std::ofstream out{path};
     if (!out) {
@@ -60,11 +50,7 @@ class BenchJson {
       }
       out << "}" << (i + 1 < runs_.size() ? ",\n" : "\n");
     }
-    out << "  ]";
-    for (const auto& [key, value] : totals_) {
-      out << ",\n  \"" << key << "\": " << value;
-    }
-    out << "\n}\n";
+    out << "  ]\n}\n";
     std::printf("wrote %s\n", path.c_str());
     return true;
   }
@@ -77,7 +63,6 @@ class BenchJson {
 
   std::string bench_;
   std::vector<Run> runs_;
-  std::vector<std::pair<std::string, std::string>> totals_;
 };
 
 }  // namespace roadrunner::bench

@@ -5,8 +5,8 @@
 // Two modes:
 //  * default — self-timed headline numbers (conv GFLOP/s, CNN train
 //    steps/s, FedAvg merges/s, serialize MB/s) written to BENCH_ml.json
-//    through the shared bench::BenchJson writer, the file the CI perf lane
-//    tracks against main (tools/perf_compare.py);
+//    through bench::BenchJson, the file the CI perf lane tracks against
+//    main (tools/perf_compare.py); whole-run speed is the ledger's;
 //  * --gbench — the full google-benchmark suite below, for interactive
 //    drill-down with proper statistical repetition.
 #include <benchmark/benchmark.h>
@@ -383,7 +383,6 @@ std::pair<double, std::uint64_t> time_loop(Fn&& fn, double min_s) {
 int headline_main(const util::CliArgs& args) {
   const double min_s = args.get_double("min-time", 0.5);
   bench::BenchJson json{"micro_ml"};
-  double total_wall = 0.0;
   std::printf("=== ML substrate headline numbers ===\n\n");
 
   // Conv GFLOP/s: one Conv2D(3->16, k5) over a 16x3x32x32 batch. FLOPs are
@@ -414,7 +413,6 @@ int headline_main(const util::CliArgs& args) {
     json.begin_run("conv 3->16 k5, batch 16");
     json.metric("gflops", gflops);
     json.metric("samples_per_s", samples_per_s);
-    total_wall += wall;
   }
 
   // Paper CNN: forward-only throughput, then a full train step (forward +
@@ -448,7 +446,6 @@ int headline_main(const util::CliArgs& args) {
       json.begin_run("paper CNN forward, batch 16");
       json.metric("gflops", gflops);
       json.metric("samples_per_s", samples_per_s);
-      total_wall += wall;
     }
     {
       const auto [wall, iters] = time_loop(
@@ -467,7 +464,6 @@ int headline_main(const util::CliArgs& args) {
       json.begin_run("paper CNN train step, batch 16");
       json.metric("steps_per_s", steps_per_s);
       json.metric("samples_per_s", samples_per_s);
-      total_wall += wall;
     }
   }
 
@@ -492,7 +488,6 @@ int headline_main(const util::CliArgs& args) {
                 merges_per_s);
     json.begin_run("fedavg, 15 contributors");
     json.metric("merges_per_s", merges_per_s);
-    total_wall += wall;
   }
 
   // Robust aggregators over the same 15 contributions — what a defended
@@ -530,7 +525,6 @@ int headline_main(const util::CliArgs& args) {
       std::printf("%-32s %8.2f merges/s\n", defense.label, merges_per_s);
       json.begin_run(defense.label);
       json.metric("merges_per_s", merges_per_s);
-      total_wall += wall;
     }
   }
 
@@ -555,7 +549,6 @@ int headline_main(const util::CliArgs& args) {
     json.begin_run("gmm em step, k3 d4 n512");
     json.metric("em_steps_per_s", steps_per_s);
     json.metric("samples_per_s", samples_per_s);
-    total_wall += wall;
   }
 
   // GMM sufficient-statistics merge over 15 contributors — what one drift
@@ -585,7 +578,6 @@ int headline_main(const util::CliArgs& args) {
                 merges_per_s);
     json.begin_run("gmm suffstat merge, 15 contrib");
     json.metric("suffstat_merges_per_s", merges_per_s);
-    total_wall += wall;
   }
 
   // Weight serialization — what every model transfer in the simulator pays.
@@ -605,10 +597,8 @@ int headline_main(const util::CliArgs& args) {
     std::printf("%-32s %8.2f MB/s\n", "serialize weights", mb_per_s);
     json.begin_run("serialize weights");
     json.metric("mb_per_s", mb_per_s);
-    total_wall += wall;
   }
 
-  json.total("total_wall_s", total_wall);
   std::printf("\n");
   json.write(args.get("json", "BENCH_ml.json"));
   return 0;

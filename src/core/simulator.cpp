@@ -350,14 +350,8 @@ bool Simulator::start_training(AgentId id, int round_tag,
       "train-" + std::to_string(id) + "-" +
       std::to_string(train_job_counter_++));
 
-  std::shared_future<TrainResult> job;
-  if (config_.async_training) {
-    job = ml_.train_async(a.model, data, effective, job_rng).share();
-  } else {
-    std::promise<TrainResult> ready;
-    ready.set_value(ml_.train(a.model, data, effective, job_rng));
-    job = ready.get_future().share();
-  }
+  std::shared_future<TrainResult> job =
+      ml_.train_async(a.model, data, effective, job_rng).share();
 
   SimEvent ev;
   ev.kind = SimEventKind::kFinishTraining;

@@ -58,9 +58,6 @@ struct SimulatorConfig {
   ml::TrainConfig train;
   /// Master seed; all component randomness forks from it.
   std::uint64_t seed = 1;
-  /// Execute training jobs on background threads (identical results either
-  /// way; false aids debugging).
-  bool async_training = true;
   /// Record a structured event trace (messages, trainings, encounters,
   /// power flips) retrievable via Simulator::trace(). Off by default.
   bool trace_events = false;

@@ -168,7 +168,6 @@ std::unique_ptr<core::Simulator> Scenario::make_simulator() const {
   sim_cfg.mobility_tick_s = config_.mobility_tick_s;
   sim_cfg.train = config_.train;
   sim_cfg.seed = config_.seed;
-  sim_cfg.async_training = config_.async_training;
   sim_cfg.trace_events = config_.trace_events;
   sim_cfg.telemetry = config_.telemetry;
   sim_cfg.data_arrival_per_s = config_.workload.telemetry()

@@ -66,7 +66,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   double horizon_s = 0.0;  ///< 0 = the fleet's trace duration
   double mobility_tick_s = 1.0;
-  bool async_training = true;
   bool trace_events = false;
   /// Enable wall-clock telemetry spans for this run (process-global sink;
   /// see core::SimulatorConfig::telemetry).

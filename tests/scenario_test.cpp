@@ -131,19 +131,6 @@ TEST(Determinism, SameSeedIsByteIdentical) {
   EXPECT_EQ(metrics_fingerprint(a), metrics_fingerprint(b));
 }
 
-TEST(Determinism, AsyncAndSyncTrainingAgree) {
-  auto cfg = small_config(8);
-  cfg.async_training = true;
-  Scenario s1{cfg};
-  cfg.async_training = false;
-  Scenario s2{cfg};
-  const auto a =
-      s1.run(std::make_shared<strategy::FederatedStrategy>(small_rounds()));
-  const auto b =
-      s2.run(std::make_shared<strategy::FederatedStrategy>(small_rounds()));
-  EXPECT_EQ(metrics_fingerprint(a), metrics_fingerprint(b));
-}
-
 TEST(Determinism, DifferentSeedsDiffer) {
   Scenario s1{small_config(7)};
   Scenario s2{small_config(8)};

@@ -284,6 +284,7 @@ MALFORMED = [
     "mean(acc @ name=fl r=1)",
     "set campaign.seeds",
     "[full]\nset campaign.seeds = 2",
+    "refuted[x]: mean(acc @ name=fl r=1) > 0.5",
 ]
 
 
@@ -482,6 +483,31 @@ with tempfile.TemporaryDirectory() as td:
                                   for c in calls), calls)
     check("--aggregate-out keeps the aggregate",
           kept.is_file() and kept.read_text() == AGGREGATE_UP, "")
+    check("with --full no run is traced",
+          not any(a.startswith(("--trace-out", "--profile"))
+                  for c in calls for a in c["argv"]), calls)
+
+    # --- refuted[full]: an ordinary claim, refuted only under --full ------
+    holds = "refuted[full]: mean(acc @ name=fl r=1) < 0.55"
+    fails = "refuted[full]: mean(acc @ name=fl r=1) > 0.55"
+    r, _ = claims_run("refuted_full_holds", holds + "\n")
+    check("refuted[full] that holds passes without --full",
+          r.returncode == 0 and f"ok    {holds}    [" in r.stdout,
+          r.stdout + r.stderr)
+    r, _ = claims_run("refuted_full_holds_full", holds + "\n", False, "true",
+                      "--full")
+    check("refuted[full] that holds fails with --full",
+          r.returncode == 1 and "a refuted claim holds" in r.stderr,
+          r.stdout + r.stderr)
+    r, _ = claims_run("refuted_full_fails", fails + "\n")
+    check("refuted[full] that fails fails without --full",
+          r.returncode == 1 and f"FAIL  {fails}    [" in r.stdout,
+          r.stdout + r.stderr)
+    r, _ = claims_run("refuted_full_fails_full", fails + "\n", False, "true",
+                      "--full")
+    check("refuted[full] that fails passes with --full",
+          r.returncode == 0 and "still fails" in r.stdout,
+          r.stdout + r.stderr)
     os.chdir(ROOT)
 
 if failures:

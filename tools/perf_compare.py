@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """perf_compare: regression gate over the BENCH_*.json files.
 
-Compares a current bench JSON (written by bench/sim_speed or bench/micro_ml
-through bench::BenchJson) against a baseline produced by the same bench on
-the main branch, and fails (exit 1) when any throughput metric regressed by
-more than --tolerance (default 15%).
+Compares a current bench JSON (written by bench/micro_ml through
+bench::BenchJson) against a baseline produced by the same bench on the main
+branch, and fails (exit 1) when any throughput metric regressed by more than
+--tolerance (default 15%). Whole-run speed is gated by tools/ledger_ab.py.
 
 Only higher-is-better metrics are compared: keys ending in ``_per_s``,
-``gflops``, and ``merges_per_s``-style rates. Wall-clock and count fields
-(``wall_s``, ``events``, ``sim_s``) are informational and ignored — they
-change legitimately when workloads change.
+``gflops``, and ``merges_per_s``-style rates. Other numeric fields are
+informational and ignored.
 
 Runs are matched by label. Labels new in the current file are reported and
 pass (benches gain runs across PRs) — but a label present in the baseline
@@ -39,7 +38,7 @@ def is_throughput_key(key: str) -> bool:
 
 
 def load_runs(path: Path):
-    """Returns {label: {metric: value}} plus {total key: value}.
+    """Returns the bench name and {label: {metric: value}}.
 
     Raises ValueError (not an uncaught AttributeError) when the file parses
     as JSON but is not the BenchJson object shape — e.g. a truncated
@@ -61,12 +60,6 @@ def load_runs(path: Path):
             k: v for k, v in run.items()
             if k != "label" and isinstance(v, (int, float))
         }
-    totals = {
-        k: v for k, v in data.items()
-        if isinstance(v, (int, float)) and is_throughput_key(k)
-    }
-    if totals:
-        runs["<totals>"] = totals
     return data.get("bench", path.stem), runs
 
 

@@ -38,6 +38,9 @@ A ``.claims`` file holds one claim on a campaign's aggregates per line:
   LHS OP RHS                            OP is one of == >= > <
   monotone(M by AXIS [@ ROW]) increasing|decreasing
   refuted: CLAIM                        the claim failed at its first run
+  refuted[full]: CLAIM                  it failed at its first full-scale
+                                        run; at the reduced scale it is an
+                                        ordinary claim
   set SECTION.KEY = VALUE               the reduced scale
   [full]                                the lines below hold at full scale
 
@@ -56,11 +59,12 @@ an AXIS value. A metric missing at a selected point fails its line; in the
 records, a counter some seeds of a point recorded counts as 0 in the
 others, as in the aggregate. A ``refuted:`` line fails if it holds (a
 missing metric does not hold; a row that selects no point fails any
-line). The ``set`` lines are applied to a copy of the INI, and ``[full]``
-lines skipped, unless ``--full`` is given; ``--full`` runs the INI as
-written, once on 4 workers and once resuming (a 1-worker pass would take
-four times as long at full scale). ``--aggregate-out`` keeps a copy of the
-aggregate CSV.
+line), and so does a ``refuted[full]:`` line under ``--full``. The ``set``
+lines are applied to a copy of the INI, and ``[full]`` lines skipped,
+unless ``--full`` is given; ``--full`` runs the INI as written, once on 4
+workers and once resuming (a 1-worker pass would take four times as long
+at full scale), with no trace: the reduced scale checks the trace of the
+same INI. ``--aggregate-out`` keeps a copy of the aggregate CSV.
 
 Exit status: 0 = every check holds, 1 = a check failed, 2 = usage.
 """
@@ -186,6 +190,7 @@ MONOTONE = re.compile(r"^monotone\(\s*(\S+)\s+by\s+([\w.-]+)"
                       r"(?:\s*@\s*([^)]*))?\)\s+(increasing|decreasing)$")
 SET = re.compile(r"^set\s+([\w-]+)\.([\w.-]+)\s*=\s*(\S.*)$")
 METRIC = re.compile(r"^[A-Za-z_][\w.:-]*$")
+REFUTED = re.compile(r"^refuted(?:\[([^\]]*)\])?:")
 
 
 class ClaimError(CheckFailed):
@@ -269,7 +274,8 @@ def parse_claim(text: str):
 def parse_claims(path: Path):
     """(sets, claims) of a claims file; raises ValueError on a bad line.
 
-    A claim is (lineno, text, refuted, full_only, parsed)."""
+    A claim is (lineno, text, refuted, full_only, parsed), where refuted is
+    None, "any" (``refuted:``) or "full" (``refuted[full]:``)."""
     sets, claims, full = [], [], False
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -286,8 +292,12 @@ def parse_claims(path: Path):
                                      "before [full]")
                 sets.append(setting.groups())
                 continue
-            refuted = line.startswith("refuted:")
-            text = line[len("refuted:"):].strip() if refuted else line
+            mark = REFUTED.match(line)
+            if mark and mark[1] not in (None, "full"):
+                raise ValueError(f"'refuted[{mark[1]}]:' is not a mark: "
+                                 "want 'refuted:' or 'refuted[full]:'")
+            refuted = (mark[1] or "any") if mark else None
+            text = line[mark.end():].strip() if mark else line
             claims.append((lineno, line, refuted, full, parse_claim(text)))
         except ValueError as e:
             raise ValueError(f"{path.name}:{lineno}: {line}: {e}") from None
@@ -452,10 +462,11 @@ def check_claims(path: Path, claims, data: Aggregates,
                  full: bool) -> list[str]:
     """Checks every claim; returns the failures."""
     failures = []
-    for lineno, line, refuted, full_only, parsed in claims:
+    for lineno, line, refuted_at, full_only, parsed in claims:
         if full_only and not full:
             print(f"skip  {line}    [full scale only]")
             continue
+        refuted = refuted_at == "any" or (refuted_at == "full" and full)
         try:
             observed = data.check(parsed)
             if refuted:
@@ -538,11 +549,12 @@ def check_campaign(ini: Path, binary: str, tmp: Path, extra: list[str],
                    sections, full: bool, claims, aggregate_out) -> list[str]:
     store, trace = tmp / "store", tmp / "trace.json"
     runs = {"1 worker": ["--workers=1", "--fresh"],
-            "4 workers": ["--workers=4", f"--store={store}",
-                          f"--trace-out={trace}", "--profile"],
+            "4 workers": ["--workers=4", f"--store={store}"],
             "resume": ["--workers=4", f"--store={store}"]}
     if full:
         del runs["1 worker"]
+    else:
+        runs["4 workers"] += [f"--trace-out={trace}", "--profile"]
     stdout, aggregate = {}, {}
     for i, (label, args) in enumerate(runs.items()):
         out = tmp / f"aggregate{i}.csv"
@@ -558,7 +570,8 @@ def check_campaign(ini: Path, binary: str, tmp: Path, extra: list[str],
     if not done or done[1] != "0" or done[2] == "0":
         failures.append("the resume run did not resume every job: "
                         + (done[0] if done else "no 'done:' line"))
-    failures += check_trace(trace)
+    if not full:
+        failures += check_trace(trace)
     report = sections.get("report", {})
     if report.get("metrics"):
         heading = report_heading(report["metrics"], sections.get("sweep", {}))
@@ -566,9 +579,10 @@ def check_campaign(ini: Path, binary: str, tmp: Path, extra: list[str],
                      for label, text in stdout.items()
                      if heading not in text.splitlines()]
     if not failures:
+        traced = "" if full else \
+            f", trace covers {sorted(TRACE_CATEGORIES)}"
         print(f"ok    {len(runs)} runs, identical aggregates, "
-              f"resume executed nothing, trace covers "
-              f"{sorted(TRACE_CATEGORIES)}")
+              f"resume executed nothing{traced}")
     if aggregate_out:
         shutil.copyfile(aggregate[first], aggregate_out)
     if claims is not None:
