@@ -1,58 +1,13 @@
 #include "adversary/adversary_plan.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 namespace roadrunner::adversary {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-comm::ChannelKind parse_channel(const std::string& text,
-                                const std::string& where) {
-  if (text == "v2c" || text == "V2C") return comm::ChannelKind::kV2C;
-  if (text == "v2x" || text == "V2X") return comm::ChannelKind::kV2X;
-  if (text == "wired") return comm::ChannelKind::kWired;
-  throw std::runtime_error{where + ": unknown channel '" + text + "'"};
-}
-
-std::array<bool, comm::kChannelKindCount> parse_channel_set(
-    const std::string& text, const std::string& where) {
-  std::array<bool, comm::kChannelKindCount> set{};
-  std::stringstream ss{text};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    set[static_cast<std::size_t>(parse_channel(item, where))] = true;
-  }
-  return set;
-}
-
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
-
-/// A typo like `fractoin=` must fail loudly, not be silently ignored: every
-/// key of `section` has to appear in the kind's allowed set.
-void reject_unknown_keys(const util::IniFile& ini, const std::string& section,
-                         std::initializer_list<const char*> allowed) {
-  for (const std::string& key : ini.keys(section)) {
-    const bool known =
-        std::any_of(allowed.begin(), allowed.end(),
-                    [&key](const char* a) { return key == a; });
-    if (!known) {
-      throw std::runtime_error{"[" + section + "]: unknown key '" + key +
-                               "'"};
-    }
-  }
-}
 
 double parse_fraction(const util::IniFile& ini, const std::string& section) {
   const double f = ini.get_double(section, "fraction", 0.0);
@@ -111,39 +66,32 @@ AdversaryPlan AdversaryPlan::scaled() const {
 
 AdversaryPlan plan_from_ini(const util::IniFile& ini) {
   AdversaryPlan plan;
+  ini.check_keys("adversary", {"fraction"});
   if (ini.has("adversary", "fraction")) {
-    reject_unknown_keys(ini, "adversary", {"fraction"});
     plan.fraction = ini.get_double("adversary", "fraction", plan.fraction);
     if (plan.fraction < 0.0) {
       throw std::runtime_error{"adversary: negative fraction"};
     }
   }
 
-  // Sections are read in numeric order — [adversary.0], [adversary.1], ... —
-  // so the plan is an ordered timeline regardless of file layout. A gap ends
-  // the scan and is rejected below, same contract as [fault.N].
-  std::size_t parsed = 0;
-  for (std::size_t n = 0;; ++n) {
-    const std::string section = "adversary." + std::to_string(n);
-    if (!ini.has(section, "kind")) break;
-    ++parsed;
+  // [adversary.0], [adversary.1], ... in numeric order: the plan is an
+  // ordered timeline regardless of file layout.
+  for (const std::string& section : ini.numbered("adversary")) {
     const std::string kind = ini.get(section, "kind");
     AdversaryEvent ev;
     ev.start_s = ini.get_double(section, "start_s", 0.0);
     ev.end_s = ini.get_double(section, "end_s",
                               std::numeric_limits<double>::infinity());
     if (kind == "model_poison") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "fraction", "scale",
-                           "label_flip"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "fraction", "scale",
+                               "label_flip"});
       ev.kind = AdversaryKind::kModelPoison;
       ev.fraction = parse_fraction(ini, section);
       ev.scale = ini.get_double(section, "scale", ev.scale);
       ev.label_flip = ini.get_bool(section, "label_flip", false);
     } else if (kind == "byzantine") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "fraction",
-                           "magnitude", "weight_factor"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "fraction",
+                               "magnitude", "weight_factor"});
       ev.kind = AdversaryKind::kByzantine;
       ev.fraction = parse_fraction(ini, section);
       ev.magnitude = ini.get_double(section, "magnitude", ev.magnitude);
@@ -156,21 +104,20 @@ AdversaryPlan plan_from_ini(const util::IniFile& ini) {
         throw std::runtime_error{section + ": weight_factor must be > 0"};
       }
     } else if (kind == "jamming") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "x_m", "y_m",
-                           "radius_m", "channels"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "x_m", "y_m",
+                               "radius_m", "channels"});
       ev.kind = AdversaryKind::kJamming;
       ev.center.x = ini.get_double(section, "x_m", 0.0);
       ev.center.y = ini.get_double(section, "y_m", 0.0);
       ev.radius_m = ini.get_double(section, "radius_m", 0.0);
-      ev.channels =
-          parse_channel_set(ini.get(section, "channels", "v2x"), section);
+      ev.channels = comm::parse_channel_set(
+          ini.get(section, "channels", "v2x"), section);
       if (ev.radius_m < 0.0) {
         throw std::runtime_error{section + ": negative radius_m"};
       }
     } else if (kind == "sybil") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "fraction", "clones"});
+      ini.check_keys(section,
+                     {"kind", "start_s", "end_s", "fraction", "clones"});
       ev.kind = AdversaryKind::kSybil;
       ev.fraction = parse_fraction(ini, section);
       const std::int64_t clones = ini.get_int(section, "clones", 2);
@@ -186,24 +133,6 @@ AdversaryPlan plan_from_ini(const util::IniFile& ini) {
       throw std::runtime_error{section + ": end_s before start_s"};
     }
     plan.events.push_back(ev);
-  }
-
-  // Catch the numbering-gap typo: any adversary.N section beyond the
-  // contiguous prefix would otherwise be silently ignored.
-  for (const std::string& section : ini.sections()) {
-    if (section.rfind("adversary.", 0) != 0) continue;
-    std::size_t n = 0;
-    try {
-      n = std::stoul(section.substr(10));
-    } catch (const std::exception&) {
-      throw std::runtime_error{"adversary plan: bad section name [" + section +
-                               "]"};
-    }
-    if (n >= parsed) {
-      throw std::runtime_error{"adversary plan: [" + section +
-                               "] breaks the contiguous adversary.0.." +
-                               std::to_string(parsed) + " numbering"};
-    }
   }
   return plan;
 }

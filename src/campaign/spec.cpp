@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
+#include "scenario/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace roadrunner::campaign {
@@ -175,6 +177,9 @@ std::vector<Job> expand(const CampaignSpec& spec) {
 
 CampaignSpec campaign_from_ini(const util::IniFile& ini) {
   CampaignSpec spec;
+  // `store` is the roadrunner_campaign CLI's default result store.
+  ini.check_keys("campaign",
+                 {"name", "seeds", "base_seed", "pair_seeds", "store"});
   spec.name = ini.get("campaign", "name", spec.name);
   const std::int64_t seeds = ini.get_int(
       "campaign", "seeds", static_cast<std::int64_t>(spec.seeds_per_point));
@@ -190,14 +195,9 @@ CampaignSpec campaign_from_ini(const util::IniFile& ini) {
   auto parse_axes = [&ini](const std::string& section) {
     std::vector<SweepAxis> axes;
     for (const auto& key : ini.keys(section)) {
-      const auto dot = key.find('.');
-      if (dot == std::string::npos || dot == 0 || dot + 1 == key.size()) {
-        throw std::runtime_error{"campaign: sweep key '" + key +
-                                 "' must be section.key"};
-      }
       SweepAxis axis;
-      axis.section = key.substr(0, dot);
-      axis.key = key.substr(dot + 1);
+      std::tie(axis.section, axis.key) =
+          util::split_section_key(key, "campaign: [" + section + "]");
       axis.values = split_list(ini.get(section, key));
       axes.push_back(std::move(axis));
     }
@@ -219,12 +219,7 @@ CampaignSpec campaign_from_ini(const util::IniFile& ini) {
     }
     return names;
   };
-  for (const auto& key : ini.keys("report")) {
-    if (key != "metrics" && key != "scorecard") {
-      throw std::invalid_argument{"campaign: unknown [report] key '" + key +
-                                  "' (expected metrics or scorecard)"};
-    }
-  }
+  ini.check_keys("report", {"metrics", "scorecard"});
   if (std::find(sections.begin(), sections.end(), "report") != sections.end()) {
     spec.report.metrics = metric_list("metrics");
     if (ini.has("report", "scorecard")) {
@@ -242,8 +237,12 @@ CampaignSpec campaign_from_ini(const util::IniFile& ini) {
       spec.base.set(section, key, ini.get(section, key));
     }
   }
-  // Validate eagerly so a bad file fails before any job runs.
-  (void)expand(spec);
+  // Validate eagerly so a bad file fails before any job runs: every job's
+  // experiment must parse, so a typo'd sweep axis cannot run on defaults.
+  for (const Job& job : expand(spec)) {
+    (void)scenario::scenario_from_ini(job.experiment);
+    (void)scenario::strategy_from_ini(job.experiment);
+  }
   return spec;
 }
 

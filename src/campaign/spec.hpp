@@ -122,8 +122,10 @@ std::vector<std::size_t> grid_pick(const CampaignSpec& spec, std::size_t g);
 /// base experiment, so adding or editing a report moves no job hash.
 /// Throws std::runtime_error / std::invalid_argument on malformed keys
 /// (missing '.'), empty value lists, mismatched zip lengths, `seeds < 1`,
-/// an unknown `[report]` key, or a `[report]` without a non-empty
-/// `metrics` list.
+/// an unknown `[campaign]` or `[report]` key, a `[report]` without a
+/// non-empty `metrics` list, or a sweep point whose experiment does not
+/// parse (scenario_from_ini / strategy_from_ini), so a misspelt axis fails
+/// before any job runs.
 CampaignSpec campaign_from_ini(const util::IniFile& ini);
 
 }  // namespace roadrunner::campaign

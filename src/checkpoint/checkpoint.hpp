@@ -88,9 +88,7 @@ struct SnapshotInfo {
 /// `experiment` is embedded so restore() can rebuild the scenario and
 /// strategy. The write is atomic and durable: tmp file + fsync + rename +
 /// directory fsync, so a crash mid-save never corrupts an existing
-/// snapshot. Throws std::runtime_error if a closure-based computation is
-/// pending (closures cannot be serialized; use the tagged
-/// start_computation overload).
+/// snapshot.
 void save(const core::Simulator& sim, const util::IniFile& experiment,
           const std::string& path);
 

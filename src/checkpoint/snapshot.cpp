@@ -163,13 +163,9 @@ RestoredRun restore_impl(const std::string& path,
 
   util::IniFile experiment = util::IniFile::parse(info.experiment_ini);
   for (const auto& [dotted, value] : overrides) {
-    const std::size_t dot = dotted.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 == dotted.size()) {
-      throw std::runtime_error{
-          "checkpoint: override key '" + dotted +
-          "' must have the form section.key (e.g. network.v2c_loss)"};
-    }
-    experiment.set(dotted.substr(0, dot), dotted.substr(dot + 1), value);
+    const auto [section, key] =
+        util::split_section_key(dotted, "checkpoint: override");
+    experiment.set(section, key, value);
   }
 
   RestoredRun run = build_run(std::move(experiment));

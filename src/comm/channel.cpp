@@ -1,6 +1,8 @@
 #include "comm/channel.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <sstream>
 #include <stdexcept>
 
 namespace roadrunner::comm {
@@ -12,6 +14,29 @@ std::string to_string(ChannelKind kind) {
     case ChannelKind::kWired: return "wired";
   }
   return "?";
+}
+
+ChannelKind parse_channel(const std::string& text, const std::string& where) {
+  if (text == "v2c" || text == "V2C") return ChannelKind::kV2C;
+  if (text == "v2x" || text == "V2X") return ChannelKind::kV2X;
+  if (text == "wired") return ChannelKind::kWired;
+  throw std::runtime_error{where + ": unknown channel '" + text + "'"};
+}
+
+std::array<bool, kChannelKindCount> parse_channel_set(
+    const std::string& text, const std::string& where) {
+  std::array<bool, kChannelKindCount> set{};
+  std::stringstream ss{text};
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    std::size_t b = 0, e = item.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(item[b]))) ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(item[e - 1]))) --e;
+    if (b == e) continue;
+    const ChannelKind kind = parse_channel(item.substr(b, e - b), where);
+    set[static_cast<std::size_t>(kind)] = true;
+  }
+  return set;
 }
 
 ChannelConfig default_v2c() {

@@ -4,6 +4,7 @@
 // between two endpoints is viable.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -17,6 +18,15 @@ enum class ChannelKind : std::uint8_t {
 
 std::string to_string(ChannelKind kind);
 constexpr std::size_t kChannelKindCount = 3;
+
+/// A channel as INI files name it: v2c/V2C, v2x/V2X or wired. Throws
+/// std::runtime_error "<where>: unknown channel '<text>'" otherwise.
+ChannelKind parse_channel(const std::string& text, const std::string& where);
+
+/// A comma-separated channel list ("v2c, v2x") as one flag per kind; empty
+/// items are skipped.
+std::array<bool, kChannelKindCount> parse_channel_set(
+    const std::string& text, const std::string& where);
 
 struct ChannelConfig {
   double bandwidth_bytes_per_s = 1.0e6;

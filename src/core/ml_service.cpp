@@ -118,10 +118,11 @@ std::future<TrainResult> MlService::train_async(ml::Weights start,
                                                 util::Rng job_rng) const {
   // std::async with the launch::async policy gives one thread per in-flight
   // training; concurrent trainings per round are bounded by round fan-out,
-  // which is small (tens). Evaluation inside stays single-threaded to avoid
-  // nested pool deadlocks — routing through ThreadPool::global() would have
-  // a campaign worker's training wait on shards only other trainings could
-  // run, hence the sanctioned exception to the raw-thread rule.
+  // which is small (tens). The job itself is single-threaded (train_sgd
+  // uses no pool). A nested ThreadPool::parallel_for on a pool worker runs
+  // inline, so a pool deadlock is not what keeps training off
+  // ThreadPool::global(): the thread per job is simply how training is
+  // scheduled today, hence the sanctioned exception to the raw-thread rule.
   return std::async(std::launch::async,  // rr-lint: allow(raw-thread)
                     [this, start = std::move(start), data = std::move(data),
                      config, job_rng]() mutable {

@@ -1,11 +1,11 @@
 // The ML module (paper §4): holds the learning problem's model architecture
 // prototype and server test set, and provides train/test/aggregate
 // operations on agents' weights. Training executes for real (genuine
-// gradients and accuracy) on the process's thread pool, emulating the HUs'
-// ability to "run multiple operations in parallel to speed up the
-// simulation" (§4); the *simulated* duration is charged analytically by
-// hu::HardwareUnit from the FLOP estimate, so results are deterministic
-// regardless of thread scheduling.
+// gradients and accuracy), each job on a std::async thread of its own
+// (train_async), emulating the HUs' ability to "run multiple operations in
+// parallel to speed up the simulation" (§4); the *simulated* duration is
+// charged analytically by hu::HardwareUnit from the FLOP estimate, so
+// results are deterministic regardless of thread scheduling.
 //
 // Two model families share this one interface (Req. 2, "arbitrary models"):
 //  * supervised nets — Weights are parameter tensors, train is SGD, test is

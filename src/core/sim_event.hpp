@@ -5,23 +5,14 @@
 // forced and stored at checkpoint time). This is the property the
 // checkpoint subsystem rests on: a pending queue of SimEvents serializes
 // into a snapshot and restores bit-identically, which a queue of closures
-// never could. The one escape hatch — kClosureComputation, backing the
-// closure-based StrategyContext::start_computation — is the one event kind
-// a snapshot rejects (strategies that want checkpointing use the tagged
-// start_computation overload instead).
+// never could.
 #pragma once
 
-#include <functional>
 #include <future>
-#include <stdexcept>
 #include <utility>
 
 #include "core/message.hpp"
 #include "core/ml_service.hpp"
-
-namespace roadrunner::strategy {
-class StrategyContext;
-}
 
 namespace roadrunner::core {
 
@@ -31,7 +22,8 @@ enum class SimEventKind : std::uint8_t {
   kFinishTraining = 2,      ///< training ends (agent, tag, durations, job)
   kComputation = 3,         ///< tagged HU computation ends (agent, tag)
   kTimer = 4,               ///< strategy timer fires (agent, tag)
-  kClosureComputation = 5,  ///< closure HU computation ends (work)
+  // 5 is retired (a closure computation, which no snapshot could hold):
+  // never reuse it; a snapshot holding it is rejected on restore.
   kFaultCrash = 6,          ///< scripted vehicle crash (agent; tag = plan idx)
   kSignalPhase = 7,         ///< traffic signal phase change (tag = timeline idx)
   kPlatoonManeuver = 8,     ///< platoon membership change (tag = timeline idx)
@@ -47,27 +39,17 @@ struct SimEvent {
   double data_amount = 0.0;   ///< samples behind a training result
   Message msg;                ///< kDeliver payload
   std::shared_future<TrainResult> job;  ///< kFinishTraining result
-  std::function<void(strategy::StrategyContext&, bool)> work;  ///< closure
 
   /// Archive field list (util/archive.hpp). An in-flight training job is
   /// forced on write and stored as its result (the job is deterministic:
   /// its RNG was fixed at launch); the reader hands it back as a ready
-  /// future. A closure cannot be written, and the reader rejects its kind
-  /// with any byte past the last enumerator. Agent ids are range-checked
-  /// by the caller, which knows the agent count.
+  /// future. The reader rejects the retired kind 5 and any byte past the
+  /// last enumerator. Agent ids are range-checked by the caller, which
+  /// knows the agent count.
   template <class Ar>
   void fields(Ar& ar) {
-    if constexpr (!Ar::kLoading) {
-      if (kind == SimEventKind::kClosureComputation) {
-        throw std::runtime_error{
-            "checkpoint: cannot snapshot a pending closure-based "
-            "computation; strategies must use the tagged start_computation "
-            "overload to be checkpointable"};
-      }
-    }
     ar(kind);
-    ar.check(kind != SimEventKind::kClosureComputation &&
-                 kind <= SimEventKind::kPlatoonManeuver,
+    ar.check(kind != SimEventKind{5} && kind <= SimEventKind::kPlatoonManeuver,
              "bad event kind in snapshot");
     ar(agent, tag, duration_s, data_amount);
     if (kind == SimEventKind::kDeliver) {

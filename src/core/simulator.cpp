@@ -449,23 +449,6 @@ std::optional<double> Simulator::reserve_computation(AgentId id,
   return duration;
 }
 
-bool Simulator::start_computation(
-    AgentId id, std::uint64_t flops,
-    std::function<void(strategy::StrategyContext&, bool)> work) {
-  if (!work) {
-    throw std::invalid_argument{"start_computation: null work"};
-  }
-  const std::optional<double> duration = reserve_computation(id, flops);
-  if (!duration) return false;
-  SimEvent ev;
-  ev.kind = SimEventKind::kClosureComputation;
-  ev.agent = id;
-  ev.duration_s = *duration;
-  ev.work = std::move(work);
-  queue_.schedule(now() + *duration, std::move(ev));
-  return true;
-}
-
 bool Simulator::start_computation(AgentId id, std::uint64_t flops,
                                   int completion_tag) {
   const std::optional<double> duration = reserve_computation(id, flops);
@@ -479,9 +462,7 @@ bool Simulator::start_computation(AgentId id, std::uint64_t flops,
   return true;
 }
 
-void Simulator::finish_computation(
-    AgentId id, double duration_s, int tag,
-    const std::function<void(strategy::StrategyContext&, bool)>& work) {
+void Simulator::finish_computation(AgentId id, double duration_s, int tag) {
   Agent& a = agent_mut(id);
   a.training = false;
   const bool success = is_on(id);
@@ -489,11 +470,7 @@ void Simulator::finish_computation(
                          ? "computations_completed"
                          : "computations_discarded");
   if (success) metrics_.increment("compute_seconds", duration_s);
-  if (work) {
-    work(*this, success);
-  } else {
-    strategy_->on_computation_complete(*this, id, tag, success);
-  }
+  strategy_->on_computation_complete(*this, id, tag, success);
 }
 
 void Simulator::schedule_timer(AgentId id, double delay_s, int timer_id) {
@@ -644,10 +621,7 @@ void Simulator::dispatch(SimEvent ev) {
                       std::move(ev.job));
       break;
     case SimEventKind::kComputation:
-      finish_computation(ev.agent, ev.duration_s, ev.tag, nullptr);
-      break;
-    case SimEventKind::kClosureComputation:
-      finish_computation(ev.agent, ev.duration_s, /*tag=*/0, ev.work);
+      finish_computation(ev.agent, ev.duration_s, ev.tag);
       break;
     case SimEventKind::kTimer:
       strategy_->on_timer(*this, ev.agent, ev.tag);

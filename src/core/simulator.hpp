@@ -194,9 +194,6 @@ class Simulator final : public strategy::StrategyContext {
   [[nodiscard]] ml::Weights fresh_model() override;
   [[nodiscard]] double test_accuracy(const ml::Weights& weights) override;
   [[nodiscard]] const ml::DatasetView& test_set() const override;
-  bool start_computation(
-      AgentId id, std::uint64_t flops,
-      std::function<void(strategy::StrategyContext&, bool)> work) override;
   bool start_computation(AgentId id, std::uint64_t flops,
                          int completion_tag) override;
   void schedule_timer(AgentId id, double delay_s, int timer_id) override;
@@ -251,9 +248,7 @@ class Simulator final : public strategy::StrategyContext {
   void finish_training(AgentId id, int round_tag, double duration_s,
                        double data_amount,
                        std::shared_future<TrainResult> job);
-  void finish_computation(AgentId id, double duration_s, int tag,
-                          const std::function<void(strategy::StrategyContext&,
-                                                   bool)>& work);
+  void finish_computation(AgentId id, double duration_s, int tag);
   void export_channel_counters();
   void export_adversary_counters();
 

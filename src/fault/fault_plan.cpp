@@ -1,8 +1,6 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "comm/network.hpp"
@@ -11,34 +9,6 @@ namespace roadrunner::fault {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-comm::ChannelKind parse_channel(const std::string& text,
-                                const std::string& where) {
-  if (text == "v2c" || text == "V2C") return comm::ChannelKind::kV2C;
-  if (text == "v2x" || text == "V2X") return comm::ChannelKind::kV2X;
-  if (text == "wired") return comm::ChannelKind::kWired;
-  throw std::runtime_error{where + ": unknown channel '" + text + "'"};
-}
-
-std::array<bool, comm::kChannelKindCount> parse_channel_set(
-    const std::string& text, const std::string& where) {
-  std::array<bool, comm::kChannelKindCount> set{};
-  std::stringstream ss{text};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    set[static_cast<std::size_t>(parse_channel(item, where))] = true;
-  }
-  return set;
-}
-
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
 /// Interpolates a multiplicative factor from the identity: severity 0 means
@@ -46,21 +16,6 @@ double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 /// bandwidth never divides by zero.
 double scale_factor(double factor, double s) {
   return std::max(1.0 + (factor - 1.0) * s, 0.01);
-}
-
-/// A typo like `probabilty=` must fail loudly, not be silently ignored:
-/// every key of `section` has to appear in the kind's allowed set.
-void reject_unknown_keys(const util::IniFile& ini, const std::string& section,
-                         std::initializer_list<const char*> allowed) {
-  for (const std::string& key : ini.keys(section)) {
-    const bool known =
-        std::any_of(allowed.begin(), allowed.end(),
-                    [&key](const char* a) { return key == a; });
-    if (!known) {
-      throw std::runtime_error{"[" + section + "]: unknown key '" + key +
-                               "'"};
-    }
-  }
 }
 
 }  // namespace
@@ -150,47 +105,37 @@ FaultPlan FaultPlan::scaled() const {
 
 FaultPlan plan_from_ini(const util::IniFile& ini) {
   FaultPlan plan;
-  if (!ini.keys("fault").empty()) {
-    reject_unknown_keys(ini, "fault", {"severity"});
-  }
+  ini.check_keys("fault", {"severity"});
   plan.severity = ini.get_double("fault", "severity", plan.severity);
 
-  // Sections are read in numeric order — [fault.0], [fault.1], ... — so the
-  // plan is an ordered timeline regardless of file layout. A gap ends the
-  // scan (deliberate: a typo like [fault.3] after [fault.1] should fail
-  // loudly rather than be silently dropped).
-  std::size_t parsed = 0;
-  for (std::size_t n = 0;; ++n) {
-    const std::string section = "fault." + std::to_string(n);
-    if (!ini.has(section, "kind")) break;
-    ++parsed;
+  // [fault.0], [fault.1], ... in numeric order: the plan is an ordered
+  // timeline regardless of file layout.
+  for (const std::string& section : ini.numbered("fault")) {
     const std::string kind = ini.get(section, "kind");
     FaultEvent ev;
     ev.start_s = ini.get_double(section, "start_s", 0.0);
     ev.end_s = ini.get_double(section, "end_s",
                               std::numeric_limits<double>::infinity());
     if (kind == "channel_degrade") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "channel", "loss",
-                           "bandwidth_factor", "latency_factor"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "channel", "loss",
+                               "bandwidth_factor", "latency_factor"});
       ev.kind = FaultKind::kChannelDegrade;
-      ev.channel = parse_channel(ini.get(section, "channel", "v2c"), section);
+      ev.channel =
+          comm::parse_channel(ini.get(section, "channel", "v2c"), section);
       ev.loss_add = ini.get_double(section, "loss", 0.0);
       ev.bandwidth_factor = ini.get_double(section, "bandwidth_factor", 1.0);
       ev.latency_factor = ini.get_double(section, "latency_factor", 1.0);
     } else if (kind == "region_outage") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "x_m", "y_m",
-                           "radius_m", "channels"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "x_m", "y_m",
+                               "radius_m", "channels"});
       ev.kind = FaultKind::kRegionOutage;
       ev.center.x = ini.get_double(section, "x_m", 0.0);
       ev.center.y = ini.get_double(section, "y_m", 0.0);
       ev.radius_m = ini.get_double(section, "radius_m", 0.0);
-      ev.channels = parse_channel_set(ini.get(section, "channels", "v2c"),
-                                      section);
+      ev.channels = comm::parse_channel_set(
+          ini.get(section, "channels", "v2c"), section);
     } else if (kind == "node_outage") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "target"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "target"});
       ev.kind = FaultKind::kNodeOutage;
       const std::string target = ini.get(section, "target", "cloud");
       if (target == "cloud") {
@@ -213,31 +158,26 @@ FaultPlan plan_from_ini(const util::IniFile& ini) {
         }
       }
     } else if (kind == "hu_straggler") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "vehicle", "slowdown"});
+      ini.check_keys(section,
+                     {"kind", "start_s", "end_s", "vehicle", "slowdown"});
       ev.kind = FaultKind::kHuStraggler;
       const std::string vehicle = ini.get(section, "vehicle", "all");
       ev.all_vehicles = vehicle == "all";
-      if (!ev.all_vehicles) {
-        ev.vehicle = static_cast<std::size_t>(
-            ini.get_int(section, "vehicle", 0));
-      }
+      if (!ev.all_vehicles) ev.vehicle = ini.get_size(section, "vehicle", 0);
       ev.slowdown = ini.get_double(section, "slowdown", 1.0);
       if (ev.slowdown <= 0.0) {
         throw std::runtime_error{section + ": slowdown must be > 0"};
       }
     } else if (kind == "vehicle_crash") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "vehicle", "at_s", "reboot_after_s",
-                           "lose_model", "lose_data"});
+      ini.check_keys(section, {"kind", "vehicle", "at_s", "reboot_after_s",
+                               "lose_model", "lose_data"});
       ev.kind = FaultKind::kVehicleCrash;
       const std::string vehicle = ini.get(section, "vehicle", "0");
       if (vehicle == "all") {
         throw std::runtime_error{section +
                                  ": vehicle_crash needs a single vehicle"};
       }
-      ev.vehicle = static_cast<std::size_t>(
-          ini.get_int(section, "vehicle", 0));
+      ev.vehicle = ini.get_size(section, "vehicle", 0);
       ev.at_s = ini.get_double(section, "at_s", 0.0);
       ev.reboot_after_s = ini.get_double(section, "reboot_after_s", 0.0);
       ev.lose_model = ini.get_bool(section, "lose_model", true);
@@ -246,11 +186,11 @@ FaultPlan plan_from_ini(const util::IniFile& ini) {
         throw std::runtime_error{section + ": negative reboot_after_s"};
       }
     } else if (kind == "payload_corruption") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "channel",
-                           "probability"});
+      ini.check_keys(section,
+                     {"kind", "start_s", "end_s", "channel", "probability"});
       ev.kind = FaultKind::kPayloadCorruption;
-      ev.channel = parse_channel(ini.get(section, "channel", "v2c"), section);
+      ev.channel =
+          comm::parse_channel(ini.get(section, "channel", "v2c"), section);
       ev.probability = ini.get_double(section, "probability", 0.0);
       if (ev.probability < 0.0 || ev.probability > 1.0) {
         throw std::runtime_error{section + ": probability out of [0, 1]"};
@@ -263,24 +203,6 @@ FaultPlan plan_from_ini(const util::IniFile& ini) {
       throw std::runtime_error{section + ": end_s before start_s"};
     }
     plan.events.push_back(std::move(ev));
-  }
-
-  // Catch the numbering-gap typo: any fault.N section beyond the contiguous
-  // prefix would otherwise be silently ignored.
-  for (const std::string& section : ini.sections()) {
-    if (section.rfind("fault.", 0) != 0) continue;
-    std::size_t n = 0;
-    try {
-      n = std::stoul(section.substr(6));
-    } catch (const std::exception&) {
-      throw std::runtime_error{"fault plan: bad section name [" + section +
-                               "]"};
-    }
-    if (n >= parsed) {
-      throw std::runtime_error{"fault plan: [" + section +
-                               "] breaks the contiguous fault.0.." +
-                               std::to_string(parsed) + " numbering"};
-    }
   }
   return plan;
 }

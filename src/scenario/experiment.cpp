@@ -14,25 +14,19 @@
 
 namespace roadrunner::scenario {
 
-namespace {
-
 using util::IniFile;
-
-std::size_t get_size(const IniFile& ini, const std::string& section,
-                     const std::string& key, std::size_t fallback) {
-  return static_cast<std::size_t>(
-      ini.get_int(section, key, static_cast<std::int64_t>(fallback)));
-}
-
-}  // namespace
 
 ScenarioConfig scenario_from_ini(const IniFile& ini) {
   ScenarioConfig cfg;
 
   // [scenario]
+  ini.check_keys("scenario",
+                 {"seed", "vehicles", "rsus", "horizon_s", "mobility_tick_s",
+                  "data_arrival_per_s", "trace_events", "telemetry",
+                  "checkpoint_every_s", "checkpoint_dir"});
   cfg.seed = ini.get_uint64("scenario", "seed", cfg.seed);
-  cfg.vehicles = get_size(ini, "scenario", "vehicles", cfg.vehicles);
-  cfg.rsus = get_size(ini, "scenario", "rsus", cfg.rsus);
+  cfg.vehicles = ini.get_size("scenario", "vehicles", cfg.vehicles);
+  cfg.rsus = ini.get_size("scenario", "rsus", cfg.rsus);
   cfg.horizon_s = ini.get_double("scenario", "horizon_s", cfg.horizon_s);
   cfg.mobility_tick_s =
       ini.get_double("scenario", "mobility_tick_s", cfg.mobility_tick_s);
@@ -47,6 +41,8 @@ ScenarioConfig scenario_from_ini(const IniFile& ini) {
       ini.get("scenario", "checkpoint_dir", cfg.checkpoint_dir);
 
   // [city]
+  ini.check_keys("city", {"size_m", "block_m", "duration_s", "speed_mps",
+                          "dwell_s", "initial_on", "dwell_on"});
   cfg.city.city_size_m =
       ini.get_double("city", "size_m", cfg.city.city_size_m);
   cfg.city.block_size_m =
@@ -63,15 +59,21 @@ ScenarioConfig scenario_from_ini(const IniFile& ini) {
       ini.get_double("city", "dwell_on", cfg.city.dwell_on_probability);
 
   // [data]
+  ini.check_keys("data",
+                 {"dataset", "train_pool", "test_size", "partition",
+                  "samples_per_vehicle", "classes_per_vehicle",
+                  "dirichlet_alpha", "image_noise", "image_gain_jitter",
+                  "blob_classes", "blob_dimensions", "blob_radius",
+                  "blob_spread"});
   cfg.dataset = ini.get("data", "dataset", cfg.dataset);
   cfg.train_pool_size =
-      get_size(ini, "data", "train_pool", cfg.train_pool_size);
-  cfg.test_size = get_size(ini, "data", "test_size", cfg.test_size);
+      ini.get_size("data", "train_pool", cfg.train_pool_size);
+  cfg.test_size = ini.get_size("data", "test_size", cfg.test_size);
   cfg.partition = ini.get("data", "partition", cfg.partition);
   cfg.samples_per_vehicle =
-      get_size(ini, "data", "samples_per_vehicle", cfg.samples_per_vehicle);
+      ini.get_size("data", "samples_per_vehicle", cfg.samples_per_vehicle);
   cfg.classes_per_vehicle =
-      get_size(ini, "data", "classes_per_vehicle", cfg.classes_per_vehicle);
+      ini.get_size("data", "classes_per_vehicle", cfg.classes_per_vehicle);
   cfg.dirichlet_alpha =
       ini.get_double("data", "dirichlet_alpha", cfg.dirichlet_alpha);
   cfg.image_config.noise_sigma = ini.get_double(
@@ -83,20 +85,22 @@ ScenarioConfig scenario_from_ini(const IniFile& ini) {
     throw std::runtime_error{"experiment: data.image_gain_jitter must be a "
                              "finite number >= 0"};
   }
-  cfg.blob_config.num_classes = get_size(
-      ini, "data", "blob_classes", cfg.blob_config.num_classes);
-  cfg.blob_config.dimensions = get_size(
-      ini, "data", "blob_dimensions", cfg.blob_config.dimensions);
+  cfg.blob_config.num_classes =
+      ini.get_size("data", "blob_classes", cfg.blob_config.num_classes);
+  cfg.blob_config.dimensions =
+      ini.get_size("data", "blob_dimensions", cfg.blob_config.dimensions);
   cfg.blob_config.center_radius = ini.get_double(
       "data", "blob_radius", cfg.blob_config.center_radius);
   cfg.blob_config.spread =
       ini.get_double("data", "blob_spread", cfg.blob_config.spread);
 
   // [train]
+  ini.check_keys("train", {"model", "epochs", "batch", "lr", "momentum",
+                           "proximal_mu", "optimizer"});
   cfg.model = ini.get("train", "model", cfg.model);
   cfg.train.epochs = static_cast<int>(
       ini.get_int("train", "epochs", cfg.train.epochs));
-  cfg.train.batch_size = get_size(ini, "train", "batch", cfg.train.batch_size);
+  cfg.train.batch_size = ini.get_size("train", "batch", cfg.train.batch_size);
   cfg.train.learning_rate = static_cast<float>(
       ini.get_double("train", "lr", cfg.train.learning_rate));
   cfg.train.momentum = static_cast<float>(
@@ -114,6 +118,11 @@ ScenarioConfig scenario_from_ini(const IniFile& ini) {
   }
 
   // [network]
+  ini.check_keys("network",
+                 {"v2c_bandwidth", "v2c_latency", "v2c_loss", "v2x_bandwidth",
+                  "v2x_range", "v2x_loss", "v2x_range_degradation",
+                  "dead_area_fraction", "v2c_max_concurrent",
+                  "v2x_max_concurrent"});
   cfg.net.v2c.bandwidth_bytes_per_s = ini.get_double(
       "network", "v2c_bandwidth", cfg.net.v2c.bandwidth_bytes_per_s);
   cfg.net.v2c.setup_latency_s = ini.get_double(
@@ -134,34 +143,37 @@ ScenarioConfig scenario_from_ini(const IniFile& ini) {
     throw std::runtime_error{"experiment: network.dead_area_fraction must be "
                              "in [0, 1]"};
   }
-  cfg.net.v2c.max_concurrent_per_agent = get_size(
-      ini, "network", "v2c_max_concurrent",
-      cfg.net.v2c.max_concurrent_per_agent);
-  cfg.net.v2x.max_concurrent_per_agent = get_size(
-      ini, "network", "v2x_max_concurrent",
-      cfg.net.v2x.max_concurrent_per_agent);
+  cfg.net.v2c.max_concurrent_per_agent = ini.get_size(
+      "network", "v2c_max_concurrent", cfg.net.v2c.max_concurrent_per_agent);
+  cfg.net.v2x.max_concurrent_per_agent = ini.get_size(
+      "network", "v2x_max_concurrent", cfg.net.v2x.max_concurrent_per_agent);
 
   // [workload]
+  ini.check_keys("workload",
+                 {"kind", "objective", "dims", "components", "gmm_components",
+                  "em_iterations", "var_floor", "rate_per_s", "recent_window",
+                  "eval_every_s", "eval_samples", "recovery_fraction",
+                  "spread", "placement_radius"});
   cfg.workload.kind = ini.get("workload", "kind", cfg.workload.kind);
   cfg.workload.objective =
       ini.get("workload", "objective", cfg.workload.objective);
-  cfg.workload.dims = get_size(ini, "workload", "dims", cfg.workload.dims);
+  cfg.workload.dims = ini.get_size("workload", "dims", cfg.workload.dims);
   cfg.workload.components =
-      get_size(ini, "workload", "components", cfg.workload.components);
-  cfg.workload.gmm_components = get_size(ini, "workload", "gmm_components",
-                                         cfg.workload.gmm_components);
+      ini.get_size("workload", "components", cfg.workload.components);
+  cfg.workload.gmm_components = ini.get_size("workload", "gmm_components",
+                                              cfg.workload.gmm_components);
   cfg.workload.em_iterations = static_cast<int>(ini.get_int(
       "workload", "em_iterations", cfg.workload.em_iterations));
   cfg.workload.var_floor =
       ini.get_double("workload", "var_floor", cfg.workload.var_floor);
   cfg.workload.rate_per_s =
       ini.get_double("workload", "rate_per_s", cfg.workload.rate_per_s);
-  cfg.workload.recent_window = get_size(ini, "workload", "recent_window",
-                                        cfg.workload.recent_window);
+  cfg.workload.recent_window = ini.get_size("workload", "recent_window",
+                                             cfg.workload.recent_window);
   cfg.workload.eval_every_s =
       ini.get_double("workload", "eval_every_s", cfg.workload.eval_every_s);
   cfg.workload.eval_samples =
-      get_size(ini, "workload", "eval_samples", cfg.workload.eval_samples);
+      ini.get_size("workload", "eval_samples", cfg.workload.eval_samples);
   cfg.workload.recovery_fraction = ini.get_double(
       "workload", "recovery_fraction", cfg.workload.recovery_fraction);
   cfg.workload.spread =
@@ -193,7 +205,7 @@ ml::AggregatorConfig aggregator_from_ini(const IniFile& ini) {
   agg.trim_fraction =
       ini.get_double("strategy", "trim_fraction", agg.trim_fraction);
   agg.clip_norm = ini.get_double("strategy", "clip_norm", agg.clip_norm);
-  agg.krum_select = get_size(ini, "strategy", "krum_select", agg.krum_select);
+  agg.krum_select = ini.get_size("strategy", "krum_select", agg.krum_select);
   agg.krum_assume_fraction = ini.get_double(
       "strategy", "krum_assume_fraction", agg.krum_assume_fraction);
   return agg;
@@ -203,13 +215,23 @@ ml::AggregatorConfig aggregator_from_ini(const IniFile& ini) {
 
 std::shared_ptr<strategy::LearningStrategy> strategy_from_ini(
     const IniFile& ini) {
+  // The union of every strategy's keys: a campaign zip sets a column on
+  // every row, also on rows whose strategy ignores it.
+  ini.check_keys(
+      "strategy",
+      {"name", "rounds", "participants", "round_duration_s",
+       "collect_timeout_s", "selection", "aggregation", "trim_fraction",
+       "clip_norm", "krum_select", "krum_assume_fraction", "aggregate_at_rsu",
+       "clusters", "local_iterations", "duration_s", "retrain_interval_s",
+       "merge_weight", "eval_interval_s", "train_interval_s",
+       "server_epochs"});
   const std::string name = ini.get("strategy", "name", "federated");
 
   strategy::RoundConfig round;
   round.rounds = static_cast<int>(
       ini.get_int("strategy", "rounds", round.rounds));
   round.participants =
-      get_size(ini, "strategy", "participants", round.participants);
+      ini.get_size("strategy", "participants", round.participants);
   round.round_duration_s = ini.get_double("strategy", "round_duration_s",
                                           round.round_duration_s);
   round.collect_timeout_s = ini.get_double("strategy", "collect_timeout_s",
@@ -237,9 +259,9 @@ std::shared_ptr<strategy::LearningStrategy> strategy_from_ini(
   if (name == "federated_clustering") {
     strategy::FederatedClusteringConfig cfg;
     cfg.round = round;
-    cfg.clusters = get_size(ini, "strategy", "clusters", cfg.clusters);
+    cfg.clusters = ini.get_size("strategy", "clusters", cfg.clusters);
     cfg.local_iterations =
-        get_size(ini, "strategy", "local_iterations", cfg.local_iterations);
+        ini.get_size("strategy", "local_iterations", cfg.local_iterations);
     return std::make_shared<strategy::FederatedClusteringStrategy>(cfg);
   }
   if (name == "gossip") {

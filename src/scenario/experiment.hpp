@@ -13,13 +13,16 @@
 namespace roadrunner::scenario {
 
 /// Builds a ScenarioConfig from the [scenario], [city], [data], [train],
-/// and [network] sections (all keys optional; defaults as in the structs).
-/// Throws std::runtime_error / std::invalid_argument on unknown values.
+/// [network] and [workload] sections and the plan sections (all keys
+/// optional; defaults as in the structs). Throws std::runtime_error naming
+/// the section on an unknown key, and std::runtime_error /
+/// std::invalid_argument on unknown values.
 ScenarioConfig scenario_from_ini(const util::IniFile& ini);
 
 /// Builds a LearningStrategy from the [strategy] section. `name` selects
 /// among: centralized, federated, opportunistic, gossip, rsu_assisted,
-/// federated_clustering; remaining keys parameterize it.
+/// federated_clustering; remaining keys parameterize it. Any strategy's
+/// key is accepted whichever `name` selects; any other key throws.
 std::shared_ptr<strategy::LearningStrategy> strategy_from_ini(
     const util::IniFile& ini);
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,22 +94,14 @@ class StrategyContext {
   [[nodiscard]] virtual const ml::DatasetView& test_set() const = 0;
 
   /// Runs a custom compute operation on `id`'s Hardware Unit: the agent is
-  /// busy for the HU-charged duration of `flops`, then `work` executes (on
-  /// the simulator thread). If the agent powers off before completion,
-  /// `work` runs with success=false and any result must be discarded.
-  /// Returns false if the agent is off or its HU is busy. This is how
-  /// strategies implement learning that is not SGD — e.g. local k-means
-  /// (Req. 2: "support for various types of ML models").
-  virtual bool start_computation(
-      AgentId id, std::uint64_t flops,
-      std::function<void(StrategyContext&, bool success)> work) = 0;
-
-  /// Checkpoint-safe variant: instead of a closure, completion fires
-  /// LearningStrategy::on_computation_complete(id, completion_tag, success).
-  /// Because the pending operation is plain data (agent, tag, duration) it
-  /// can live inside a snapshot; closure-based computations cannot, and a
-  /// checkpoint save() refuses while any are pending. New strategies should
-  /// prefer this overload.
+  /// busy for the HU-charged duration of `flops`, then
+  /// LearningStrategy::on_computation_complete(id, completion_tag, success)
+  /// fires (success=false if the agent powered off meanwhile; any result
+  /// must then be discarded). Returns false if the agent is off or its HU
+  /// is busy. This is how strategies implement learning that is not SGD —
+  /// e.g. local k-means (Req. 2: "support for various types of ML
+  /// models"). The pending operation is plain data (agent, tag, duration),
+  /// so it lives inside a snapshot.
   virtual bool start_computation(AgentId id, std::uint64_t flops,
                                  int completion_tag) = 0;
 

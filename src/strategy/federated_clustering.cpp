@@ -74,8 +74,7 @@ void FederatedClusteringStrategy::on_vehicle_message(StrategyContext& ctx,
     const int round = msg.round;
     const std::uint64_t flops =
         lloyd_flops(data.size(), data.base().sample_size());
-    // Local Lloyd refinement, charged to the vehicle's HU. Tagged (not
-    // closure) completion keeps the pending operation serializable.
+    // Local Lloyd refinement, charged to the vehicle's HU.
     if (ctx.start_computation(vehicle, flops, round)) {
       pending_fits_[vehicle] = PendingFit{round, msg.model};
     }

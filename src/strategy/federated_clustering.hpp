@@ -61,9 +61,8 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
                                           std::size_t dims) const;
 
   /// A Lloyd refinement in flight on a vehicle's HU: the centroids it
-  /// started from and the round it belongs to. Uses the *tagged*
-  /// start_computation (tag = round), so the pending operation — and with
-  /// it the whole simulation — stays checkpointable.
+  /// started from and the round it belongs to; the computation's
+  /// completion tag is the round.
   struct PendingFit {
     int round = -1;
     ml::Weights start;

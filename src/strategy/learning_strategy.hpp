@@ -70,8 +70,7 @@ class LearningStrategy {
   virtual void on_power_on(StrategyContext& /*ctx*/, AgentId /*id*/) {}
   virtual void on_power_off(StrategyContext& /*ctx*/, AgentId /*id*/) {}
 
-  /// A tagged computation (StrategyContext::start_computation with a
-  /// completion_tag) finished. success=false means the agent powered off
+  /// A computation (StrategyContext::start_computation) finished. success=false means the agent powered off
   /// mid-operation and any result must be discarded.
   virtual void on_computation_complete(StrategyContext& /*ctx*/,
                                        AgentId /*id*/, int /*completion_tag*/,

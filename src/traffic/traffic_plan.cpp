@@ -1,25 +1,10 @@
 #include "traffic/traffic_plan.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace roadrunner::traffic {
 
 namespace {
-
-/// A typo like `green_ns=` must fail loudly, not be silently ignored.
-void reject_unknown_keys(const util::IniFile& ini, const std::string& section,
-                         std::initializer_list<const char*> allowed) {
-  for (const std::string& key : ini.keys(section)) {
-    const bool known =
-        std::any_of(allowed.begin(), allowed.end(),
-                    [&key](const char* a) { return key == a; });
-    if (!known) {
-      throw std::runtime_error{"[" + section + "]: unknown key '" + key +
-                               "'"};
-    }
-  }
-}
 
 Regime parse_regime(const std::string& text) {
   if (text == "auto") return Regime::kAuto;
@@ -68,10 +53,7 @@ std::string to_string(Regime regime) {
 
 TrafficPlan plan_from_ini(const util::IniFile& ini) {
   TrafficPlan plan;
-  if (!ini.keys("traffic").empty()) {
-    reject_unknown_keys(ini, "traffic",
-                        {"regime", "headway_s", "startup_s", "spacing_m"});
-  }
+  ini.check_keys("traffic", {"regime", "headway_s", "startup_s", "spacing_m"});
   plan.regime = parse_regime(ini.get("traffic", "regime", "auto"));
   plan.headway_s = require_positive(
       ini.get_double("traffic", "headway_s", plan.headway_s), "[traffic]",
@@ -84,19 +66,12 @@ TrafficPlan plan_from_ini(const util::IniFile& ini) {
       ini.get_double("traffic", "spacing_m", plan.spacing_m), "[traffic]",
       "spacing_m");
 
-  // Sections are read in numeric order — [traffic.0], [traffic.1], ... — so
-  // signal indices are stable regardless of file layout. A gap ends the scan
-  // (deliberate: a typo like [traffic.3] after [traffic.1] fails loudly
-  // below rather than being silently dropped).
-  std::size_t parsed = 0;
-  for (std::size_t n = 0;; ++n) {
-    const std::string section = "traffic." + std::to_string(n);
-    if (!ini.has(section, "gx") && !ini.has(section, "gy")) break;
-    ++parsed;
-    reject_unknown_keys(ini, section,
-                        {"gx", "gy", "controller", "green_ns_s", "green_ew_s",
-                         "offset_s", "min_green_s", "max_green_s",
-                         "extend_s"});
+  // [traffic.0], [traffic.1], ... in numeric order: signal indices are
+  // stable regardless of file layout.
+  for (const std::string& section : ini.numbered("traffic")) {
+    ini.check_keys(section, {"gx", "gy", "controller", "green_ns_s",
+                             "green_ew_s", "offset_s", "min_green_s",
+                             "max_green_s", "extend_s"});
     SignalSpec sig;
     if (!ini.has(section, "gx") || !ini.has(section, "gy")) {
       throw std::runtime_error{section + ": needs both gx and gy"};
@@ -140,39 +115,17 @@ TrafficPlan plan_from_ini(const util::IniFile& ini) {
     plan.signals.push_back(sig);
   }
 
-  // Catch the numbering-gap typo: any traffic.N section beyond the
-  // contiguous prefix would otherwise be silently ignored.
-  for (const std::string& section : ini.sections()) {
-    if (section.rfind("traffic.", 0) != 0) continue;
-    std::size_t n = 0;
-    try {
-      n = std::stoul(section.substr(8));
-    } catch (const std::exception&) {
-      throw std::runtime_error{"traffic plan: bad section name [" + section +
-                               "]"};
-    }
-    if (n >= parsed) {
-      throw std::runtime_error{"traffic plan: [" + section +
-                               "] breaks the contiguous traffic.0.." +
-                               std::to_string(parsed) + " numbering"};
-    }
-  }
-
   if (!ini.keys("platoon").empty()) {
-    reject_unknown_keys(ini, "platoon",
-                        {"count", "size", "headway_s", "join_probability",
-                         "leave_probability", "split_probability"});
+    ini.check_keys("platoon", {"count", "size", "headway_s",
+                               "join_probability", "leave_probability",
+                               "split_probability"});
     PlatoonSpec& p = plan.platoons;
-    const std::int64_t count = ini.get_int("platoon", "count", 0);
+    p.count = ini.get_size("platoon", "count", 0);
     const std::int64_t size =
         ini.get_int("platoon", "size", static_cast<std::int64_t>(p.size));
-    if (count < 0) {
-      throw std::runtime_error{"[platoon]: count must be >= 0"};
-    }
-    if (count > 0 && size < 2) {
+    if (p.count > 0 && size < 2) {
       throw std::runtime_error{"[platoon]: size must be >= 2"};
     }
-    p.count = static_cast<std::size_t>(count);
     p.size = static_cast<std::size_t>(size);
     p.headway_s = require_positive(
         ini.get_double("platoon", "headway_s", p.headway_s), "[platoon]",

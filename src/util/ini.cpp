@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -162,6 +163,64 @@ bool IniFile::get_bool(const std::string& section, const std::string& key,
                            "." + key};
 }
 
+std::size_t IniFile::get_size(const std::string& section,
+                             const std::string& key,
+                             std::size_t fallback) const {
+  if (!has(section, key)) return fallback;
+  const std::int64_t parsed = get_int(section, key, 0);
+  if (parsed < 0) {
+    throw std::runtime_error{"IniFile: negative count '" + get(section, key) +
+                             "' for " + section + "." + key};
+  }
+  return static_cast<std::size_t>(parsed);
+}
+
+void IniFile::check_keys(
+    const std::string& section,
+    std::initializer_list<std::string_view> allowed) const {
+  const auto s = data_.find(section);
+  if (s == data_.end()) return;
+  for (const auto& [key, value] : s->second) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      throw std::runtime_error{"[" + section + "]: unknown key '" + key +
+                               "'"};
+    }
+  }
+}
+
+std::vector<std::string> IniFile::numbered(const std::string& prefix) const {
+  const std::string head = prefix + ".";
+  std::vector<std::string> found;
+  for (auto s = data_.lower_bound(head);
+       s != data_.end() && s->first.starts_with(head); ++s) {
+    const std::string index = s->first.substr(head.size());
+    if (index.empty() ||
+        index.find_first_not_of("0123456789") != std::string::npos ||
+        (index.size() > 1 && index.front() == '0')) {
+      throw std::runtime_error{"[" + s->first + "]: bad section name (want " +
+                               head + "N, N = 0, 1, ...)"};
+    }
+    found.push_back(s->first);
+  }
+  // The names are distinct decimal indices, so they are exactly
+  // prefix.0 .. prefix.(count - 1) unless one of them is missing.
+  std::vector<std::string> out;
+  out.reserve(found.size());
+  for (std::size_t n = 0; n < found.size(); ++n) {
+    out.push_back(head + std::to_string(n));
+  }
+  for (const std::string& name : found) {
+    if (std::find(out.begin(), out.end(), name) != out.end()) continue;
+    const auto missing = std::find_if(
+        out.begin(), out.end(),
+        [this](const std::string& o) { return !data_.contains(o); });
+    throw std::runtime_error{"[" + name + "]: breaks the contiguous " + head +
+                             "0, " + head + "1, ... numbering ([" + *missing +
+                             "] is missing)"};
+  }
+  return out;
+}
+
 std::vector<std::string> IniFile::sections() const {
   std::vector<std::string> out;
   out.reserve(data_.size());
@@ -192,6 +251,16 @@ std::string IniFile::to_string() const {
     }
   }
   return out;
+}
+
+std::pair<std::string, std::string> split_section_key(
+    const std::string& dotted, const std::string& where) {
+  const std::size_t dot = dotted.find('.');
+  if (dot == std::string::npos || dot == 0 || dot + 1 == dotted.size()) {
+    throw std::runtime_error{where + " key '" + dotted +
+                             "' must have the form section.key"};
+  }
+  return {dotted.substr(0, dot), dotted.substr(dot + 1)};
 }
 
 }  // namespace roadrunner::util

@@ -15,8 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace roadrunner::util {
@@ -53,6 +56,25 @@ class IniFile {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& section,
                               const std::string& key, bool fallback) const;
+  /// get_int for counts and sizes: also throws naming `section.key` on a
+  /// negative value, which a cast to size_t would wrap.
+  [[nodiscard]] std::size_t get_size(const std::string& section,
+                                     const std::string& key,
+                                     std::size_t fallback) const;
+
+  /// Throws std::runtime_error "[section]: unknown key 'k'" for the first
+  /// key of `section` not in `allowed`: a typo must fail, not silently fall
+  /// back to a default. An absent section passes.
+  void check_keys(const std::string& section,
+                  std::initializer_list<std::string_view> allowed) const;
+
+  /// The sections `prefix.0`, `prefix.1`, ... in numeric order, so a
+  /// numbered timeline reads the same whatever the file layout. Throws
+  /// std::runtime_error naming the section when a `prefix.*` section has a
+  /// suffix that is not a plain decimal index, or when the indices leave a
+  /// gap: a typo'd number must fail, not drop a section.
+  [[nodiscard]] std::vector<std::string> numbered(
+      const std::string& prefix) const;
 
   [[nodiscard]] std::vector<std::string> sections() const;
   [[nodiscard]] std::vector<std::string> keys(
@@ -69,5 +91,11 @@ class IniFile {
  private:
   std::map<std::string, std::map<std::string, std::string>> data_;
 };
+
+/// Splits "section.key" at its first dot (sweep axes, fork overrides).
+/// Throws std::runtime_error "<where> key '<dotted>' must have the form
+/// section.key" when either side would be empty.
+std::pair<std::string, std::string> split_section_key(
+    const std::string& dotted, const std::string& where);
 
 }  // namespace roadrunner::util

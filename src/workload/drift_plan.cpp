@@ -8,21 +8,6 @@ namespace roadrunner::workload {
 
 namespace {
 
-/// A typo like `magnitud=` must fail loudly, not be silently ignored:
-/// every key of `section` has to appear in the kind's allowed set.
-void reject_unknown_keys(const util::IniFile& ini, const std::string& section,
-                         std::initializer_list<const char*> allowed) {
-  for (const std::string& key : ini.keys(section)) {
-    const bool known =
-        std::any_of(allowed.begin(), allowed.end(),
-                    [&key](const char* a) { return key == a; });
-    if (!known) {
-      throw std::runtime_error{"[" + section + "]: unknown key '" + key +
-                               "'"};
-    }
-  }
-}
-
 std::int32_t parse_component(const util::IniFile& ini,
                              const std::string& section) {
   const std::string text = ini.get(section, "component", "all");
@@ -89,35 +74,26 @@ std::vector<double> DriftPlan::shift_times(double horizon_s) const {
 
 DriftPlan plan_from_ini(const util::IniFile& ini) {
   DriftPlan plan;
-  if (!ini.keys("drift").empty()) {
-    reject_unknown_keys(ini, "drift", {"severity"});
-  }
+  ini.check_keys("drift", {"severity"});
   plan.severity = ini.get_double("drift", "severity", plan.severity);
 
-  // Sections are read in numeric order — [drift.0], [drift.1], ... — so the
-  // plan is an ordered timeline regardless of file layout. A gap ends the
-  // scan; the trailing check below turns it into a loud error.
-  std::size_t parsed = 0;
-  for (std::size_t n = 0;; ++n) {
-    const std::string section = "drift." + std::to_string(n);
-    if (!ini.has(section, "kind")) break;
-    ++parsed;
+  // [drift.0], [drift.1], ... in numeric order: the plan is an ordered
+  // timeline regardless of file layout.
+  for (const std::string& section : ini.numbered("drift")) {
     const std::string kind = ini.get(section, "kind");
     DriftEvent ev;
     ev.magnitude = ini.get_double(section, "magnitude", ev.magnitude);
     ev.component = parse_component(ini, section);
     if (kind == "abrupt") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "at_s", "magnitude", "component"});
+      ini.check_keys(section, {"kind", "at_s", "magnitude", "component"});
       ev.kind = DriftKind::kAbrupt;
       ev.at_s = ini.get_double(section, "at_s", 0.0);
       if (ev.at_s < 0.0) {
         throw std::runtime_error{section + ": negative at_s"};
       }
     } else if (kind == "gradual_front") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "x_m", "y_m",
-                           "reach_m", "magnitude", "component"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "x_m", "y_m",
+                               "reach_m", "magnitude", "component"});
       ev.kind = DriftKind::kGradualFront;
       ev.start_s = ini.get_double(section, "start_s", 0.0);
       ev.end_s = ini.get_double(section, "end_s", ev.end_s);
@@ -132,9 +108,8 @@ DriftPlan plan_from_ini(const util::IniFile& ini) {
                                  ": gradual_front needs a finite end_s"};
       }
     } else if (kind == "periodic") {
-      reject_unknown_keys(ini, section,
-                          {"kind", "start_s", "end_s", "period_s",
-                           "magnitude", "component"});
+      ini.check_keys(section, {"kind", "start_s", "end_s", "period_s",
+                               "magnitude", "component"});
       ev.kind = DriftKind::kPeriodic;
       ev.start_s = ini.get_double(section, "start_s", 0.0);
       ev.end_s = ini.get_double(section, "end_s", ev.end_s);
@@ -150,24 +125,6 @@ DriftPlan plan_from_ini(const util::IniFile& ini) {
       throw std::runtime_error{section + ": end_s before start_s"};
     }
     plan.events.push_back(ev);
-  }
-
-  // Catch the numbering-gap typo: any drift.N section beyond the contiguous
-  // prefix would otherwise be silently ignored.
-  for (const std::string& section : ini.sections()) {
-    if (section.rfind("drift.", 0) != 0) continue;
-    std::size_t n = 0;
-    try {
-      n = std::stoul(section.substr(6));
-    } catch (const std::exception&) {
-      throw std::runtime_error{"drift plan: bad section name [" + section +
-                               "]"};
-    }
-    if (n >= parsed) {
-      throw std::runtime_error{"drift plan: [" + section +
-                               "] breaks the contiguous drift.0.." +
-                               std::to_string(parsed) + " numbering"};
-    }
   }
   return plan;
 }

@@ -656,6 +656,17 @@ TEST(CheckpointTamper, OutOfRangeStrategyAgentIsRejected) {
   }
 }
 
+TEST(CheckpointTamper, RetiredEventKindIsRejected) {
+  // Kind byte 5 was a closure computation, which no snapshot could hold.
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string queue = tamper::payload(image, tamper::kQueue);
+  const auto entries = tamper::queue_entries(queue);
+  ASSERT_FALSE(entries.empty());
+  queue[entries.front().first + tamper::kEventAgent - 1] = 5;
+  tamper::expect_rejected(tamper::with_payload(image, tamper::kQueue, queue),
+                          "queue", "bad event kind");
+}
+
 TEST(CheckpointTamper, BadBacklogKeyIsRejected) {
   // The sim section ends with the send backlog's count; an idle backlog
   // gains one entry with a bad key (sender or channel) and no messages.
@@ -758,30 +769,19 @@ TEST(CheckpointFork, FleetChangingOverrideIsRejected) {
   fs::remove(snap);
 }
 
-// --------------------------------------------- closure-computation guard --
-
-struct ClosureComputeStrategy final : strategy::LearningStrategy {
-  [[nodiscard]] std::string name() const override { return "closure"; }
-  void on_start(strategy::StrategyContext& ctx) override {
-    // Legacy closure overload: fine to run, impossible to snapshot. Try
-    // every vehicle so at least one (the powered-on ones) accepts.
-    for (const auto id : ctx.vehicle_ids()) {
-      ctx.start_computation(id, 10'000'000'000'000ULL,
-                            [](strategy::StrategyContext&, bool) {});
-    }
+TEST(CheckpointFork, TypoedOverrideKeyIsRejected) {
+  const auto ini = util::IniFile::parse(test_ini("federated"));
+  const fs::path snap = tmp_file("rr_fork_typo.rrck");
+  fs::remove(snap);
+  run_full(ini, snap.string());
+  try {
+    (void)checkpoint::fork(snap.string(), {{"network.v2c_los", "0.5"}});
+    ADD_FAILURE() << "a misspelt override forked on the default loss";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("[network]: unknown key 'v2c_los'"),
+              std::string::npos)
+        << e.what();
   }
-};
-
-TEST(CheckpointGuards, PendingClosureComputationRefusesToSnapshot) {
-  auto ini = util::IniFile::parse(test_ini("federated"));
-  scenario::Scenario scn{scenario::scenario_from_ini(ini)};
-  auto sim = scn.make_simulator();
-  sim->set_strategy(std::make_shared<ClosureComputeStrategy>());
-  const fs::path snap = tmp_file("rr_closure.rrck");
-  sim->set_autosave(1.0, [&](core::Simulator& s) {
-    checkpoint::save(s, ini, snap.string());
-  });
-  EXPECT_THROW(sim->run(), std::runtime_error);
   fs::remove(snap);
 }
 
@@ -1073,15 +1073,24 @@ TEST(CheckpointWriterOracle, SmallerSaveAfterALargerOneHasNoStaleTail) {
   fs::remove(small);
 }
 
+/// Writes part of its state, then throws: a save that dies mid-frame.
+struct ThrowingSaveStrategy final : strategy::LearningStrategy {
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+  void save_state(util::BinWriter& out) const override {
+    out.u64(42);
+    throw std::runtime_error{"save refused"};
+  }
+};
+
 TEST(CheckpointWriterOracle, SaveAfterAThrowingSaveMatchesTheReferenceAssembly) {
-  // The refused save dies part-way through the queue section and leaves a
-  // half-written frame in this thread's buffer; the next save must not
+  // The refused save dies part-way through the strategy section and leaves
+  // a half-written frame in this thread's buffer; the next save must not
   // inherit any of it.
   auto ini = util::IniFile::parse(test_ini("federated"));
   {
     scenario::Scenario scn{scenario::scenario_from_ini(ini)};
     auto sim = scn.make_simulator();
-    sim->set_strategy(std::make_shared<ClosureComputeStrategy>());
+    sim->set_strategy(std::make_shared<ThrowingSaveStrategy>());
     const fs::path refused = oracle_file("refused");
     sim->set_autosave(1.0, [&](core::Simulator& s) {
       checkpoint::save(s, ini, refused.string());

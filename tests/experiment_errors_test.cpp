@@ -1,16 +1,22 @@
 // Error-path coverage for the INI -> experiment pipeline and for the
 // CSV-safety guarantees underneath it: strict numeric parsing that names
-// the offending `section.key`, rejection of unknown strategy/optimizer
-// names, and metrics::Registry name validation (commas survive export via
+// the offending `section.key`, rejection of unknown keys, negative counts
+// and unknown strategy/optimizer names, every committed INI parsing, and
+// metrics::Registry name validation (commas survive export via
 // RFC-4180 quoting; newlines are rejected at the source because the CSV
 // readers are line-oriented).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
+#include "campaign/spec.hpp"
+#include "fault/fault_plan.hpp"
 #include "metrics/registry.hpp"
 #include "scenario/experiment.hpp"
+#include "traffic/traffic_plan.hpp"
 #include "util/csv.hpp"
 #include "util/ini.hpp"
 
@@ -126,6 +132,213 @@ TEST(ExperimentErrors, NegativeImageGainJitterThrows) {
 }
 
 // ------------------------------------------------- registry name safety --
+
+// ------------------------------------------------------------ key checks --
+
+/// `text` through the parser that owns `section`: campaign_from_ini for
+/// [campaign], strategy_from_ini for [strategy], scenario_from_ini else.
+void parse_owner(const std::string& section, const std::string& text) {
+  const auto ini = util::IniFile::parse(text);
+  if (section == "campaign") {
+    (void)campaign::campaign_from_ini(ini);
+  } else if (section == "strategy") {
+    (void)scenario::strategy_from_ini(ini);
+  } else {
+    (void)scenario::scenario_from_ini(ini);
+  }
+}
+
+TEST(IniKeys, UnknownKeyInEachCoreSectionNamesSectionAndKey) {
+  for (const char* section : {"scenario", "city", "data", "train", "network",
+                              "workload", "strategy", "campaign"}) {
+    SCOPED_TRACE(section);
+    const std::string name = section;
+    EXPECT_THROW(parse_owner(name, "[" + name + "]\nvehicels = 10\n"),
+                 std::runtime_error);
+    expect_throw_containing(
+        [&] { parse_owner(name, "[" + name + "]\nvehicels = 10\n"); },
+        "[" + name + "]: unknown key 'vehicels'");
+  }
+}
+
+TEST(IniKeys, StrategyAcceptsEveryStrategysKeysOnAnyStrategy) {
+  // A campaign zip sets a column on every row, also on rows whose
+  // strategy ignores it (examples/drift.ini: aggregate_at_rsu on gossip).
+  const auto ini = util::IniFile::parse(R"([strategy]
+name = gossip
+aggregate_at_rsu = true
+round_duration_s = 30
+clusters = 3
+server_epochs = 2
+)");
+  EXPECT_EQ(scenario::strategy_from_ini(ini)->name(), "gossip");
+}
+
+TEST(IniKeys, CheckKeysPassesAbsentSectionsAndAllowedKeys) {
+  const auto ini = util::IniFile::parse("[a]\nx = 1\ny = 2\n");
+  EXPECT_NO_THROW(ini.check_keys("a", {"x", "y", "z"}));
+  EXPECT_NO_THROW(ini.check_keys("missing", {}));
+  expect_throw_containing([&] { ini.check_keys("a", {"x"}); },
+                          "[a]: unknown key 'y'");
+}
+
+TEST(IniNumbered, ReturnsSectionsInNumericOrder) {
+  std::string text;
+  for (int n = 11; n >= 0; --n) {
+    text += "[t." + std::to_string(n) + "]\nk = 1\n";
+  }
+  const auto ini =
+      util::IniFile::parse(text + "[t]\nk = 1\n[tt.0]\nk = 1\n");
+  const std::vector<std::string> sections = ini.numbered("t");
+  ASSERT_EQ(sections.size(), 12U);
+  for (std::size_t n = 0; n < sections.size(); ++n) {
+    EXPECT_EQ(sections[n], "t." + std::to_string(n));
+  }
+  EXPECT_TRUE(ini.numbered("absent").empty());
+}
+
+TEST(IniNumbered, GapsAndBadSuffixesNameTheSection) {
+  const auto gap = util::IniFile::parse("[t.0]\nk=1\n[t.2]\nk=1\n");
+  expect_throw_containing([&] { (void)gap.numbered("t"); },
+                          "[t.2]: breaks the contiguous");
+  expect_throw_containing(
+      [] { (void)util::IniFile::parse("[t.1]\nk=1\n").numbered("t"); },
+      "[t.0] is missing");
+  for (const std::string bad : {"t.x", "t.01", "t.", "t.1a", "t.+1", "t.0.1"}) {
+    util::IniFile ini;
+    ini.set("t.0", "k", "1");
+    ini.set(bad, "k", "1");
+    expect_throw_containing([&] { (void)ini.numbered("t"); },
+                            "[" + bad + "]: bad section name");
+  }
+}
+
+TEST(IniSectionKey, SplitsAtTheFirstDot) {
+  EXPECT_EQ(util::split_section_key("network.v2c_loss", "test"),
+            (std::pair<std::string, std::string>{"network", "v2c_loss"}));
+  EXPECT_EQ(util::split_section_key("drift.0.kind", "test").second, "0.kind");
+  for (const char* bad : {"vehicles", ".vehicles", "scenario.", ""}) {
+    expect_throw_containing(
+        [&] { (void)util::split_section_key(bad, "test"); },
+        "test key '" + std::string{bad} + "' must have the form section.key");
+  }
+}
+
+// --------------------------------------------------------- negative sizes --
+
+TEST(IniSizes, NegativeCountsNameSectionAndKey) {
+  const auto ini = util::IniFile::parse("[a]\nn = -1\nm = 7\n");
+  expect_throw_containing([&] { (void)ini.get_size("a", "n", 3); }, "a.n");
+  EXPECT_EQ(ini.get_size("a", "m", 3), 7U);
+  EXPECT_EQ(ini.get_size("a", "absent", 3), 3U);
+}
+
+TEST(IniSizes, NegativeBatchIsRejected) {
+  expect_throw_containing(
+      [] {
+        (void)scenario::scenario_from_ini(
+            util::IniFile::parse("[train]\nbatch = -16\n"));
+      },
+      "train.batch");
+}
+
+TEST(IniSizes, NegativeVehicleCountIsRejected) {
+  expect_throw_containing(
+      [] {
+        (void)scenario::scenario_from_ini(
+            util::IniFile::parse("[scenario]\nvehicles = -1\n"));
+      },
+      "scenario.vehicles");
+}
+
+TEST(IniSizes, NegativeFaultVehicleIsRejected) {
+  for (const char* kind : {"hu_straggler", "vehicle_crash"}) {
+    expect_throw_containing(
+        [&] {
+          (void)fault::plan_from_ini(util::IniFile::parse(
+              "[fault.0]\nkind = " + std::string{kind} + "\nvehicle = -1\n"));
+        },
+        "fault.0.vehicle");
+  }
+}
+
+TEST(IniSizes, NegativePlatoonCountIsRejected) {
+  expect_throw_containing(
+      [] {
+        (void)traffic::plan_from_ini(
+            util::IniFile::parse("[platoon]\ncount = -1\n"));
+      },
+      "platoon.count");
+}
+
+// ------------------------------------------------------- committed INIs --
+
+/// Every committed INI, read the way its program reads it: campaign INIs
+/// (a [campaign] or [sweep] section) through campaign_from_ini, the rest
+/// through scenario_from_ini and strategy_from_ini. The benchmark's own
+/// [ledger*] sections are dropped first, as ledger/workload.cpp does, and
+/// its `idle` strategy is its own too. The benchmark's INIs cannot change
+/// with the program, so this is what keeps them loading.
+TEST(CommittedInis, EveryOneParses) {
+  namespace fs = std::filesystem;
+  const fs::path root{RR_SOURCE_DIR};
+  std::size_t parsed = 0;
+  for (const char* dir : {"examples", "examples/paper", "tests/smoke",
+                          "tests/data", "ledger/workloads"}) {
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(root / dir)) {
+      if (entry.path().extension() == ".ini") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const fs::path& path : files) {
+      SCOPED_TRACE(path.string());
+      const util::IniFile file = util::IniFile::load(path.string());
+      util::IniFile ini;
+      bool is_campaign = false;
+      for (const std::string& section : file.sections()) {
+        if (section == "ledger" || section.starts_with("ledger.")) continue;
+        is_campaign |= section == "campaign" || section.starts_with("sweep");
+        for (const std::string& key : file.keys(section)) {
+          ini.set(section, key, file.get(section, key));
+        }
+      }
+      try {
+        if (is_campaign) {
+          (void)campaign::campaign_from_ini(ini);
+        } else {
+          (void)scenario::scenario_from_ini(ini);
+          if (ini.get("strategy", "name", "") != "idle") {
+            (void)scenario::strategy_from_ini(ini);
+          }
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+      }
+      ++parsed;
+    }
+  }
+  EXPECT_GE(parsed, 29U);
+}
+
+TEST(CommittedInis, TypoedSweepAxisFailsTheCampaignParse) {
+  // tests/smoke/campaign.ini with a second axis misspelling
+  // strategy.rounds: unchecked, both of its points run on the default.
+  auto ini = util::IniFile::load(std::string{RR_SOURCE_DIR} +
+                                 "/tests/smoke/campaign.ini");
+  ini.set("sweep", "strategy.round", "1, 2");
+  expect_throw_containing([&] { (void)campaign::campaign_from_ini(ini); },
+                          "[strategy]: unknown key 'round'");
+}
+
+TEST(CommittedInis, DriftZipParsesWithColumnsSomeRowsIgnore) {
+  const auto spec = campaign::campaign_from_ini(util::IniFile::load(
+      std::string{RR_SOURCE_DIR} + "/examples/drift.ini"));
+  bool sets_rsu_column = false;
+  for (const auto& axis : spec.zipped) {
+    sets_rsu_column |= axis.key == "aggregate_at_rsu";
+  }
+  EXPECT_TRUE(sets_rsu_column);
+}
 
 TEST(RegistryNames, NewlineAndEmptyNamesAreRejected) {
   metrics::Registry registry;

@@ -26,8 +26,13 @@ using mobility::VehicleTrack;
 
 struct ComputeProbeStrategy final : strategy::LearningStrategy {
   std::function<void(strategy::StrategyContext&)> start;
+  std::function<void(strategy::StrategyContext&, AgentId, int, bool)> complete;
   [[nodiscard]] std::string name() const override { return "probe"; }
   void on_start(strategy::StrategyContext& ctx) override { start(ctx); }
+  void on_computation_complete(strategy::StrategyContext& ctx, AgentId id,
+                               int completion_tag, bool success) override {
+    complete(ctx, id, completion_tag, success);
+  }
 };
 
 struct ComputeWorld {
@@ -57,25 +62,31 @@ struct ComputeWorld {
 
 TEST(StartComputation, RunsWorkAfterHuChargedDuration) {
   ComputeWorld world;
+  int completions = 0;
   double completed_at = -1.0;
+  int completed_tag = -1;
   bool success_flag = false;
   auto probe = std::make_shared<ComputeProbeStrategy>();
   probe->start = [&](strategy::StrategyContext& ctx) {
     // OBU: 1 s overhead + 2e9 flops / 2e9 flops/s = 2 s.
-    EXPECT_TRUE(ctx.start_computation(
-        world.v0, 2'000'000'000ULL,
-        [&](strategy::StrategyContext& inner, bool ok) {
-          completed_at = inner.now();
-          success_flag = ok;
-        }));
+    EXPECT_TRUE(ctx.start_computation(world.v0, 2'000'000'000ULL, 7));
     EXPECT_TRUE(ctx.is_busy(world.v0));
     // Second computation rejected while busy.
-    EXPECT_FALSE(ctx.start_computation(
-        world.v0, 1, [](strategy::StrategyContext&, bool) {}));
+    EXPECT_FALSE(ctx.start_computation(world.v0, 1, 8));
+  };
+  probe->complete = [&](strategy::StrategyContext& ctx, AgentId id, int tag,
+                        bool ok) {
+    ++completions;
+    EXPECT_EQ(id, world.v0);
+    completed_at = ctx.now();
+    completed_tag = tag;
+    success_flag = ok;
   };
   world.sim->set_strategy(probe);
   world.sim->run();
+  EXPECT_EQ(completions, 1);
   EXPECT_NEAR(completed_at, 2.0, 1e-9);
+  EXPECT_EQ(completed_tag, 7);
   EXPECT_TRUE(success_flag);
   EXPECT_DOUBLE_EQ(world.sim->metrics_view().counter("computations_completed"),
                    1.0);
@@ -87,12 +98,14 @@ TEST(StartComputation, ReportsFailureWhenVehiclePowersOff) {
   bool success_flag = true;
   auto probe = std::make_shared<ComputeProbeStrategy>();
   probe->start = [&](strategy::StrategyContext& ctx) {
-    EXPECT_TRUE(ctx.start_computation(
-        world.v0, 2'000'000'000ULL,  // finishes at t=2 > off_at=1.5
-        [&](strategy::StrategyContext&, bool ok) {
-          callback_ran = true;
-          success_flag = ok;
-        }));
+    // Finishes at t=2 > off_at=1.5.
+    EXPECT_TRUE(ctx.start_computation(world.v0, 2'000'000'000ULL, 3));
+  };
+  probe->complete = [&](strategy::StrategyContext&, AgentId, int tag,
+                        bool ok) {
+    callback_ran = true;
+    EXPECT_EQ(tag, 3);
+    success_flag = ok;
   };
   world.sim->set_strategy(probe);
   world.sim->run();
@@ -100,17 +113,6 @@ TEST(StartComputation, ReportsFailureWhenVehiclePowersOff) {
   EXPECT_FALSE(success_flag);
   EXPECT_DOUBLE_EQ(world.sim->metrics_view().counter("computations_discarded"),
                    1.0);
-}
-
-TEST(StartComputation, NullWorkThrows) {
-  ComputeWorld world;
-  auto probe = std::make_shared<ComputeProbeStrategy>();
-  probe->start = [&](strategy::StrategyContext& ctx) {
-    EXPECT_THROW(ctx.start_computation(world.v0, 1, nullptr),
-                 std::invalid_argument);
-  };
-  world.sim->set_strategy(probe);
-  world.sim->run();
 }
 
 // -------------------------------------------------- federated clustering --

@@ -1,7 +1,7 @@
 // Fuzz target: the INI parser and everything downstream that consumes
 // analyst-written configuration. Contract under test: IniFile::parse and
 // the typed getters throw std::runtime_error on malformed input, the
-// planners throw std::runtime_error or std::invalid_argument on bad
+// experiment parsers and planners throw std::runtime_error or std::invalid_argument on bad
 // config, and *accepted* text round-trips stably through to_string().
 // Anything else — another exception type, a crash, UB — is a finding.
 
@@ -12,6 +12,7 @@
 #include "adversary/adversary_plan.hpp"
 #include "campaign/spec.hpp"
 #include "fault/fault_plan.hpp"
+#include "scenario/experiment.hpp"
 #include "traffic/traffic_plan.hpp"
 #include "util/ini.hpp"
 #include "workload/drift_plan.hpp"
@@ -62,7 +63,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
   }
 
-  // Chain into every planner that consumes experiment INI directly.
+  // Chain into every parser that consumes experiment INI directly.
+  expect_clean_rejection(
+      [&] { (void)roadrunner::scenario::scenario_from_ini(ini); });
+  expect_clean_rejection(
+      [&] { (void)roadrunner::scenario::strategy_from_ini(ini); });
   expect_clean_rejection([&] { (void)roadrunner::fault::plan_from_ini(ini); });
   expect_clean_rejection(
       [&] { (void)roadrunner::adversary::plan_from_ini(ini); });
