@@ -105,12 +105,4 @@ bool AdversaryController::jamming_blocked(comm::ChannelKind kind,
   return false;
 }
 
-void AdversaryController::save_state(util::BinWriter& out) const {
-  util::save_fields(out, *this);
-}
-
-void AdversaryController::load_state(util::BinReader& in) {
-  util::load_fields(in, *this, "adversary");
-}
-
 }  // namespace roadrunner::adversary

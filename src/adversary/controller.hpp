@@ -105,8 +105,6 @@ class AdversaryController final : public comm::FaultHook {
     }
     ar(counters_);
   }
-  void save_state(util::BinWriter& out) const;
-  void load_state(util::BinReader& in);
 
  private:
   AdversaryPlan plan_;

@@ -169,8 +169,9 @@ std::vector<JobRecord> ResultStore::load_all() const {
   for (const auto& entry : std::filesystem::directory_iterator{dir_}) {
     if (!entry.is_regular_file()) continue;
     const auto name = entry.path().filename().string();
+    // Skips half-written `.csv.tmp` files and anything else not a record.
     if (name.size() <= std::string{kSuffix}.size() ||
-        !name.ends_with(kSuffix) || name.ends_with(".tmp")) {
+        !name.ends_with(kSuffix)) {
       continue;
     }
     records.push_back(
@@ -182,43 +183,6 @@ std::vector<JobRecord> ResultStore::load_all() const {
                      std::tie(b.point_index, b.seed_index, b.hash);
             });
   return records;
-}
-
-MergeStats ResultStore::merge_from(
-    const std::filesystem::path& shard_dir) const {
-  MergeStats stats;
-  if (!std::filesystem::is_directory(shard_dir)) return stats;
-  const ResultStore shard{shard_dir};
-  // Sorted filenames so merge order (and thus any log output) is stable
-  // regardless of directory-entry order.
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator{shard_dir}) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  for (const auto& name : names) {
-    if (name.size() <= std::string{kSuffix}.size() ||
-        !name.ends_with(kSuffix) || name.ends_with(".tmp")) {
-      ++stats.skipped;  // half-written temp, checkpoint dir, stray file
-      continue;
-    }
-    const std::string hash =
-        name.substr(0, name.size() - std::string{kSuffix}.size());
-    if (contains(hash)) {
-      ++stats.duplicates;
-      continue;
-    }
-    JobRecord record;
-    try {
-      record = shard.load(hash);
-    } catch (const std::exception&) {
-      ++stats.corrupt;  // truncated or hash-mismatched record
-      continue;
-    }
-    save(record);
-    ++stats.merged;
-  }
-  return stats;
 }
 
 }  // namespace roadrunner::campaign

@@ -42,14 +42,6 @@ struct JobRecord {
                               double fallback = 0.0) const;
 };
 
-/// Outcome of folding a shard directory into a canonical store.
-struct MergeStats {
-  std::size_t merged = 0;      ///< records copied into this store
-  std::size_t duplicates = 0;  ///< already present here (hash match)
-  std::size_t corrupt = 0;     ///< unreadable records skipped
-  std::size_t skipped = 0;     ///< non-record files (.tmp leftovers etc.)
-};
-
 class ResultStore {
  public:
   /// Opens (creating if needed) the store directory. Throws
@@ -69,16 +61,6 @@ class ResultStore {
 
   /// All records in the store, sorted by (point_index, seed_index, hash).
   [[nodiscard]] std::vector<JobRecord> load_all() const;
-
-  /// Folds a worker's shard-local store into this one: every well-formed
-  /// record not already present here is re-saved through the atomic
-  /// protocol. Dirty shards are expected, not exceptional — duplicate
-  /// hashes (requeue races) are dropped, half-written `.tmp` files are
-  /// ignored, and corrupt records are counted and skipped rather than
-  /// aborting the merge. A missing `shard_dir` yields empty stats. Shards
-  /// can arrive in any order: merging is commutative because records are
-  /// keyed by content hash and first-writer-wins.
-  MergeStats merge_from(const std::filesystem::path& shard_dir) const;
 
  private:
   [[nodiscard]] std::filesystem::path record_path(

@@ -23,8 +23,6 @@ inline constexpr AgentId kNoAgent = static_cast<AgentId>(-1);
 
 enum class AgentKind : std::uint8_t { kVehicle, kRoadsideUnit, kCloudServer };
 
-std::string to_string(AgentKind kind);
-
 struct Agent {
   AgentId id = kNoAgent;
   AgentKind kind = AgentKind::kVehicle;

@@ -6,8 +6,7 @@
 //
 // The shard store makes the worker itself crash-durable: a worker that dies
 // and restarts against the same shard directory replays locally-finished
-// jobs from disk instead of recomputing, and `ResultStore::merge_from`
-// folds orphaned shards into the canonical store after the fact.
+// jobs from disk instead of recomputing.
 #pragma once
 
 #include <cstdint>

@@ -155,12 +155,4 @@ std::vector<double> FaultInjector::note_delivery(comm::ChannelKind kind,
   return recoveries;
 }
 
-void FaultInjector::save_state(util::BinWriter& out) const {
-  util::save_fields(out, *this);
-}
-
-void FaultInjector::load_state(util::BinReader& in) {
-  util::load_fields(in, *this, "fault");
-}
-
 }  // namespace roadrunner::fault

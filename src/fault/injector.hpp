@@ -89,8 +89,6 @@ class FaultInjector final : public comm::FaultHook {
     }
     for (RecoveryProbe& probe : probes_) ar(probe.recovered);
   }
-  void save_state(util::BinWriter& out) const;
-  void load_state(util::BinReader& in);
 
  private:
   FaultPlan plan_;

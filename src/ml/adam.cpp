@@ -74,9 +74,4 @@ void Adam::reset() {
   t_ = 0;
 }
 
-void Adam::set_learning_rate(float lr) {
-  if (lr <= 0.0F) throw std::invalid_argument{"Adam: lr <= 0"};
-  lr_ = lr;
-}
-
 }  // namespace roadrunner::ml

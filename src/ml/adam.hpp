@@ -23,7 +23,6 @@ class Adam {
   void reset();
 
   [[nodiscard]] float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr);
   [[nodiscard]] std::uint64_t steps_taken() const { return t_; }
 
  private:

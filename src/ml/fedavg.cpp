@@ -50,8 +50,4 @@ WeightedModel fed_avg(const std::vector<WeightedModel>& contributions) {
   return out;
 }
 
-WeightedModel fed_avg(const WeightedModel& a, const WeightedModel& b) {
-  return fed_avg(std::vector<WeightedModel>{a, b});
-}
-
 }  // namespace roadrunner::ml

@@ -32,7 +32,4 @@ struct WeightedModel {
 /// output can be fed into another fed_avg call (intermediate aggregation).
 WeightedModel fed_avg(const std::vector<WeightedModel>& contributions);
 
-/// Convenience: pairwise aggregate, used by reporters and gossip merges.
-WeightedModel fed_avg(const WeightedModel& a, const WeightedModel& b);
-
 }  // namespace roadrunner::ml

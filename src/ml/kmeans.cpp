@@ -175,32 +175,4 @@ double kmeans_purity(const KMeansModel& model, const DatasetView& data) {
          static_cast<double>(data.size());
 }
 
-KMeansModel kmeans_average(
-    const std::vector<std::pair<KMeansModel, double>>& contributions) {
-  if (contributions.empty()) {
-    throw std::invalid_argument{"kmeans_average: no contributions"};
-  }
-  const Tensor& ref = contributions.front().first.centroids;
-  double total = 0.0;
-  for (const auto& [model, amount] : contributions) {
-    if (!model.centroids.same_shape(ref)) {
-      throw std::invalid_argument{"kmeans_average: shape mismatch"};
-    }
-    if (amount < 0.0) {
-      throw std::invalid_argument{"kmeans_average: negative amount"};
-    }
-    total += amount;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument{"kmeans_average: zero total amount"};
-  }
-  KMeansModel out;
-  out.centroids = Tensor{ref.shape()};
-  for (const auto& [model, amount] : contributions) {
-    out.centroids.add_scaled_(model.centroids,
-                              static_cast<float>(amount / total));
-  }
-  return out;
-}
-
 }  // namespace roadrunner::ml

@@ -49,10 +49,4 @@ double kmeans_inertia(const KMeansModel& model, const DatasetView& data);
 /// cluster's majority label matches their own. In [0, 1], higher is better.
 double kmeans_purity(const KMeansModel& model, const DatasetView& data);
 
-/// Data-amount-weighted average of centroid sets (models must share [k, d]);
-/// lets k-means participate in FL/gossip aggregation like the supervised
-/// models do.
-KMeansModel kmeans_average(
-    const std::vector<std::pair<KMeansModel, double>>& contributions);
-
 }  // namespace roadrunner::ml

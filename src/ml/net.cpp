@@ -30,14 +30,6 @@ Network::Network(const Network& other) {
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
 }
 
-Network& Network::operator=(const Network& other) {
-  if (this != &other) {
-    Network copy{other};
-    layers_ = std::move(copy.layers_);
-  }
-  return *this;
-}
-
 void Network::append(std::unique_ptr<Layer> layer) {
   if (!layer) throw std::invalid_argument{"Network::append: null layer"};
   layers_.push_back(std::move(layer));

@@ -35,7 +35,6 @@ class Network {
   explicit Network(std::vector<std::unique_ptr<Layer>> layers);
 
   Network(const Network& other);
-  Network& operator=(const Network& other);
   Network(Network&&) noexcept = default;
   Network& operator=(Network&&) noexcept = default;
 

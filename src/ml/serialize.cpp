@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 namespace roadrunner::ml {
@@ -65,33 +64,6 @@ Weights deserialize_weights(std::span<const std::uint8_t> bytes) {
     throw std::runtime_error{"deserialize_weights: trailing bytes"};
   }
   return w;
-}
-
-namespace {
-constexpr char kWeightsMagic[4] = {'R', 'R', 'W', 'T'};
-}  // namespace
-
-void save_weights(const Weights& weights, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error{"save_weights: cannot open " + path};
-  out.write(kWeightsMagic, 4);
-  const auto bytes = serialize_weights(weights);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error{"save_weights: write failed to " + path};
-}
-
-Weights load_weights(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error{"load_weights: cannot open " + path};
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kWeightsMagic, 4) != 0) {
-    throw std::runtime_error{"load_weights: bad magic in " + path};
-  }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
-                                  std::istreambuf_iterator<char>{}};
-  return deserialize_weights(bytes);
 }
 
 }  // namespace roadrunner::ml

@@ -8,7 +8,6 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -52,15 +51,6 @@ std::vector<std::uint8_t> serialize_weights(const Weights& w);
 /// Parses bytes produced by serialize_weights (or encode_weights).
 /// Throws std::runtime_error on truncated or malformed input.
 Weights deserialize_weights(std::span<const std::uint8_t> bytes);
-
-/// Persists a model to disk ("RRWT" magic + the wire format above) — the
-/// paper's prototype likewise keeps "models stored as files on disk"
-/// (§5.1), enabling checkpointing and cross-run model hand-off.
-void save_weights(const Weights& weights, const std::string& path);
-
-/// Loads a model written by save_weights. Throws std::runtime_error on
-/// missing or malformed files.
-Weights load_weights(const std::string& path);
 
 template <class Ar>
 void fields(Ar& ar, Weights& w) {

@@ -26,10 +26,6 @@ Tensor::Tensor(std::vector<std::size_t> shape, std::vector<float> data)
   }
 }
 
-Tensor Tensor::zeros(std::vector<std::size_t> shape) {
-  return Tensor{std::move(shape)};
-}
-
 Tensor Tensor::full(std::vector<std::size_t> shape, float value) {
   Tensor t{std::move(shape)};
   t.fill(value);

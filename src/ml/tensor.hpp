@@ -27,7 +27,6 @@ class Tensor {
   /// Tensor with explicit contents; data.size() must equal the shape volume.
   Tensor(std::vector<std::size_t> shape, std::vector<float> data);
 
-  static Tensor zeros(std::vector<std::size_t> shape);
   static Tensor full(std::vector<std::size_t> shape, float value);
 
   [[nodiscard]] const std::vector<std::size_t>& shape() const {

@@ -66,23 +66,6 @@ Position Trace::position_at(double time_s, std::size_t& cursor) const {
   return lerp(a.position, b.position, t);
 }
 
-double Trace::speed_at(double time_s) const {
-  if (samples_.size() < 2) return 0.0;
-  if (time_s < samples_.front().time_s || time_s > samples_.back().time_s) {
-    return 0.0;
-  }
-  const auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), time_s,
-      [](double t, const TraceSample& s) { return t < s.time_s; });
-  const std::size_t hi = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-          1, it - samples_.begin())),
-      samples_.size() - 1);
-  const TraceSample& a = samples_[hi - 1];
-  const TraceSample& b = samples_[hi];
-  return distance(a.position, b.position) / (b.time_s - a.time_s);
-}
-
 double Trace::path_length() const {
   double total = 0.0;
   for (std::size_t i = 1; i < samples_.size(); ++i) {

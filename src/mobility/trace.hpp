@@ -49,10 +49,6 @@ class Trace {
   /// trace's own is. FleetModel's segment cache keeps one per vehicle.
   [[nodiscard]] Position position_at(double time_s, std::size_t& cursor) const;
 
-  /// Instantaneous speed (m/s) from the surrounding segment; 0 outside the
-  /// span or on a single-sample trace.
-  [[nodiscard]] double speed_at(double time_s) const;
-
   /// Total path length in meters.
   [[nodiscard]] double path_length() const;
 

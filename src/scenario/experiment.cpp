@@ -236,8 +236,12 @@ std::shared_ptr<strategy::LearningStrategy> strategy_from_ini(
                                           round.round_duration_s);
   round.collect_timeout_s = ini.get_double("strategy", "collect_timeout_s",
                                            round.collect_timeout_s);
-  if (ini.get("strategy", "selection", "random") == "round_robin") {
+  const std::string selection = ini.get("strategy", "selection", "random");
+  if (selection == "round_robin") {
     round.selection = strategy::SelectionPolicy::kRoundRobin;
+  } else if (selection != "random") {
+    throw std::runtime_error{"experiment: unknown selection '" + selection +
+                             "'"};
   }
   round.aggregator = aggregator_from_ini(ini);
 

@@ -571,16 +571,6 @@ mobility::VehicleTrack follower_track(const mobility::VehicleTrack& leader,
 
 }  // namespace
 
-std::string to_string(ManeuverKind kind) {
-  switch (kind) {
-    case ManeuverKind::kFormation: return "formation";
-    case ManeuverKind::kJoin: return "join";
-    case ManeuverKind::kLeave: return "leave";
-    case ManeuverKind::kSplit: return "split";
-  }
-  return "?";
-}
-
 TrafficFleet make_traffic_fleet(std::size_t vehicle_count,
                                 const mobility::CityModelConfig& config,
                                 const TrafficPlan& plan) {

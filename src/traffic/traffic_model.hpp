@@ -42,8 +42,6 @@ enum class ManeuverKind : std::uint8_t {
   kSplit = 3,
 };
 
-std::string to_string(ManeuverKind kind);
-
 /// One platoon membership transition, replayed as a kPlatoonManeuver event.
 struct Maneuver {
   double time_s = 0.0;

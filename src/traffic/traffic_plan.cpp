@@ -41,16 +41,6 @@ double require_probability(double v, const std::string& where,
 
 }  // namespace
 
-std::string to_string(Regime regime) {
-  switch (regime) {
-    case Regime::kAuto: return "auto";
-    case Regime::kFreeFlow: return "free_flow";
-    case Regime::kSignalized: return "signalized";
-    case Regime::kPlatooned: return "platooned";
-  }
-  return "?";
-}
-
 TrafficPlan plan_from_ini(const util::IniFile& ini) {
   TrafficPlan plan;
   ini.check_keys("traffic", {"regime", "headway_s", "startup_s", "spacing_m"});

@@ -56,8 +56,6 @@ enum class Regime : std::uint8_t {
   kPlatooned = 3,
 };
 
-std::string to_string(Regime regime);
-
 enum class ControllerKind : std::uint8_t {
   kFixedTime = 0,
   kActuated = 1,

@@ -44,10 +44,6 @@ std::string CsvWriter::field(double value) {
   return std::string(buf, ptr);
 }
 
-std::string CsvWriter::field(std::int64_t value) {
-  return std::to_string(value);
-}
-
 std::string CsvWriter::field(std::uint64_t value) {
   return std::to_string(value);
 }

@@ -20,7 +20,6 @@ class CsvWriter {
 
   /// Convenience: formats doubles with enough digits to round-trip.
   static std::string field(double value);
-  static std::string field(std::int64_t value);
   static std::string field(std::uint64_t value);
 
  private:

@@ -28,7 +28,6 @@ constexpr std::string_view level_name(LogLevel level) {
 }  // namespace
 
 void Log::set_level(LogLevel level) { g_level.store(level); }
-LogLevel Log::level() { return g_level.load(); }
 void Log::set_sink(std::ostream* sink) {
   MutexLock lock{g_emit_mutex};
   g_sink = sink;

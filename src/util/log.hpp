@@ -21,7 +21,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 class Log {
  public:
   static void set_level(LogLevel level);
-  static LogLevel level();
 
   /// Redirects output (default: std::clog). Pass nullptr to restore default.
   /// Serialized with the emission mutex — safe to call while other threads

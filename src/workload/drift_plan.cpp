@@ -24,15 +24,6 @@ std::int32_t parse_component(const util::IniFile& ini,
 
 }  // namespace
 
-std::string to_string(DriftKind kind) {
-  switch (kind) {
-    case DriftKind::kAbrupt: return "abrupt";
-    case DriftKind::kGradualFront: return "gradual_front";
-    case DriftKind::kPeriodic: return "periodic";
-  }
-  return "?";
-}
-
 double DriftEvent::front_radius_at(double time_s) const {
   if (time_s < start_s) return 0.0;
   if (time_s >= end_s || end_s <= start_s) return reach_m;

@@ -53,8 +53,6 @@ enum class DriftKind : std::uint8_t {
   kPeriodic = 2,
 };
 
-std::string to_string(DriftKind kind);
-
 /// Affects every mixture component (the `component = all` default).
 inline constexpr std::int32_t kAllComponents = -1;
 

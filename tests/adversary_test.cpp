@@ -27,6 +27,7 @@
 #include "fault/fault_plan.hpp"
 #include "ml/robust.hpp"
 #include "scenario/experiment.hpp"
+#include "util/archive.hpp"
 #include "util/binary_io.hpp"
 #include "util/ini.hpp"
 #include "util/rng.hpp"
@@ -469,10 +470,10 @@ TEST(AdversaryController, StateRoundTripsThroughBinaryIo) {
   (void)original.transform_outgoing(1, 11.0, w, amount);
 
   util::BinWriter out;
-  original.save_state(out);
+  util::save_fields(out, original);
   adversary::AdversaryController restored = make_controller(ini);
   util::BinReader in{out.buffer()};
-  restored.load_state(in);
+  util::load_fields(in, restored, "adversary");
   EXPECT_EQ(restored.counters().byzantine_updates, 2U);
 
   // The garbage streams continue in lockstep: bit-identical resume.
@@ -490,7 +491,8 @@ TEST(AdversaryController, StateRoundTripsThroughBinaryIo) {
       "[adversary.0]\nkind = sybil\nfraction = 0.5\n[adversary.1]\n"
       "kind = byzantine\nfraction = 0.5\n");
   util::BinReader in2{out.buffer()};
-  EXPECT_THROW(other.load_state(in2), std::runtime_error);
+  EXPECT_THROW(util::load_fields(in2, other, "adversary"),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------- integration ---

@@ -382,6 +382,11 @@ TEST(ResultStore, LoadAllSortsByPointThenSeed) {
     record.seed_index = seed_index;
     store.save(record);
   }
+  // A half-written record (killed mid-save) and a stray file are not
+  // records: load_all skips both.
+  std::ofstream{store.dir() / "dddddddddddddddd.csv.tmp"}
+      << "field,name,value\nmeta,hash,dddd";
+  std::ofstream{store.dir() / "notes.txt"} << "scratch";
   const auto all = store.load_all();
   ASSERT_EQ(all.size(), 3U);
   EXPECT_EQ(all[0].hash, "bbbbbbbbbbbbbbbb");

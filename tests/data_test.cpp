@@ -1,15 +1,12 @@
-// Tests for the Data Preprocessing module: synthetic generators,
-// partitioners, and dataset persistence.
+// Tests for the Data Preprocessing module: synthetic generators and
+// partitioners.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <set>
 #include <string>
 
-#include "data/dataset_io.hpp"
 #include "data/gaussian_blobs.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic_images.hpp"
@@ -346,38 +343,6 @@ TEST(PartitionSkewness, OrdersDistributionFamilies) {
   EXPECT_LT(s_skew2, s_skew1);
   EXPECT_LT(s_flat, s_peaky);
   EXPECT_LT(s_iid, s_peaky);
-}
-
-// ------------------------------------------------------------- dataset io --
-
-TEST(DatasetIo, SaveLoadRoundTrip) {
-  const auto ds = make_gaussian_blobs(32);
-  const std::string path = ::testing::TempDir() + "/rr_ds_roundtrip.bin";
-  save_dataset(ds, path);
-  const auto loaded = load_dataset(path);
-  EXPECT_EQ(loaded.features(), ds.features());
-  EXPECT_EQ(loaded.labels(), ds.labels());
-  EXPECT_EQ(loaded.num_classes(), ds.num_classes());
-  std::filesystem::remove(path);
-}
-
-TEST(DatasetIo, RejectsMissingAndCorruptFiles) {
-  EXPECT_THROW(load_dataset("/nonexistent/nowhere.bin"), std::runtime_error);
-  const std::string path = ::testing::TempDir() + "/rr_ds_corrupt.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a dataset", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(load_dataset(path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(DatasetIo, SummaryMentionsKeyFacts) {
-  const auto ds = make_gaussian_blobs(10);
-  const std::string s = dataset_summary(ds);
-  EXPECT_NE(s.find("10 samples"), std::string::npos);
-  EXPECT_NE(s.find("4 classes"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the distributed campaign service: wire-protocol round trips
 // (doubles must survive bit-exactly — the §10.4 determinism contract across
-// process boundaries), endpoint parsing, shard-store merging under dirty
-// inputs, and the coordinator/worker loop itself over loopback TCP —
+// process boundaries), endpoint parsing, and the coordinator/worker loop
+// itself over loopback TCP —
 // including the headline guarantee that a multi-worker distributed run
 // produces records and an aggregate CSV byte-identical to the in-process
 // engine, and the failure paths: requeue after a worker vanishes
@@ -12,7 +12,6 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -333,68 +332,6 @@ TEST(DistProtocol, MidFrameEofThrows) {
   ASSERT_TRUE(client.send_all(header, sizeof header));
   client.close();
   EXPECT_THROW(dist::recv_frame(*server, 2000), std::runtime_error);
-}
-
-// ---- shard merging under dirty inputs -------------------------------------
-
-TEST(ResultStoreMerge, MissingShardYieldsEmptyStats) {
-  campaign::ResultStore store{temp_dir("merge_missing")};
-  const auto stats = store.merge_from("/no/such/shard");
-  EXPECT_EQ(stats.merged, 0U);
-  EXPECT_EQ(stats.duplicates, 0U);
-  EXPECT_EQ(stats.corrupt, 0U);
-  EXPECT_EQ(stats.skipped, 0U);
-}
-
-TEST(ResultStoreMerge, DirtyShardsMergeToOneCanonicalAggregate) {
-  const std::string canon_dir = temp_dir("merge_canon");
-  const std::string shard_a = temp_dir("merge_shard_a");
-  const std::string shard_b = temp_dir("merge_shard_b");
-  campaign::ResultStore canon{canon_dir};
-  campaign::ResultStore a{shard_a};
-  campaign::ResultStore b{shard_b};
-
-  // Canonical store already holds job 0 (say, from a resumed coordinator).
-  canon.save(make_record("hash000000000000", 0, 0));
-
-  // Shard A: a duplicate of job 0 (requeue race) plus a fresh job 1.
-  a.save(make_record("hash000000000000", 0, 0));
-  a.save(make_record("hash000000000001", 0, 1));
-  // Shard A also has a half-written record (kill mid-save) and a stray file.
-  std::ofstream{fs::path{shard_a} / "hashdead0000beef.csv.tmp"}
-      << "field,name,value\nmeta,hash,hashdead";
-  std::ofstream{fs::path{shard_a} / "notes.txt"} << "scratch";
-
-  // Shard B: fresh job 2 plus a corrupt record (truncated payload) and a
-  // hash-mismatched record (bit rot / wrong rename).
-  b.save(make_record("hash000000000002", 1, 0));
-  std::ofstream{fs::path{shard_b} / "hashbad000000001.csv"}
-      << "field,name,value\nmeta,hash,hashbad000000001\nmetric,acc,not_a_num";
-  std::ofstream{fs::path{shard_b} / "hashbad000000002.csv"}
-      << "field,name,value\nmeta,hash,EXPECTED_SOMETHING_ELSE";
-
-  // Out-of-order arrival: B lands before A.
-  const auto stats_b = canon.merge_from(shard_b);
-  EXPECT_EQ(stats_b.merged, 1U);
-  EXPECT_EQ(stats_b.corrupt, 2U);
-  const auto stats_a = canon.merge_from(shard_a);
-  EXPECT_EQ(stats_a.merged, 1U);
-  EXPECT_EQ(stats_a.duplicates, 1U);
-  EXPECT_EQ(stats_a.skipped, 2U);  // .tmp + notes.txt
-  EXPECT_EQ(stats_a.corrupt, 0U);
-
-  // One canonical aggregate: exactly jobs 0..2, each present once.
-  const auto records = canon.load_all();
-  ASSERT_EQ(records.size(), 3U);
-  EXPECT_EQ(records[0].hash, "hash000000000000");
-  EXPECT_EQ(records[1].hash, "hash000000000001");
-  EXPECT_EQ(records[2].hash, "hash000000000002");
-
-  // Merging the same shards again is a no-op (idempotent).
-  const auto again = canon.merge_from(shard_a);
-  EXPECT_EQ(again.merged, 0U);
-  EXPECT_EQ(again.duplicates, 2U);
-  EXPECT_EQ(canon.load_all().size(), 3U);
 }
 
 // ---- coordinator/worker loopback ------------------------------------------

@@ -1,49 +1,16 @@
-// Tests for weights-file persistence and the structured event trace.
+// Tests for the structured event trace.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/simulator.hpp"
 #include "data/gaussian_blobs.hpp"
 #include "ml/models.hpp"
-#include "ml/serialize.hpp"
 #include "strategy/federated.hpp"
 #include "util/csv.hpp"
 
 namespace roadrunner {
 namespace {
-
-// ---------------------------------------------------------- weight files --
-
-TEST(WeightsFile, SaveLoadRoundTrip) {
-  util::Rng rng{1};
-  ml::Network net = ml::make_mlp(8, 12, 3);
-  net.init_params(rng);
-  const ml::Weights original = net.weights();
-  const std::string path = ::testing::TempDir() + "/rr_model.rrwt";
-  ml::save_weights(original, path);
-  const ml::Weights loaded = ml::load_weights(path);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded[i], original[i]);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(WeightsFile, RejectsMissingAndCorrupt) {
-  EXPECT_THROW(ml::load_weights("/no/such/model.rrwt"), std::runtime_error);
-  const std::string path = ::testing::TempDir() + "/rr_bad.rrwt";
-  {
-    std::ofstream out{path, std::ios::binary};
-    out << "XXXXgarbage";
-  }
-  EXPECT_THROW(ml::load_weights(path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-// ------------------------------------------------------------ event trace --
 
 TEST(EventTrace, DisabledRecordsNothing) {
   core::EventTrace trace{false};

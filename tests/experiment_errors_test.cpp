@@ -1,8 +1,8 @@
 // Error-path coverage for the INI -> experiment pipeline and for the
 // CSV-safety guarantees underneath it: strict numeric parsing that names
 // the offending `section.key`, rejection of unknown keys, negative counts
-// and unknown strategy/optimizer names, every committed INI parsing, and
-// metrics::Registry name validation (commas survive export via
+// and unknown strategy/selection/optimizer names, every committed INI
+// parsing, and metrics::Registry name validation (commas survive export via
 // RFC-4180 quoting; newlines are rejected at the source because the CSV
 // readers are line-oriented).
 #include <gtest/gtest.h>
@@ -80,6 +80,20 @@ TEST(ExperimentErrors, UnknownStrategyNameThrows) {
       util::IniFile::parse("[strategy]\nname = federated_quantum\n");
   expect_throw_containing(
       [&] { (void)scenario::strategy_from_ini(ini); }, "federated_quantum");
+}
+
+TEST(ExperimentErrors, UnknownSelectionThrows) {
+  // Only `random` and `round_robin` exist; a misspelt value used to run
+  // random selection silently.
+  const auto ini =
+      util::IniFile::parse("[strategy]\nselection = roundrobin\n");
+  expect_throw_containing([&] { (void)scenario::strategy_from_ini(ini); },
+                          "experiment: unknown selection 'roundrobin'");
+  for (const char* valid : {"random", "round_robin"}) {
+    const auto ok = util::IniFile::parse(
+        std::string{"[strategy]\nselection = "} + valid + "\n");
+    EXPECT_NO_THROW((void)scenario::strategy_from_ini(ok)) << valid;
+  }
 }
 
 TEST(ExperimentErrors, UnknownOptimizerThrows) {

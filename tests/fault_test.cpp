@@ -8,6 +8,7 @@
 #include "comm/network.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "util/archive.hpp"
 #include "util/binary_io.hpp"
 #include "util/ini.hpp"
 #include "util/rng.hpp"
@@ -408,10 +409,10 @@ probability = 0.5
   }
 
   util::BinWriter out;
-  original.save_state(out);
+  util::save_fields(out, original);
   FaultInjector restored = make_injector(ini);
   util::BinReader in{out.buffer()};
-  restored.load_state(in);
+  util::load_fields(in, restored, "fault");
 
   // Probe flags restored: the already-recovered V2C probe stays popped.
   EXPECT_TRUE(restored.note_delivery(comm::ChannelKind::kV2C, 160.0).empty());
@@ -425,7 +426,7 @@ probability = 0.5
   FaultInjector other = make_injector(
       "[fault.0]\nkind = payload_corruption\nprobability = 0.5\n");
   util::BinReader in2{out.buffer()};
-  EXPECT_THROW(other.load_state(in2), std::runtime_error);
+  EXPECT_THROW(util::load_fields(in2, other, "fault"), std::runtime_error);
 }
 
 }  // namespace

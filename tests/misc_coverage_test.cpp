@@ -27,9 +27,6 @@ TEST(Message, WireBytesAccountsHeaderModelAndExtras) {
 }
 
 TEST(Strings, AgentAndChannelNames) {
-  EXPECT_EQ(core::to_string(core::AgentKind::kVehicle), "vehicle");
-  EXPECT_EQ(core::to_string(core::AgentKind::kRoadsideUnit), "rsu");
-  EXPECT_EQ(core::to_string(core::AgentKind::kCloudServer), "cloud");
   EXPECT_EQ(core::to_string(core::TraceKind::kEncounterBegin),
             "encounter-begin");
 }

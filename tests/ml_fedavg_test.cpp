@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(Groupings, FedAvgAssociativity,
                          ::testing::Range<std::uint64_t>(1, 16));
 
 TEST(FedAvg, PairwiseChainEqualsFlatForEqualGrouping) {
-  // A reporter folding returns in one-by-one (pairwise fed_avg chain) must
+  // Folding returns in one by one (a chain of two-model fed_avg calls) must
   // match the flat average of all of them.
   std::vector<WeightedModel> all;
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -106,7 +106,7 @@ TEST(FedAvg, PairwiseChainEqualsFlatForEqualGrouping) {
   }
   WeightedModel chained = all[0];
   for (std::size_t i = 1; i < all.size(); ++i) {
-    chained = fed_avg(chained, all[i]);
+    chained = fed_avg({chained, all[i]});
   }
   const WeightedModel flat = fed_avg(all);
   expect_weights_near(chained.weights, flat.weights, 5e-5F);

@@ -77,27 +77,6 @@ TEST(KMeans, ValidatesInput) {
   EXPECT_THROW(kmeans_fit(empty, data), std::invalid_argument);
 }
 
-TEST(KMeans, AverageBlendsCentroids) {
-  KMeansModel a;
-  a.centroids = Tensor{{1, 2}, {0.0F, 0.0F}};
-  KMeansModel b;
-  b.centroids = Tensor{{1, 2}, {4.0F, 8.0F}};
-  const KMeansModel avg = kmeans_average({{a, 1.0}, {b, 3.0}});
-  EXPECT_FLOAT_EQ(avg.centroids[0], 3.0F);
-  EXPECT_FLOAT_EQ(avg.centroids[1], 6.0F);
-}
-
-TEST(KMeans, AverageValidates) {
-  KMeansModel a;
-  a.centroids = Tensor{{1, 2}};
-  KMeansModel wrong;
-  wrong.centroids = Tensor{{2, 2}};
-  EXPECT_THROW(kmeans_average({}), std::invalid_argument);
-  EXPECT_THROW(kmeans_average({{a, 1.0}, {wrong, 1.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(kmeans_average({{a, 0.0}}), std::invalid_argument);
-}
-
 // ----- determinism + degenerate inputs (the GMM init path depends on these
 // behaviors: ml::gmm_init seeds its components from k-means) ----------------
 

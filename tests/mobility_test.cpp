@@ -1,6 +1,7 @@
 // Tests for the fleet-model substrate: geometry, traces, ignition
 // schedules, the spatial index (property-tested against brute force), the
-// synthetic city generator, and trace-file round trips.
+// synthetic city generator, and the trace-file loader (round trips and
+// its rejection of malformed files with file+line context).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include <fstream>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "mobility/city_model.hpp"
 #include "mobility/fleet_model.hpp"
@@ -96,12 +99,9 @@ TEST(Trace, RejectsNonMonotonicSamples) {
   EXPECT_EQ(t.sample_count(), 2U);
 }
 
-TEST(Trace, PathLengthAndSpeed) {
+TEST(Trace, PathLength) {
   Trace t{{{0.0, {0, 0}}, {10.0, {30, 40}}, {20.0, {30, 40}}}};
   EXPECT_DOUBLE_EQ(t.path_length(), 50.0);
-  EXPECT_DOUBLE_EQ(t.speed_at(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(t.speed_at(15.0), 0.0);  // parked segment
-  EXPECT_DOUBLE_EQ(t.speed_at(25.0), 0.0);  // outside span
 }
 
 TEST(Trace, EmptyTraceThrows) {
@@ -1046,6 +1046,116 @@ TEST(TraceFile, GeoVariantProjectsAroundReference) {
   EXPECT_NEAR(start.x, 0.0, 1e-6);
   EXPECT_NEAR(start.y, 0.0, 1e-6);
   EXPECT_NEAR(end.y, 1000.0, 15.0);
+  std::filesystem::remove(traces);
+  std::filesystem::remove(ignition);
+}
+
+/// Writes `content` to a temp file named `name` and returns its path.
+std::string write_tmp(const std::string& name, const std::string& content) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out{path};
+  out << content;
+  return path;
+}
+
+/// Asserts that `load()` throws std::runtime_error whose message contains
+/// `path` (errors must say which file is bad) and every fragment.
+template <typename Loader>
+void expect_load_error(const Loader& load, const std::string& path,
+                       const std::vector<std::string>& fragments) {
+  try {
+    load();
+    FAIL() << "expected a parse error for " << path;
+  } catch (const std::runtime_error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    for (const std::string& fragment : fragments) {
+      EXPECT_NE(what.find(fragment), std::string::npos)
+          << "missing '" << fragment << "' in: " << what;
+    }
+  }
+}
+
+TEST(TraceFileHardening, NamesFileAndLineOnMalformedRows) {
+  const std::string ignition =
+      write_tmp("rr_csv_ok_ign.csv", "vehicle_id,start_s,end_s\n0,0,100\n");
+  const std::string short_row = write_tmp(
+      "rr_csv_short.csv", "vehicle_id,time_s,x_m,y_m\n0,0,10\n");
+  expect_load_error(
+      [&] { load_fleet_csv(short_row, ignition); }, short_row,
+      {":2:", "traces row needs 4 fields"});
+
+  const std::string bad_id = write_tmp(
+      "rr_csv_badid.csv", "vehicle_id,time_s,x_m,y_m\n0,0,10,20\nX7,1,1,1\n");
+  expect_load_error(
+      [&] { load_fleet_csv(bad_id, ignition); }, bad_id,
+      {":3:", "vehicle id 'X7' is not a whole number"});
+
+  const std::string bad_num = write_tmp(
+      "rr_csv_badnum.csv",
+      "vehicle_id,time_s,x_m,y_m\n0,0,10,20\n0,five,1,1\n");
+  expect_load_error(
+      [&] { load_fleet_csv(bad_num, ignition); }, bad_num,
+      {":3:", "'five' is not a number"});
+  for (const auto& p : {ignition, short_row, bad_id, bad_num}) std::filesystem::remove(p);
+}
+
+TEST(TraceFileHardening, RejectsNonFiniteCoordinates) {
+  const std::string ignition =
+      write_tmp("rr_csv_fin_ign.csv", "vehicle_id,start_s,end_s\n0,0,100\n");
+  // A finite latitude whose projection overflows to infinity.
+  const std::string far = write_tmp(
+      "rr_csv_geo_overflow.csv",
+      "vehicle_id,time_s,lat,lon\n0,0,57.7,11.9\n0,1,1e308,11.9\n");
+  expect_load_error(
+      [&] {
+        load_fleet_csv_geo(far, ignition, kGothenburgCenter);
+      },
+      far, {"vehicle 0", "non-finite"});
+  std::filesystem::remove(far);
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    const std::string traces = write_tmp(
+        "rr_csv_nonfinite.csv",
+        "vehicle_id,time_s,x_m,y_m\n0,0,10,20\n0,1," + bad + ",30\n");
+    expect_load_error(
+        [&] { load_fleet_csv(traces, ignition); }, traces,
+        {":3:", "must be finite"});
+    std::filesystem::remove(traces);
+  }
+  std::filesystem::remove(ignition);
+}
+
+TEST(TraceFileHardening, RejectsNonMonotoneIgnition) {
+  const std::string traces = write_tmp(
+      "rr_csv_mono_tr.csv", "vehicle_id,time_s,x_m,y_m\n0,0,10,20\n");
+  // An interval that ends before (or at) its start names its row...
+  const std::string backwards = write_tmp(
+      "rr_csv_backwards.csv",
+      "vehicle_id,start_s,end_s\n0,50,50\n");
+  expect_load_error(
+      [&] { load_fleet_csv(traces, backwards); }, backwards,
+      {":2:", "must be after start"});
+  // ...and overlapping intervals are rejected as a non-monotone schedule.
+  const std::string overlap = write_tmp(
+      "rr_csv_overlap.csv",
+      "vehicle_id,start_s,end_s\n0,0,60\n0,40,90\n");
+  expect_load_error(
+      [&] { load_fleet_csv(traces, overlap); }, overlap,
+      {"vehicle 0 has overlapping ignition intervals"});
+  for (const auto& p : {traces, backwards, overlap}) std::filesystem::remove(p);
+}
+
+TEST(TraceFileHardening, WellFormedFilesStillLoad) {
+  const std::string traces = write_tmp(
+      "rr_csv_good_tr.csv",
+      "vehicle_id,time_s,x_m,y_m\n0,0,10,20\n0,10,15,25\n1,0,0,0\n1,5,5,5\n");
+  const std::string ignition = write_tmp(
+      "rr_csv_good_ign.csv",
+      "vehicle_id,start_s,end_s\n0,0,60\n0,80,100\n1,0,50\n");
+  const FleetModel fleet =
+      load_fleet_csv(traces, ignition);
+  EXPECT_EQ(fleet.vehicle_count(), 2U);
+  EXPECT_EQ(fleet.vehicle(0).ignition.intervals().size(), 2U);
   std::filesystem::remove(traces);
   std::filesystem::remove(ignition);
 }

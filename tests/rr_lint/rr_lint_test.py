@@ -41,6 +41,7 @@ EXPECTED_FAIL = {
     "dist/len_narrow.cpp": "len-narrow",
     "unknown_suppression.cpp": "unknown-suppression",
     "stale_suppression.cpp": "stale-suppression",
+    "unreached/src/lib/orphan.hpp": "unreached-header",
 }
 
 failures = []
@@ -54,6 +55,12 @@ def check(label, condition, detail=""):
         print(f"FAIL {label}  {detail}")
 
 
+def sources(directory):
+    """Every C++ fixture under `directory`, headers included."""
+    return sorted(p for p in directory.rglob("*")
+                  if p.suffix in (".cpp", ".hpp"))
+
+
 def run(*args):
     return subprocess.run(
         [sys.executable, str(LINT), *map(str, args)],
@@ -61,7 +68,7 @@ def run(*args):
 
 
 # --- pass fixtures: zero findings -----------------------------------------
-for fixture in sorted((FIXTURES / "pass").rglob("*.cpp")):
+for fixture in sources(FIXTURES / "pass"):
     r = run(fixture)
     check(f"pass/{fixture.name} lints clean",
           r.returncode == 0 and not r.stdout.strip(), r.stdout)
@@ -76,13 +83,13 @@ for rel, rule in sorted(EXPECTED_FAIL.items()):
           fired == [rule], f"fired={fired} out={r.stdout}")
 
 # --- suppressed fixtures: trailers silence every rule ---------------------
-for fixture in sorted((FIXTURES / "suppressed").rglob("*.cpp")):
+for fixture in sources(FIXTURES / "suppressed"):
     r = run(fixture)
     check(f"suppressed/{fixture.name} lints clean",
           r.returncode == 0 and not r.stdout.strip(), r.stdout)
 
 # --- whole-fixture-tree sweep: findings == the seeded set, nothing else ---
-all_fixtures = sorted(FIXTURES.rglob("*.cpp"))
+all_fixtures = sources(FIXTURES)
 r = run(*all_fixtures)
 fired = sorted(re.findall(r"\[([a-z-]+)\]", r.stdout))
 check("fixture-tree sweep fires each rule's seed exactly once",

@@ -54,12 +54,12 @@ with tempfile.TemporaryDirectory() as td:
 
     summary_json(summary, {
         "/ci/build/../src/util/ini.cpp": 85.0,
-        "/ci/build/../src/mobility/fcd.cpp": 72.5,
+        "/ci/build/../src/mobility/trace_file.cpp": 72.5,
     })
 
     # --- floors met ------------------------------------------------------
     thresholds.write_text(json.dumps(
-        {"src/util/ini.cpp": 70.0, "src/mobility/fcd.cpp": 70.0}))
+        {"src/util/ini.cpp": 70.0, "src/mobility/trace_file.cpp": 70.0}))
     r = run("--summary", summary, "--thresholds", thresholds)
     check("floors met exits 0", r.returncode == 0,
           f"rc={r.returncode} out={r.stdout} err={r.stderr}")
@@ -68,11 +68,11 @@ with tempfile.TemporaryDirectory() as td:
 
     # --- a file below its floor fails ------------------------------------
     thresholds.write_text(json.dumps(
-        {"src/util/ini.cpp": 70.0, "src/mobility/fcd.cpp": 80.0}))
+        {"src/util/ini.cpp": 70.0, "src/mobility/trace_file.cpp": 80.0}))
     r = run("--summary", summary, "--thresholds", thresholds)
     check("file below floor exits 1", r.returncode == 1, f"rc={r.returncode}")
     check("below-floor file is named", "BELOW" in r.stdout and
-          "fcd.cpp" in r.stdout, r.stdout)
+          "trace_file.cpp" in r.stdout, r.stdout)
 
     # --- a file missing from the report fails ----------------------------
     thresholds.write_text(json.dumps({"src/dist/protocol.cpp": 50.0}))
@@ -110,9 +110,9 @@ with tempfile.TemporaryDirectory() as td:
     # --- the checked-in thresholds file is well-formed --------------------
     shipped = json.loads((ROOT / "tools" / "coverage_thresholds.json")
                          .read_text())
-    check("shipped thresholds cover the five fuzzed parsers",
-          {"src/util/ini.cpp", "src/mobility/fcd.cpp",
-           "src/mobility/trace_file.cpp", "src/checkpoint/snapshot.cpp",
+    check("shipped thresholds cover the four fuzzed parsers",
+          {"src/util/ini.cpp", "src/mobility/trace_file.cpp",
+           "src/checkpoint/snapshot.cpp",
            "src/dist/protocol.cpp"} <= set(shipped), str(shipped))
     check("shipped floors are sane percentages",
           all(isinstance(v, (int, float)) and 0 < v <= 100

@@ -37,6 +37,7 @@ Exit status: 0 = clean, 1 = violations found, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -223,6 +224,22 @@ Fix: compare against the relevant kMax* limit (and throw/reject) before
 the cast, or keep the value 64-bit end to end. For a cast whose range is
 structurally bounded (e.g. a fixed small section list), suppress with
 `// rr-lint: allow(len-narrow)` and state the bound in a comment.""",
+    },
+    "unreached-header": {
+        "summary": "src/ header that no program source includes",
+        "scope": "src/**/*.hpp (includers: src/ except the header's own "
+                 ".cpp, examples/, bench/, ledger/)",
+        "explain": """\
+A header under src/ that no other library file, example, benchmark or
+ledger source includes declares a feature no run can reach: only its own
+.cpp and the tests see it. Such code still costs review, build time and
+CI lanes (a fuzz target, a coverage floor), and its tests pin behaviour
+no user depends on. Tests alone do not make a header reachable.
+
+Fix: delete the header with its .cpp, tests and build lines, or wire the
+feature into a program that runs it. A header kept deliberately for tests
+only (an oracle, a fuzz entry point) belongs next to a header that a
+program includes, not in a file of its own.""",
     },
     "unknown-suppression": {
         "summary": "rr-lint: allow(...) names a rule this linter does not define",
@@ -1277,6 +1294,61 @@ def check_len_narrow(tf: TokFile, code_lines, findings):
 
 
 # --------------------------------------------------------------------------
+# unreached-header: a src/ header that no program source includes.
+# --------------------------------------------------------------------------
+
+# Directories (under the tree root, the parent of src/) whose files make a
+# header reachable; tests/ is deliberately absent.
+PROGRAM_DIRS = ("src", "examples", "bench", "ledger")
+
+
+def _tree_root(path: Path):
+    """The directory holding the innermost `src` component of `path`."""
+    parts = path.resolve().parts
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "src":
+            return Path(*parts[:i])
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _includers(tree: Path):
+    """Resolved include target -> set of resolved files including it, over
+    every C++ file in the tree's PROGRAM_DIRS."""
+    out = {}
+    for sub in PROGRAM_DIRS:
+        base = tree / sub
+        if not base.is_dir():
+            continue
+        for src in sorted(base.rglob("*")):
+            if src.suffix not in CXX_SUFFIXES or not src.is_file():
+                continue
+            text = src.read_text(encoding="utf-8", errors="replace")
+            for m in INCLUDE_RE.finditer(strip_comments(text)):
+                for cand in (src.parent / m.group(1), tree / "src" / m.group(1)):
+                    if cand.is_file():
+                        out.setdefault(cand.resolve(), set()).add(src.resolve())
+                        break
+    return out
+
+
+def check_unreached_header(path: Path, findings):
+    if path.suffix != ".hpp":
+        return
+    tree = _tree_root(path)
+    if tree is None:
+        return
+    own = path.resolve()
+    users = _includers(tree).get(own, set()) - {own.with_suffix(".cpp")}
+    if not users:
+        findings.append(Finding(
+            path, 1, "unreached-header",
+            "no file under src/ (other than its own .cpp), examples/, "
+            "bench/ or ledger/ includes this header — delete the feature or "
+            "give it a user"))
+
+
+# --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
 
@@ -1361,6 +1433,7 @@ def lint_files(files, root=None):
         check_parallel_mutation(tf, atomic_names(code), unsuppressed)
         check_msgtype_exhaustive(tf, msgtype_enum, unsuppressed)
         check_len_narrow(tf, code_lines, unsuppressed)
+        check_unreached_header(path, unsuppressed)
 
 
     # Suppression accounting: filter findings whose line carries a matching
