@@ -52,7 +52,8 @@ struct Agent {
   /// its bookkeeping, the data view's indices, and HU occupancy. Restored
   /// indices attach to this agent's dataset, or to `fallback` when the
   /// fresh agent has none (e.g. the cloud under centralized ML); an index
-  /// past the dataset throws std::runtime_error.
+  /// past the dataset or naming an unrendered row throws
+  /// std::runtime_error.
   template <class Ar>
   void fields(Ar& ar, const std::shared_ptr<const ml::Dataset>& fallback) {
     ar(model, model_data_amount, model_updated_s, training);
@@ -68,7 +69,7 @@ struct Agent {
               "checkpoint: no dataset to attach restored data view"};
         }
         for (std::uint32_t idx : indices) {
-          if (idx >= base->size()) {
+          if (idx >= base->size() || !base->rendered(idx)) {
             throw std::runtime_error{
                 "checkpoint: data index out of range in snapshot"};
           }

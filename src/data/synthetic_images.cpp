@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -133,36 +134,63 @@ ml::Tensor render_synthetic_image(std::int32_t label,
   return img;
 }
 
-ml::Dataset make_synthetic_images(std::size_t count,
-                                  const SyntheticImageConfig& config) {
+SyntheticImagePlan plan_synthetic_images(std::size_t count,
+                                         const SyntheticImageConfig& config) {
   if (config.num_classes == 0 || config.num_classes > 10) {
     throw std::invalid_argument{
-        "make_synthetic_images: num_classes must be in [1, 10]"};
+        "plan_synthetic_images: num_classes must be in [1, 10]"};
   }
-  // Pass 1, sequential: the one stream decides every label and where each
-  // image's draws begin. Replaying the header and jumping past the pixel
-  // draws costs microseconds per image instead of a full render.
+  // Sequential: the one stream decides every label and where each image's
+  // draws begin. Replaying the header and jumping past the pixel draws costs
+  // microseconds per image instead of a full render.
   util::Rng rng{config.seed};
   const util::Rng::Skip skip_pixels{pixel_draws(config)};
-  std::vector<std::int32_t> labels(count);
-  std::vector<std::array<std::uint64_t, 4>> starts(count);
+  SyntheticImagePlan plan{config, std::vector<std::int32_t>(count),
+                          std::vector<std::array<std::uint64_t, 4>>(count)};
   for (std::size_t n = 0; n < count; ++n) {
-    labels[n] = static_cast<std::int32_t>(rng.next_below(config.num_classes));
-    starts[n] = rng.state();
+    plan.labels[n] =
+        static_cast<std::int32_t>(rng.next_below(config.num_classes));
+    plan.starts[n] = rng.state();
     (void)draw_header(config, rng);
     skip_pixels.apply(rng);
   }
+  return plan;
+}
 
-  // Pass 2, parallel: each image depends only on its label and saved state,
-  // so the bytes are the same for any worker count or schedule.
+ml::Dataset render_synthetic_images(const SyntheticImagePlan& plan,
+                                    std::vector<std::uint32_t> rows) {
+  const SyntheticImageConfig& config = plan.config;
+  const std::size_t count = plan.labels.size();
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (!rows.empty() && rows.back() >= count) {
+    throw std::out_of_range{"render_synthetic_images: row beyond the plan"};
+  }
+  std::vector<std::uint32_t> row_of(count, ml::Dataset::kUnrendered);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    row_of[rows[r]] = static_cast<std::uint32_t>(r);
+  }
+
+  // Parallel: each image depends only on its label and saved state, so the
+  // bytes are the same for any worker count, schedule or row subset.
   const std::size_t sample_size = config.channels * config.side * config.side;
-  ml::Tensor x{{count, config.channels, config.side, config.side}};
-  util::ThreadPool::global().parallel_for(count, [&](std::size_t n) {
+  ml::Tensor x{{rows.size(), config.channels, config.side, config.side}};
+  util::ThreadPool::global().parallel_for(rows.size(), [&](std::size_t r) {
     util::Rng image_rng;
-    image_rng.set_state(starts[n]);
-    render_into(labels[n], config, image_rng, x.data() + n * sample_size);
+    image_rng.set_state(plan.starts[rows[r]]);
+    render_into(plan.labels[rows[r]], config, image_rng,
+                x.data() + r * sample_size);
   });
-  return ml::Dataset{std::move(x), std::move(labels), config.num_classes};
+  return ml::Dataset{std::move(x), plan.labels, config.num_classes,
+                     std::move(row_of)};
+}
+
+ml::Dataset make_synthetic_images(std::size_t count,
+                                  const SyntheticImageConfig& config) {
+  std::vector<std::uint32_t> all(count);
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  return render_synthetic_images(plan_synthetic_images(count, config),
+                                 std::move(all));
 }
 
 }  // namespace roadrunner::data

@@ -13,9 +13,19 @@
 //    gain, additive Gaussian noise) makes memorization of 80 local samples
 //    insufficient — exactly the regime where federated aggregation helps.
 // See DESIGN.md §1 (substitution table).
+//
+// The build has two passes. plan_synthetic_images walks the one seeded
+// stream: it draws every label and saves the Rng state each image starts
+// from, jumping past the pixel draws. render_synthetic_images then renders
+// any subset of the planned images, in parallel, into a row-mapped Dataset
+// (ml/dataset.hpp) that carries all N labels. A rendered sample's bytes do
+// not depend on which other rows are rendered, so a scenario can split and
+// partition on the labels and render only the rows its views reference.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "ml/dataset.hpp"
 #include "util/rng.hpp"
@@ -32,8 +42,26 @@ struct SyntheticImageConfig {
   std::uint64_t seed = 42;
 };
 
-/// Generates `count` samples with uniformly distributed labels.
-/// Deterministic given the config (including seed).
+/// Pass 1: the labels of `count` images and where each image's draws begin.
+struct SyntheticImagePlan {
+  SyntheticImageConfig config;
+  std::vector<std::int32_t> labels;
+  std::vector<std::array<std::uint64_t, 4>> starts;  ///< Rng state per image
+};
+
+/// Plans `count` images with uniformly distributed labels. Deterministic
+/// given the config (including seed). Costs microseconds per image.
+SyntheticImagePlan plan_synthetic_images(
+    std::size_t count, const SyntheticImageConfig& config = {});
+
+/// Pass 2: renders the planned images named in `rows` (any order,
+/// duplicates allowed) into a Dataset of all the plan's labels whose row map
+/// holds the rendered ones in ascending index order. Throws
+/// std::out_of_range for an index past the plan.
+ml::Dataset render_synthetic_images(const SyntheticImagePlan& plan,
+                                    std::vector<std::uint32_t> rows);
+
+/// Plans and renders all `count` samples: a dense Dataset.
 ml::Dataset make_synthetic_images(std::size_t count,
                                   const SyntheticImageConfig& config = {});
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <stdexcept>
 
 namespace roadrunner::ml {
@@ -9,11 +11,36 @@ namespace roadrunner::ml {
 Dataset::Dataset(Tensor x, std::vector<std::int32_t> labels,
                  std::size_t num_classes)
     : x_{std::move(x)}, labels_{std::move(labels)}, num_classes_{num_classes} {
-  if (x_.rank() < 1) throw std::invalid_argument{"Dataset: rank-0 features"};
-  if (x_.dim(0) != labels_.size()) {
+  if (x_.rank() >= 1 && x_.dim(0) != labels_.size()) {
     throw std::invalid_argument{"Dataset: N mismatch between x and labels"};
   }
-  sample_size_ = labels_.empty() ? 0 : x_.size() / labels_.size();
+  rows_.resize(labels_.size());
+  std::iota(rows_.begin(), rows_.end(), std::uint32_t{0});
+  validate();
+}
+
+Dataset::Dataset(Tensor x, std::vector<std::int32_t> labels,
+                 std::size_t num_classes, std::vector<std::uint32_t> rows)
+    : x_{std::move(x)},
+      labels_{std::move(labels)},
+      rows_{std::move(rows)},
+      num_classes_{num_classes} {
+  validate();
+}
+
+void Dataset::validate() {
+  if (x_.rank() < 1) throw std::invalid_argument{"Dataset: rank-0 features"};
+  if (rows_.size() != labels_.size()) {
+    throw std::invalid_argument{"Dataset: N mismatch between rows and labels"};
+  }
+  for (std::uint32_t row : rows_) {
+    if (row != kUnrendered && row >= x_.dim(0)) {
+      throw std::invalid_argument{"Dataset: row map beyond the features"};
+    }
+  }
+  const auto& s = x_.shape();
+  sample_size_ = std::accumulate(s.begin() + 1, s.end(), std::size_t{1},
+                                 std::multiplies<>{});
   for (std::int32_t y : labels_) {
     if (y < 0 || static_cast<std::size_t>(y) >= num_classes_) {
       throw std::invalid_argument{"Dataset: label out of range"};
@@ -39,6 +66,9 @@ DatasetView::DatasetView(std::shared_ptr<const Dataset> base,
   for (std::uint32_t i : indices_) {
     if (i >= base_->size()) {
       throw std::out_of_range{"DatasetView: index beyond base dataset"};
+    }
+    if (!base_->rendered(i)) {
+      throw std::out_of_range{"DatasetView: index names an unrendered row"};
     }
   }
 }

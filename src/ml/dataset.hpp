@@ -1,7 +1,12 @@
 // Dataset storage for supervised learning problems.
 //
-// A Dataset owns one big feature tensor X of shape [N, ...sample shape] and
-// an integer label per sample. Per-agent data assignments in the simulator
+// A Dataset holds an integer label for each of its N samples, a feature
+// tensor X of shape [R, ...sample shape] holding the R rendered samples, and
+// a row map from sample index to row of X. A dense dataset renders every
+// sample and maps i to row i. The image scenario renders only the samples
+// its test set and vehicles reference (R <= N): indices into the dataset
+// stay what the split and the partition chose, and an unrendered sample
+// has no row (kUnrendered). Per-agent data assignments in the simulator
 // are DatasetViews: index subsets over a shared Dataset, so distributing
 // 50 000 samples over 100 vehicles copies no pixels (the paper's Data
 // Preprocessing module "splits the dataset into n subsets ... and assigns
@@ -18,10 +23,19 @@ namespace roadrunner::ml {
 
 class Dataset {
  public:
+  /// Row-map entry of a sample that has no row in the feature tensor.
+  static constexpr std::uint32_t kUnrendered = 0xFFFFFFFFU;
+
   Dataset() = default;
 
-  /// x: [N, ...]; labels.size() must be N (dim 0 of x).
+  /// Dense: x is [N, ...]; labels.size() must be N (dim 0 of x). Sample i
+  /// is row i.
   Dataset(Tensor x, std::vector<std::int32_t> labels, std::size_t num_classes);
+
+  /// Row-mapped: x is [R, ...]; labels and rows hold one entry per sample.
+  /// rows[i] is sample i's row of x, or kUnrendered.
+  Dataset(Tensor x, std::vector<std::int32_t> labels, std::size_t num_classes,
+          std::vector<std::uint32_t> rows);
 
   [[nodiscard]] std::size_t size() const { return labels_.size(); }
   [[nodiscard]] bool empty() const { return labels_.empty(); }
@@ -31,30 +45,39 @@ class Dataset {
   [[nodiscard]] std::vector<std::size_t> sample_shape() const;
   [[nodiscard]] std::size_t sample_size() const { return sample_size_; }
 
+  /// The rendered rows, [R, ...sample shape].
   [[nodiscard]] const Tensor& features() const { return x_; }
   [[nodiscard]] const std::vector<std::int32_t>& labels() const {
     return labels_;
   }
 
   [[nodiscard]] std::int32_t label(std::size_t i) const { return labels_[i]; }
-  /// Pointer to the first float of sample i.
+  /// True if sample i (< size()) has a row in features().
+  [[nodiscard]] bool rendered(std::size_t i) const {
+    return rows_[i] != kUnrendered;
+  }
+  /// Pointer to the first float of sample i, which must be rendered.
   [[nodiscard]] const float* sample(std::size_t i) const {
-    return x_.data() + i * sample_size_;
+    return x_.data() + std::size_t{rows_[i]} * sample_size_;
   }
 
   /// Per-class sample counts (length num_classes()).
   [[nodiscard]] std::vector<std::size_t> class_histogram() const;
 
  private:
+  /// Checks the row map and the labels; sets sample_size_.
+  void validate();
+
   Tensor x_;
   std::vector<std::int32_t> labels_;
+  std::vector<std::uint32_t> rows_;
   std::size_t num_classes_ = 0;
   std::size_t sample_size_ = 0;
 };
 
 /// An index subset of a shared Dataset. Copyable and cheap; this is what
 /// agents hold. The underlying Dataset must outlive all views (the scenario
-/// layer keeps it in a shared_ptr).
+/// layer keeps it in a shared_ptr). Every index names a rendered sample.
 class DatasetView {
  public:
   DatasetView() = default;

@@ -12,27 +12,6 @@
 
 namespace roadrunner::scenario {
 
-namespace {
-
-std::shared_ptr<const ml::Dataset> build_dataset(const ScenarioConfig& cfg) {
-  const std::size_t total = cfg.train_pool_size + cfg.test_size;
-  if (cfg.dataset == "images") {
-    data::SyntheticImageConfig ic = cfg.image_config;
-    ic.seed = cfg.seed ^ 0xDA7A5EEDULL;
-    return std::make_shared<ml::Dataset>(data::make_synthetic_images(total,
-                                                                     ic));
-  }
-  if (cfg.dataset == "blobs") {
-    data::GaussianBlobConfig bc = cfg.blob_config;
-    bc.seed = cfg.seed ^ 0xDA7A5EEDULL;
-    return std::make_shared<ml::Dataset>(data::make_gaussian_blobs(total, bc));
-  }
-  throw std::invalid_argument{"Scenario: unknown dataset '" + cfg.dataset +
-                              "'"};
-}
-
-}  // namespace
-
 Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
   if (config_.vehicles == 0) {
     throw std::invalid_argument{"Scenario: zero vehicles"};
@@ -120,7 +99,26 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
   }
 
   // ----- data ---------------------------------------------------------------
-  dataset_ = build_dataset(config_);
+  // The split and the partition read labels only. For images they run on a
+  // labels-only stand-in (samples of zero floats) of the planned pool, and
+  // only the rows the test set and the vehicles reference are rendered.
+  const std::size_t total = config_.train_pool_size + config_.test_size;
+  std::optional<data::SyntheticImagePlan> plan;
+  if (config_.dataset == "images") {
+    data::SyntheticImageConfig ic = config_.image_config;
+    ic.seed = config_.seed ^ 0xDA7A5EEDULL;
+    plan = data::plan_synthetic_images(total, ic);
+    dataset_ = std::make_shared<const ml::Dataset>(
+        ml::Tensor{{total, 0}}, plan->labels, ic.num_classes);
+  } else if (config_.dataset == "blobs") {
+    data::GaussianBlobConfig bc = config_.blob_config;
+    bc.seed = config_.seed ^ 0xDA7A5EEDULL;
+    dataset_ =
+        std::make_shared<ml::Dataset>(data::make_gaussian_blobs(total, bc));
+  } else {
+    throw std::invalid_argument{"Scenario: unknown dataset '" +
+                                config_.dataset + "'"};
+  }
   util::Rng data_rng = master.fork("partition");
   auto split_rng = master.fork("split");
   const double test_fraction =
@@ -145,6 +143,19 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
                                 config_.partition + "'"};
   }
 
+  if (plan) {
+    std::vector<std::uint32_t> rows = test_set_.indices();
+    for (const ml::DatasetView& v : vehicle_data_) {
+      rows.insert(rows.end(), v.indices().begin(), v.indices().end());
+    }
+    dataset_ = std::make_shared<const ml::Dataset>(
+        data::render_synthetic_images(*plan, std::move(rows)));
+    test_set_ = ml::DatasetView{dataset_, test_set_.indices()};
+    for (ml::DatasetView& v : vehicle_data_) {
+      v = ml::DatasetView{dataset_, v.indices()};
+    }
+  }
+
   // ----- model ----------------------------------------------------------------
   prototype_ = ml::make_model(config_.model, dataset_->sample_shape(),
                               dataset_->num_classes());
@@ -156,7 +167,8 @@ Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
   RR_LOG_INFO("scenario") << "fleet=" << fleet_->vehicle_count()
                           << " vehicles +" << rsu_nodes_.size()
                           << " RSUs; dataset=" << dataset_->size()
-                          << " samples; model=" << prototype_.summary() << " ("
+                          << " samples, " << dataset_->features().dim(0)
+                          << " rendered; model=" << prototype_.summary() << " ("
                           << prototype_.parameter_count() << " params, "
                           << model_bytes_ << " B)";
 }

@@ -18,6 +18,7 @@
 
 #include "checkpoint/checkpoint.hpp"
 #include "checkpoint/sim_io.hpp"
+#include "core/agent.hpp"
 #include "core/event_queue.hpp"
 #include "core/sim_event.hpp"
 #include "crc32_reference.hpp"
@@ -711,6 +712,57 @@ TEST(CheckpointTamper, HugeCountIsRejectedBeforeAllocation) {
   sim.replace(at, 8, tamper::u64_bytes(std::uint64_t{1} << 40));
   tamper::expect_rejected(tamper::with_payload(image, tamper::kSim, sim),
                           "sim", "count 1099511627776 exceeds");
+}
+
+namespace agent_data {
+
+/// One vehicle's field list whose data view holds `index` of a dense
+/// dataset of `samples` samples.
+std::string saved_vehicle(std::uint32_t index, std::size_t samples) {
+  auto dense = std::make_shared<const ml::Dataset>(
+      ml::Tensor{{samples, 1}}, std::vector<std::int32_t>(samples, 0), 1);
+  core::Agent agent{0, core::AgentKind::kVehicle, 0, hu::obu_device()};
+  agent.data = ml::DatasetView{dense, {index}};
+  util::BinWriter out;
+  util::ArchiveWriter ar{out};
+  agent.fields(ar, nullptr);
+  return out.buffer();
+}
+
+/// Restores `image` into a vehicle whose dataset has 4 samples of which
+/// only 0 and 2 are rendered (what the image scenario builds).
+void restore_vehicle(const std::string& image) {
+  constexpr std::uint32_t kHole = ml::Dataset::kUnrendered;
+  auto sparse = std::make_shared<const ml::Dataset>(
+      ml::Tensor{{2, 1}}, std::vector<std::int32_t>(4, 0), 1,
+      std::vector<std::uint32_t>{0, kHole, 1, kHole});
+  core::Agent agent{0, core::AgentKind::kVehicle, 0, hu::obu_device()};
+  agent.data = ml::DatasetView{sparse, {0}};
+  util::BinReader in{image};
+  util::ArchiveReader ar{in, "checkpoint: sim section"};
+  agent.fields(ar, nullptr);
+  EXPECT_EQ(agent.data.base_ptr(), sparse);
+}
+
+void expect_data_index_rejected(std::uint32_t index, std::size_t samples) {
+  try {
+    restore_vehicle(saved_vehicle(index, samples));
+    ADD_FAILURE() << "index " << index << " restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "checkpoint: data index out of range in snapshot");
+  }
+}
+
+}  // namespace agent_data
+
+TEST(CheckpointTamper, DataIndexPastTheDatasetIsRejected) {
+  agent_data::restore_vehicle(agent_data::saved_vehicle(2, 8));
+  agent_data::expect_data_index_rejected(4, 8);
+}
+
+TEST(CheckpointTamper, UnrenderedDataIndexIsRejected) {
+  agent_data::expect_data_index_rejected(1, 4);
+  agent_data::expect_data_index_rejected(3, 4);
 }
 
 TEST(CheckpointErrors, MissingFileThrows) {

@@ -60,13 +60,19 @@ ml::Dataset reference_synthetic_images(std::size_t count,
   return ml::Dataset{std::move(x), std::move(labels), config.num_classes};
 }
 
+/// memcmp of `bytes` bytes; an empty range compares equal without passing
+/// memcmp the null pointers an empty container may hold.
+int compare_bytes(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 ? 0 : std::memcmp(a, b, bytes);
+}
+
 void expect_same_bytes(const ml::Dataset& got, const ml::Dataset& want) {
   ASSERT_EQ(got.features().shape(), want.features().shape());
   ASSERT_EQ(got.labels().size(), want.labels().size());
-  EXPECT_EQ(0, std::memcmp(got.features().data(), want.features().data(),
-                           want.features().size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(got.labels().data(), want.labels().data(),
-                           want.labels().size() * sizeof(std::int32_t)));
+  EXPECT_EQ(0, compare_bytes(got.features().data(), want.features().data(),
+                             want.features().size() * sizeof(float)));
+  EXPECT_EQ(0, compare_bytes(got.labels().data(), want.labels().data(),
+                             want.labels().size() * sizeof(std::int32_t)));
   EXPECT_EQ(got.num_classes(), want.num_classes());
 }
 
@@ -137,6 +143,28 @@ TEST(SyntheticImages, GoldenHashesPinDatasetBytes) {
   cfg.seed = 31ULL ^ 0xDA7A5EEDULL;
   EXPECT_EQ(fnv1a(make_synthetic_images(9500, cfg)), 0x451a240eabdbffc4ULL);
   EXPECT_EQ(fnv1a(make_synthetic_images(1100, cfg)), 0x465316f693142418ULL);
+}
+
+// Rendering a subset of the plan gives each rendered sample the bytes the
+// dense build gives it, keeps every label, and leaves the rest unrendered.
+TEST(SyntheticImages, RenderedRowsMatchTheDenseBuild) {
+  SyntheticImageConfig cfg;
+  cfg.seed = 12;
+  const ml::Dataset dense = make_synthetic_images(40, cfg);
+  const SyntheticImagePlan plan = plan_synthetic_images(40, cfg);
+  const ml::Dataset some = render_synthetic_images(plan, {39, 3, 17, 3, 0});
+  EXPECT_EQ(some.labels(), dense.labels());
+  EXPECT_EQ(some.features().dim(0), 4U);
+  const std::set<std::size_t> rendered{0, 3, 17, 39};
+  for (std::size_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(some.rendered(i), rendered.contains(i)) << i;
+    if (!some.rendered(i)) continue;
+    EXPECT_EQ(0, std::memcmp(some.sample(i), dense.sample(i),
+                             dense.sample_size() * sizeof(float)))
+        << i;
+  }
+  EXPECT_EQ(render_synthetic_images(plan, {}).features().dim(0), 0U);
+  EXPECT_THROW(render_synthetic_images(plan, {40}), std::out_of_range);
 }
 
 TEST(SyntheticImages, ClassesAreStatisticallyDistinct) {

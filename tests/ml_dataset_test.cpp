@@ -25,6 +25,36 @@ TEST(Dataset, ValidatesLabels) {
   EXPECT_THROW((Dataset{x, {0}, 4}), std::invalid_argument);  // N mismatch
 }
 
+TEST(Dataset, RowMapPlacesRenderedSamples) {
+  constexpr std::uint32_t kHole = Dataset::kUnrendered;
+  const auto ds = std::make_shared<const Dataset>(
+      Tensor{{2, 3}, {1, 2, 3, 4, 5, 6}}, std::vector<std::int32_t>{0, 1, 2, 1},
+      3, std::vector<std::uint32_t>{1, kHole, 0, kHole});
+  EXPECT_EQ(ds->size(), 4U);
+  EXPECT_EQ(ds->sample_size(), 3U);
+  EXPECT_EQ(ds->class_histogram(), (std::vector<std::size_t>{1, 2, 1}));
+  EXPECT_TRUE(ds->rendered(0));
+  EXPECT_FALSE(ds->rendered(1));
+  EXPECT_EQ(ds->sample(0)[0], 4.0F);
+  EXPECT_EQ(ds->sample(2)[0], 1.0F);
+
+  // A view reads only rendered samples.
+  const DatasetView view{ds, {2, 0}};
+  EXPECT_EQ(view.sample(0), ds->features().data());
+  EXPECT_EQ(view.label(1), 0);
+  EXPECT_THROW((DatasetView{ds, {0, 1}}), std::out_of_range);
+  EXPECT_THROW((DatasetView{ds, {4}}), std::out_of_range);
+  EXPECT_THROW(DatasetView::all(ds), std::out_of_range);
+}
+
+TEST(Dataset, ValidatesRowMap) {
+  const Tensor x{{2, 3}};
+  const std::vector<std::int32_t> labels{0, 1, 2};
+  EXPECT_THROW((Dataset{x, labels, 3, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW((Dataset{x, labels, 3, {0, 1, 2}}), std::invalid_argument);
+  EXPECT_NO_THROW((Dataset{x, labels, 3, {1, Dataset::kUnrendered, 0}}));
+}
+
 TEST(Dataset, ClassHistogramSumsToSize) {
   auto ds = tiny_dataset(50, {4}, 3);
   const auto hist = ds->class_histogram();

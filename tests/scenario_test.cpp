@@ -2,11 +2,15 @@
 // byte-for-byte determinism guarantee (DESIGN.md §4, decision 1).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <sstream>
 
+#include "data/synthetic_images.hpp"
 #include "scenario/scenario.hpp"
 #include "strategy/federated.hpp"
 #include "strategy/opportunistic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace roadrunner::scenario {
 namespace {
@@ -196,6 +200,96 @@ TEST(Scenario, DirichletAndIidPartitions) {
   for (const auto& v : s.vehicle_data()) total += v.size();
   EXPECT_EQ(total, cfg.train_pool_size);  // dirichlet assigns whole pool
 }
+
+// ------------------------------------------------------ row-mapped images --
+
+// The image scenario splits and partitions on the planned labels, then
+// renders only the rows its test set and vehicles reference. The dense pool
+// is the oracle: every referenced sample carries the dense pool's bytes at
+// the same index, and the rendered dataset keeps every label.
+
+/// The ledger's fl_cnn data: 9000 + 500 images; 40 vehicles of 80 samples
+/// from two classes each.
+ScenarioConfig image_config(const std::string& partition) {
+  ScenarioConfig cfg;
+  cfg.seed = 31;
+  cfg.vehicles = 40;
+  cfg.dataset = "images";
+  cfg.train_pool_size = 9000;
+  cfg.test_size = 500;
+  cfg.partition = partition;
+  cfg.samples_per_vehicle = 80;
+  cfg.classes_per_vehicle = 2;
+  cfg.model = "logreg";
+  cfg.city.duration_s = 2000.0;
+  return cfg;
+}
+
+const ml::Dataset& dense_pool() {
+  static const ml::Dataset pool = [] {
+    const ScenarioConfig cfg = image_config("iid");
+    data::SyntheticImageConfig ic = cfg.image_config;
+    ic.seed = cfg.seed ^ 0xDA7A5EEDULL;
+    return data::make_synthetic_images(cfg.train_pool_size + cfg.test_size,
+                                       ic);
+  }();
+  return pool;
+}
+
+void expect_dense_bytes(const ml::DatasetView& view) {
+  const ml::Dataset& dense = dense_pool();
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const std::uint32_t idx = view.indices()[i];
+    ASSERT_EQ(0, std::memcmp(view.sample(i), dense.sample(idx),
+                             dense.sample_size() * sizeof(float)))
+        << "index " << idx;
+  }
+}
+
+struct RenderCase {
+  const char* name;
+  const char* partition;
+  bool one_worker;
+  std::size_t rendered;  ///< rows the build must render, no more
+};
+
+class RowMappedImages : public ::testing::TestWithParam<RenderCase> {};
+
+TEST_P(RowMappedImages, ViewsReadTheDensePoolBytes) {
+  const RenderCase& c = GetParam();
+  std::optional<Scenario> s;
+  if (c.one_worker) {
+    // Called from one of its own workers, the global pool runs the render
+    // inline on that one thread.
+    util::ThreadPool::global().parallel_for(
+        1, [&](std::size_t) { s.emplace(image_config(c.partition)); });
+  } else {
+    s.emplace(image_config(c.partition));
+  }
+  const ml::Dataset& base = s->test_set().base();
+  EXPECT_EQ(base.labels(), dense_pool().labels());
+  EXPECT_EQ(base.features().dim(0), c.rendered);
+  EXPECT_EQ(s->test_set().size(), 500U);
+  expect_dense_bytes(s->test_set());
+  for (const ml::DatasetView& v : s->vehicle_data()) {
+    ASSERT_EQ(&v.base(), &base);
+    expect_dense_bytes(v);
+  }
+}
+
+// class_skew and iid hand out 40 x 80 disjoint rows plus the 500 test rows;
+// dirichlet assigns the whole train pool, so every row is rendered.
+INSTANTIATE_TEST_SUITE_P(
+    Partitions, RowMappedImages,
+    ::testing::Values(RenderCase{"class_skew_1", "class_skew", true, 3700},
+                      RenderCase{"class_skew_pool", "class_skew", false, 3700},
+                      RenderCase{"iid_1", "iid", true, 3700},
+                      RenderCase{"iid_pool", "iid", false, 3700},
+                      RenderCase{"dirichlet_1", "dirichlet", true, 9500},
+                      RenderCase{"dirichlet_pool", "dirichlet", false, 9500}),
+    [](const ::testing::TestParamInfo<RenderCase>& info) {
+      return std::string{info.param.name};
+    });
 
 }  // namespace
 }  // namespace roadrunner::scenario
