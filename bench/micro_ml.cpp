@@ -74,7 +74,7 @@ BENCHMARK(BM_Matmul)->Arg(32)->Arg(128)->Arg(256);
 /// The GEMMs the paper CNN's dense head (batch 16, 3x32x32 input) and the
 /// campaign MLP (make_mlp(24, 128, 10), batch 16) actually run, with the
 /// operand layout each layer passes: 'n' is A[m,k] * B[k,n], 'a' reads A
-/// stored [k,m] (matmul_at), 'b' reads B stored [n,k] (matmul_bt). The
+/// stored [k,m], 'b' reads B stored [n,k]. The
 /// convolutions have kernels of their own (BM_ConvLayer). The GFLOP/s counter
 /// shows which shapes the register tile serves badly. The second argument
 /// picks the kernel build (kGemmVariants), so one run prints the per-ISA

@@ -10,11 +10,9 @@
 //
 //   ./examples/custom_strategy [--rounds=14] [--seed=8]
 #include <cstdio>
-#include <map>
 
 #include "scenario/scenario.hpp"
 #include "strategy/federated.hpp"
-#include "strategy/round_base.hpp"
 #include "util/cli.hpp"
 
 using namespace roadrunner;
@@ -22,48 +20,19 @@ using namespace roadrunner;
 namespace {
 
 /// FL whose server widens the per-round selection when accuracy stalls.
-/// Everything else — rounds, transport, failure handling, FedAvg,
-/// metrics — is inherited from the framework's round machinery.
-class AdaptiveFl final : public strategy::RoundBasedStrategy {
+/// Everything else — the vehicle protocol, rounds, transport, failure
+/// handling, FedAvg, metrics — is inherited from FederatedStrategy.
+class AdaptiveFl final : public strategy::FederatedStrategy {
  public:
   AdaptiveFl(strategy::RoundConfig config, std::size_t boosted_participants)
-      : RoundBasedStrategy{config},
+      : FederatedStrategy{config},
         base_participants_{config.participants},
         boosted_participants_{boosted_participants} {}
 
   [[nodiscard]] std::string name() const override { return "adaptive-fl"; }
 
-  void on_training_complete(strategy::StrategyContext& ctx,
-                            strategy::AgentId id,
-                            const strategy::TrainingOutcome& o) override {
-    (void)ctx;
-    trained_round_[id] = o.round_tag;
-  }
-
  protected:
-  // Vehicle-side protocol: identical to stock FL.
-  void on_vehicle_message(strategy::StrategyContext& ctx,
-                          const strategy::Message& msg) override {
-    if (msg.tag == kTagGlobal) {
-      ctx.set_model(msg.to, msg.model, 0.0);
-      trained_round_.erase(msg.to);
-      ctx.start_training(msg.to, msg.round);
-    } else if (msg.tag == kTagRequest) {
-      const auto it = trained_round_.find(msg.to);
-      if (it == trained_round_.end() || it->second != msg.round) return;
-      strategy::Message reply;
-      reply.from = msg.to;
-      reply.to = ctx.cloud_id();
-      reply.channel = comm::ChannelKind::kV2C;
-      reply.tag = kTagReply;
-      reply.round = msg.round;
-      reply.model = ctx.agent(msg.to).model;
-      reply.data_amount = ctx.agent(msg.to).model_data_amount;
-      ctx.send(std::move(reply));
-    }
-  }
-
-  // The adaptive part: one override.
+  // The adaptive part: two overrides.
   [[nodiscard]] std::size_t participants_this_round(
       strategy::StrategyContext& ctx, int /*round*/) const override {
     if (boosting_) ctx.metrics().increment("adaptive_boost_rounds");
@@ -72,8 +41,7 @@ class AdaptiveFl final : public strategy::RoundBasedStrategy {
 
   void on_global_updated(strategy::StrategyContext& ctx, int round,
                          std::size_t /*contributions*/) override {
-    const double acc =
-        ctx.metrics().last_value(round_config().accuracy_series);
+    const double acc = ctx.metrics().last_value(strategy::kAccuracySeries);
     if (round > 1 && acc - last_accuracy_ < kStallThreshold) {
       ++stalled_rounds_;
     } else {
@@ -87,7 +55,6 @@ class AdaptiveFl final : public strategy::RoundBasedStrategy {
   static constexpr double kStallThreshold = 0.005;
   std::size_t base_participants_;
   std::size_t boosted_participants_;
-  std::map<strategy::AgentId, int> trained_round_;
   double last_accuracy_ = 0.0;
   int stalled_rounds_ = 0;
   bool boosting_ = false;

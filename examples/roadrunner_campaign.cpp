@@ -10,14 +10,13 @@
 //        [--out=aggregate.csv] [--plot=metric] [--seeds=N] [--fresh]
 //        [--trace-out=trace.json] [--profile] [--dry-run] [--list-metrics]
 //        [--checkpoint-every=SIMSECONDS] [--checkpoint-dir=DIR]
-//        [--serve=[HOST:]PORT] [--log-assign] [--connect=[HOST:]PORT]
+//        [--serve=[HOST:]PORT] [--log-assign]
 //
 // --serve turns this process into a distributed-campaign coordinator: it
-// expands the spec, listens on the endpoint, hands jobs to workers
-// (roadrunner_worker, or this binary with --connect), and writes the same
-// store and aggregate CSV a local run would — byte-identical, whatever the
-// fleet looks like (DESIGN.md §11). --connect joins such a coordinator as a
-// worker instead of running a campaign; the spec argument is ignored.
+// expands the spec, listens on the endpoint, hands jobs to
+// roadrunner_worker processes, and writes the same store and aggregate CSV
+// a local run would — byte-identical, whatever the fleet looks like
+// (DESIGN.md §11).
 //
 // --trace-out writes a Chrome trace_event JSON of the whole campaign
 // (open in https://ui.perfetto.dev); --profile prints a per-category
@@ -57,7 +56,6 @@
 #include "campaign/report.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
-#include "dist/worker.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
@@ -115,8 +113,7 @@ int usage_error(const char* program, const std::string& reason) {
   std::fprintf(stderr,
                "usage: %s [spec.ini] [--workers=N] [--store=DIR] "
                "[--out=FILE] [--seeds=N] [--fresh]\n"
-               "       [--serve=[HOST:]PORT] [--connect=[HOST:]PORT] "
-               "[--name=WORKER] [--shard-store=DIR]\n"
+               "       [--serve=[HOST:]PORT] [--log-assign]\n"
                "       [--checkpoint-every=SIMSECONDS] "
                "[--checkpoint-dir=DIR] [--dry-run] [--list-metrics]\n",
                program);
@@ -128,25 +125,6 @@ int run(int argc, char** argv) {
   // Exports on scope exit, so the trace covers the entire campaign.
   telemetry::TraceSession telemetry_session{args.get("trace-out", ""),
                                             args.get_bool("profile", false)};
-
-  // Worker mode: join a coordinator instead of running a campaign. No spec
-  // is read — the coordinator ships each job as fully resolved INI text.
-  if (args.has("connect")) {
-    dist::WorkerOptions wopts;
-    std::tie(wopts.host, wopts.port) =
-        dist::parse_endpoint(args.get("connect", ""));
-    wopts.name = args.get("name", "worker");
-    wopts.shard_store_dir = args.get("shard-store", "");
-    wopts.checkpoint_dir = args.get("checkpoint-dir", "");
-    wopts.max_jobs = static_cast<std::size_t>(args.get_int("max-jobs", 0));
-    std::printf("worker %s connecting to %s:%u\n", wopts.name.c_str(),
-                wopts.host.c_str(), static_cast<unsigned>(wopts.port));
-    const dist::WorkerReport report = dist::run_worker(wopts);
-    std::printf("worker %s: %zu jobs run, %zu accepted, %zu duplicate (%s)\n",
-                wopts.name.c_str(), report.jobs_run, report.results_accepted,
-                report.results_duplicate, report.shutdown_reason.c_str());
-    return 0;
-  }
 
   // Validated up front (not just on the paths that use it) so a typo like
   // --workers=O fails fast even with --dry-run. 0 and negatives used to be

@@ -11,10 +11,9 @@
 //
 // --shard-store gives the worker its own crash-durable store: a worker
 // that is killed and restarted against the same directory replays its
-// finished jobs from disk instead of recomputing them, and an orphaned
-// shard can later be folded into the canonical store (the coordinator's
-// dedup makes either path safe). --max-jobs makes the worker leave the
-// fleet after N jobs — handy for spot capacity and for tests.
+// finished jobs from disk instead of recomputing them (the coordinator's
+// dedup drops a record it already holds). --max-jobs makes the worker
+// leave the fleet after N jobs — handy for spot capacity and for tests.
 #include <cstdio>
 #include <stdexcept>
 #include <tuple>

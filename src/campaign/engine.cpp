@@ -183,10 +183,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     options.on_progress(progress);
   };
 
-  // Dedicated pool: campaign workers block in run_job while the trainer's
-  // process-global pool handles intra-run parallel_for underneath. Sharing
-  // the global pool here would deadlock (workers waiting on shards only
-  // other workers could run).
+  // Dedicated pool: campaign workers block in run_job while the
+  // process-global pool runs each job's evaluation batches and image
+  // rendering underneath. Jobs on the global pool itself would not
+  // deadlock (a nested parallel_for on a pool worker runs inline), but
+  // every job's evaluation would then run serially on its own thread.
   util::ThreadPool pool{options.workers};
   pool.parallel_for(pending.size(), [&](std::size_t p) {
     const std::size_t i = pending[p];

@@ -4,7 +4,8 @@
 // RNG seed derives from job identity alone, and each job owns its Scenario
 // and Simulator, so per-job metrics are bit-identical under any worker
 // count or scheduling order. The workers-level pool nests cleanly above the
-// process-global pool the ML trainer uses for intra-run parallelism.
+// process-global pool that evaluation and image rendering use inside a run
+// (training runs on its own std::async threads).
 #pragma once
 
 #include <cstddef>

@@ -88,7 +88,8 @@ campaign::JobRecord run_with_heartbeats(const campaign::Job& job,
     }
     if (finished) break;
     // A failed heartbeat means the coordinator is gone; the job still runs
-    // to completion so the shard store captures it for a later merge.
+    // to completion so the shard store holds it, and a restarted worker on
+    // the same shard directory replays it instead of recomputing it.
     send_frame(socket, MsgType::kHeartbeat,
                encode_heartbeat(Heartbeat{job_index}));
   }

@@ -101,9 +101,4 @@ void Registry::export_csv(std::ostream& out) const {
   }
 }
 
-void Registry::clear() {
-  series_.clear();
-  counters_.clear();
-}
-
 }  // namespace roadrunner::metrics

@@ -54,8 +54,6 @@ class Registry {
   /// final simulated time (or 0) as their timestamp.
   void export_csv(std::ostream& out) const;
 
-  void clear();
-
   /// Every series and counter as an archive field list (util/archive.hpp);
   /// the reader holds restored names to the rule add_point enforces.
   template <class Ar>

@@ -68,10 +68,4 @@ void Adam::step(const std::vector<Tensor*>& params,
   }
 }
 
-void Adam::reset() {
-  m_.clear();
-  v_.clear();
-  t_ = 0;
-}
-
 }  // namespace roadrunner::ml

@@ -20,8 +20,6 @@ class Adam {
   void step(const std::vector<Tensor*>& params,
             const std::vector<Tensor*>& grads);
 
-  void reset();
-
   [[nodiscard]] float learning_rate() const { return lr_; }
   [[nodiscard]] std::uint64_t steps_taken() const { return t_; }
 

@@ -1,6 +1,5 @@
 #include "ml/loss.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -55,42 +54,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 
   result.loss = total_loss / static_cast<double>(n);
   return result;
-}
-
-std::vector<std::int32_t> argmax_rows(const Tensor& logits) {
-  if (logits.rank() != 2) {
-    throw std::invalid_argument{"argmax_rows: logits must be 2-D"};
-  }
-  const std::size_t n = logits.dim(0), c = logits.dim(1);
-  std::vector<std::int32_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = logits.data() + i * c;
-    out[i] = static_cast<std::int32_t>(
-        std::max_element(row, row + c) - row);
-  }
-  return out;
-}
-
-Tensor softmax_rows(const Tensor& logits) {
-  if (logits.rank() != 2) {
-    throw std::invalid_argument{"softmax_rows: logits must be 2-D"};
-  }
-  const std::size_t n = logits.dim(0), c = logits.dim(1);
-  Tensor probs{{n, c}};
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = logits.data() + i * c;
-    float* prow = probs.data() + i * c;
-    const float max_v = *std::max_element(row, row + c);
-    double denom = 0.0;
-    for (std::size_t j = 0; j < c; ++j) {
-      const double e = std::exp(static_cast<double>(row[j] - max_v));
-      prow[j] = static_cast<float>(e);
-      denom += e;
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < c; ++j) prow[j] *= inv;
-  }
-  return probs;
 }
 
 }  // namespace roadrunner::ml

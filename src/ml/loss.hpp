@@ -19,10 +19,4 @@ struct LossResult {
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<std::int32_t>& labels);
 
-/// Row-wise argmax of logits [N, C].
-std::vector<std::int32_t> argmax_rows(const Tensor& logits);
-
-/// Row-wise softmax probabilities (for calibration/diagnostic metrics).
-Tensor softmax_rows(const Tensor& logits);
-
 }  // namespace roadrunner::ml

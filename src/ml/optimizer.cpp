@@ -46,11 +46,4 @@ void SgdMomentum::step(const std::vector<Tensor*>& params,
   }
 }
 
-void SgdMomentum::reset() { velocity_.clear(); }
-
-void SgdMomentum::set_learning_rate(float lr) {
-  if (lr <= 0.0F) throw std::invalid_argument{"SgdMomentum: lr <= 0"};
-  lr_ = lr;
-}
-
 }  // namespace roadrunner::ml

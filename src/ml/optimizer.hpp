@@ -20,11 +20,7 @@ class SgdMomentum {
   void step(const std::vector<Tensor*>& params,
             const std::vector<Tensor*>& grads);
 
-  /// Drops velocity state (e.g. when an agent receives a fresh model).
-  void reset();
-
   [[nodiscard]] float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr);
   [[nodiscard]] float momentum() const { return momentum_; }
 
  private:

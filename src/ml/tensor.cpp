@@ -476,26 +476,4 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  check_matmul_shapes(a, b, "matmul_at");
-  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  if (b.dim(0) != k) {
-    throw std::invalid_argument{"matmul_at: inner dim mismatch"};
-  }
-  Tensor c{{m, n}};
-  gemm(m, n, k, a.data(), 1, m, b.data(), n, 1, c.data(), false);
-  return c;
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  check_matmul_shapes(a, b, "matmul_bt");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  if (b.dim(1) != k) {
-    throw std::invalid_argument{"matmul_bt: inner dim mismatch"};
-  }
-  Tensor c{{m, n}};
-  gemm(m, n, k, a.data(), k, 1, b.data(), 1, k, c.data(), false);
-  return c;
-}
-
 }  // namespace roadrunner::ml

@@ -149,10 +149,4 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
                  bool accumulate = false);
 
-/// C[M,N] = A^T[M,K] * B[K,N] where A is stored [K,M].
-Tensor matmul_at(const Tensor& a, const Tensor& b);
-
-/// C[M,N] = A[M,K] * B^T[K,N] where B is stored [N,K].
-Tensor matmul_bt(const Tensor& a, const Tensor& b);
-
 }  // namespace roadrunner::ml

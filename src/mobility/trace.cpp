@@ -29,11 +29,6 @@ Trace::Trace(std::vector<TraceSample> samples) : samples_{std::move(samples)} {
   }
 }
 
-double Trace::start_time() const {
-  if (samples_.empty()) throw std::logic_error{"Trace::start_time: empty"};
-  return samples_.front().time_s;
-}
-
 double Trace::end_time() const {
   if (samples_.empty()) throw std::logic_error{"Trace::end_time: empty"};
   return samples_.back().time_s;

@@ -32,7 +32,6 @@ class Trace {
     return samples_;
   }
 
-  [[nodiscard]] double start_time() const;
   [[nodiscard]] double end_time() const;
 
   /// Interpolated position at `time_s` (clamped to the span ends).

@@ -249,9 +249,7 @@ std::shared_ptr<strategy::LearningStrategy> strategy_from_ini(
     return std::make_shared<strategy::FederatedStrategy>(round);
   }
   if (name == "opportunistic") {
-    strategy::OpportunisticConfig cfg;
-    cfg.round = round;
-    return std::make_shared<strategy::OpportunisticStrategy>(cfg);
+    return std::make_shared<strategy::OpportunisticStrategy>(round);
   }
   if (name == "rsu_assisted") {
     strategy::RsuAssistedConfig cfg;

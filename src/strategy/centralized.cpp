@@ -8,7 +8,7 @@ CentralizedStrategy::CentralizedStrategy(CentralizedConfig config)
 
 void CentralizedStrategy::on_start(StrategyContext& ctx) {
   ctx.set_model(ctx.cloud_id(), ctx.fresh_model(), 0.0);
-  ctx.metrics().add_point(config_.accuracy_series, ctx.now(),
+  ctx.metrics().add_point(kAccuracySeries, ctx.now(),
                           ctx.test_accuracy(ctx.agent(ctx.cloud_id()).model));
   for (AgentId v : ctx.vehicle_ids()) {
     try_upload(ctx, v);
@@ -37,7 +37,7 @@ void CentralizedStrategy::try_upload(StrategyContext& ctx, AgentId id) {
   if (ctx.send(std::move(msg))) {
     in_flight_.insert(id);
   } else {
-    ctx.schedule_timer(id, config_.upload_retry_s, kTimerRetry);
+    ctx.schedule_timer(id, kUploadRetryS, kTimerRetry);
   }
 }
 
@@ -72,7 +72,7 @@ void CentralizedStrategy::on_message_failed(StrategyContext& ctx,
                                             comm::LinkStatus /*reason*/) {
   if (msg.tag != kTagData) return;
   in_flight_.erase(msg.from);
-  ctx.schedule_timer(msg.from, config_.upload_retry_s, kTimerRetry);
+  ctx.schedule_timer(msg.from, kUploadRetryS, kTimerRetry);
 }
 
 void CentralizedStrategy::on_timer(StrategyContext& ctx, AgentId id,
@@ -108,7 +108,7 @@ void CentralizedStrategy::maybe_train_server(StrategyContext& ctx) {
 void CentralizedStrategy::on_training_complete(
     StrategyContext& ctx, AgentId id, const TrainingOutcome& /*outcome*/) {
   if (id != ctx.cloud_id()) return;
-  ctx.metrics().add_point(config_.accuracy_series, ctx.now(),
+  ctx.metrics().add_point(kAccuracySeries, ctx.now(),
                           ctx.test_accuracy(ctx.agent(id).model));
 }
 
@@ -118,7 +118,7 @@ void CentralizedStrategy::on_power_on(StrategyContext& ctx, AgentId id) {
 
 void CentralizedStrategy::on_finish(StrategyContext& ctx) {
   ctx.metrics().set_counter("final_accuracy",
-                            ctx.metrics().last_value(config_.accuracy_series));
+                            ctx.metrics().last_value(kAccuracySeries));
   ctx.metrics().set_counter("central_uploads_completed",
                             static_cast<double>(uploaded_.size()));
 }

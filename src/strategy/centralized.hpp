@@ -15,13 +15,10 @@ namespace roadrunner::strategy {
 struct CentralizedConfig {
   /// Server retrains this often on the accumulated data.
   double train_interval_s = 60.0;
-  /// Retry delay after a failed upload (vehicle off / no coverage).
-  double upload_retry_s = 120.0;
   /// Epochs per server training session.
   int server_epochs = 2;
   /// Stop after this much simulated time (0 = fleet horizon).
   double duration_s = 0.0;
-  std::string accuracy_series = "accuracy";
 };
 
 class CentralizedStrategy final : public LearningStrategy {
@@ -58,6 +55,9 @@ class CentralizedStrategy final : public LearningStrategy {
   enum TimerId : int { kTimerServerTrain = 1, kTimerRetry = 2, kTimerStop = 3 };
 
  private:
+  /// Retry delay after a failed upload (vehicle off / no coverage).
+  static constexpr double kUploadRetryS = 120.0;
+
   void try_upload(StrategyContext& ctx, AgentId id);
   void maybe_train_server(StrategyContext& ctx);
 

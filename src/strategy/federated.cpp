@@ -21,15 +21,8 @@ void FederatedStrategy::on_vehicle_message(StrategyContext& ctx,
     // timeout writes this participant off).
     const auto it = trained_round_.find(msg.to);
     if (it == trained_round_.end() || it->second != msg.round) return;
-    Message reply;
-    reply.from = msg.to;
-    reply.to = ctx.cloud_id();
-    reply.channel = comm::ChannelKind::kV2C;
-    reply.tag = kTagReply;
-    reply.round = msg.round;
-    reply.model = ctx.agent(msg.to).model;
-    reply.data_amount = ctx.agent(msg.to).model_data_amount;
-    ctx.send(std::move(reply));
+    const Agent& vehicle = ctx.agent(msg.to);
+    send_reply(ctx, msg, {vehicle.model, vehicle.model_data_amount});
   }
 }
 

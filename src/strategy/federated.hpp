@@ -3,6 +3,7 @@
 // global model. Each receiving vehicle uses its local data to fine-tune the
 // global model locally, then sends the retrained model back to the cloud
 // server", which aggregates via Federated Averaging.
+// Round-based strategies that keep this vehicle protocol derive from it.
 #pragma once
 
 #include <map>
@@ -11,7 +12,7 @@
 
 namespace roadrunner::strategy {
 
-class FederatedStrategy final : public RoundBasedStrategy {
+class FederatedStrategy : public RoundBasedStrategy {
  public:
   explicit FederatedStrategy(RoundConfig config);
 
@@ -34,9 +35,10 @@ class FederatedStrategy final : public RoundBasedStrategy {
   void load_state(util::BinReader& in) override { load_fields(in, *this); }
 
  protected:
+  /// kTagGlobal: fine-tune the received model; kTagRequest: reply with it
+  /// once this round's training finished.
   void on_vehicle_message(StrategyContext& ctx, const Message& msg) override;
 
- private:
   /// Vehicle -> round whose retrained model it currently holds.
   std::map<AgentId, int> trained_round_;
 };

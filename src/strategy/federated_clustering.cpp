@@ -24,7 +24,7 @@ ml::KMeansModel from_weights(const ml::Weights& w) {
 
 FederatedClusteringStrategy::FederatedClusteringStrategy(
     FederatedClusteringConfig config)
-    : RoundBasedStrategy{[&config] {
+    : FederatedStrategy{[&config] {
         // The base's accuracy metric is classifier-specific; clustering
         // emits inertia/purity instead.
         RoundConfig round = config.round;
@@ -45,8 +45,8 @@ std::uint64_t FederatedClusteringStrategy::lloyd_flops(
 }
 
 void FederatedClusteringStrategy::on_start(StrategyContext& ctx) {
-  RoundBasedStrategy::on_start(ctx);  // uses initial_global_model() below
-  on_global_updated(ctx, 0, 0);       // record the seed's inertia/purity
+  FederatedStrategy::on_start(ctx);  // uses initial_global_model() below
+  on_global_updated(ctx, 0, 0);      // record the seed's inertia/purity
 }
 
 ml::Weights FederatedClusteringStrategy::initial_global_model(
@@ -66,32 +66,20 @@ ml::Weights FederatedClusteringStrategy::initial_global_model(
 
 void FederatedClusteringStrategy::on_vehicle_message(StrategyContext& ctx,
                                                      const Message& msg) {
-  if (msg.tag == kTagGlobal) {
-    const AgentId vehicle = msg.to;
-    const ml::DatasetView data = ctx.available_data(vehicle);
-    if (data.empty()) return;
-    trained_round_.erase(vehicle);
-    const int round = msg.round;
-    const std::uint64_t flops =
-        lloyd_flops(data.size(), data.base().sample_size());
-    // Local Lloyd refinement, charged to the vehicle's HU.
-    if (ctx.start_computation(vehicle, flops, round)) {
-      pending_fits_[vehicle] = PendingFit{round, msg.model};
-    }
+  if (msg.tag != kTagGlobal) {
+    FederatedStrategy::on_vehicle_message(ctx, msg);
     return;
   }
-  if (msg.tag == kTagRequest) {
-    const auto it = trained_round_.find(msg.to);
-    if (it == trained_round_.end() || it->second != msg.round) return;
-    Message reply;
-    reply.from = msg.to;
-    reply.to = ctx.cloud_id();
-    reply.channel = comm::ChannelKind::kV2C;
-    reply.tag = kTagReply;
-    reply.round = msg.round;
-    reply.model = ctx.agent(msg.to).model;
-    reply.data_amount = ctx.agent(msg.to).model_data_amount;
-    ctx.send(std::move(reply));
+  const AgentId vehicle = msg.to;
+  const ml::DatasetView data = ctx.available_data(vehicle);
+  if (data.empty()) return;
+  trained_round_.erase(vehicle);
+  const int round = msg.round;
+  const std::uint64_t flops =
+      lloyd_flops(data.size(), data.base().sample_size());
+  // Local Lloyd refinement, charged to the vehicle's HU.
+  if (ctx.start_computation(vehicle, flops, round)) {
+    pending_fits_[vehicle] = PendingFit{round, msg.model};
   }
 }
 

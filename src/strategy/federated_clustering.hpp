@@ -9,12 +9,13 @@
 // byte accounting apply unchanged); each selected vehicle runs local Lloyd
 // iterations on its on-board data through the generic HU-charged
 // computation API, and returns its refined centroids weighted by its data
-// amount; the server federated-averages them. Quality is tracked as
+// amount; the server federated-averages them. Everything but the Lloyd
+// refinement is FederatedStrategy's protocol. Quality is tracked as
 // inertia (within-cluster sum of squares) and purity on the server's test
 // set — emitted as the `inertia` and `purity` series.
 #pragma once
 
-#include "strategy/round_base.hpp"
+#include "strategy/federated.hpp"
 
 namespace roadrunner::strategy {
 
@@ -24,7 +25,7 @@ struct FederatedClusteringConfig {
   std::size_t local_iterations = 5; ///< Lloyd steps per vehicle per round
 };
 
-class FederatedClusteringStrategy final : public RoundBasedStrategy {
+class FederatedClusteringStrategy final : public FederatedStrategy {
  public:
   explicit FederatedClusteringStrategy(FederatedClusteringConfig config);
 
@@ -38,9 +39,9 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
 
   template <class Ar>
   void fields(Ar& ar) {
-    RoundBasedStrategy::fields(ar);
-    ar(trained_round_, pending_fits_);
-    check_agents(ar, trained_round_, pending_fits_);
+    FederatedStrategy::fields(ar);
+    ar(pending_fits_);
+    check_agents(ar, pending_fits_);
   }
   void save_state(util::BinWriter& out) const override {
     util::save_fields(out, *this);
@@ -50,6 +51,7 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
  protected:
   [[nodiscard]] ml::Weights initial_global_model(StrategyContext& ctx)
       override;
+  /// kTagGlobal starts a Lloyd refinement instead of SGD; the reply is FL's.
   void on_vehicle_message(StrategyContext& ctx, const Message& msg) override;
   void on_global_updated(StrategyContext& ctx, int round,
                          std::size_t contributions) override;
@@ -74,7 +76,6 @@ class FederatedClusteringStrategy final : public RoundBasedStrategy {
   };
 
   FederatedClusteringConfig config_;
-  std::map<AgentId, int> trained_round_;
   std::map<AgentId, PendingFit> pending_fits_;
 };
 

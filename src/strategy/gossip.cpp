@@ -124,27 +124,15 @@ void GossipStrategy::on_message(StrategyContext& ctx, const Message& msg) {
   std::vector<ml::WeightedModel> pair;
   pair.push_back(ml::WeightedModel{ctx.agent(me).model, 1.0 - alpha});
   pair.push_back(ml::WeightedModel{msg.model, alpha});
-  ml::AggregateResult agg = ml::robust_aggregate(pair, config_.aggregator);
-  if (agg.clipped > 0) {
-    ctx.metrics().increment("defense_updates_clipped",
-                            static_cast<double>(agg.clipped));
-  }
-  if (!agg.rejected.empty()) {
-    ctx.metrics().increment("defense_updates_rejected",
-                            static_cast<double>(agg.rejected.size()));
-    // Index 1 is the received model; attribute its rejection to the sender.
-    for (std::size_t idx : agg.rejected) {
-      if (idx == 1 && ctx.is_adversary_compromised(msg.from)) {
-        ctx.metrics().increment("adversary_updates_rejected");
-      }
-    }
-  }
-  if (ctx.is_adversary_compromised(msg.from) &&
-      std::find(agg.rejected.begin(), agg.rejected.end(), std::size_t{1}) ==
-          agg.rejected.end()) {
+  // Only the received model (index 1) is attributed to a sender.
+  AccountedMerge merge = accounted_merge(ctx, pair, {core::kNoAgent, msg.from},
+                                         config_.aggregator);
+  if (merge.compromised_rejected > 0) {
+    ctx.metrics().increment("adversary_updates_rejected");
+  } else if (ctx.is_adversary_compromised(msg.from)) {
     ctx.metrics().increment("adversary_updates_accepted");
   }
-  ctx.set_model(me, std::move(agg.model.weights),
+  ctx.set_model(me, std::move(merge.result.model.weights),
                 static_cast<double>(ctx.agent(me).data.size()));
   last_merge_[me] = ctx.now();
   ++total_merges_;
@@ -167,14 +155,14 @@ void GossipStrategy::evaluate_probe(StrategyContext& ctx) {
   for (AgentId v : probe_) {
     sum += ctx.test_accuracy(ctx.agent(v).model);
   }
-  ctx.metrics().add_point(config_.accuracy_series, ctx.now(),
+  ctx.metrics().add_point(kAccuracySeries, ctx.now(),
                           sum / static_cast<double>(probe_.size()));
 }
 
 void GossipStrategy::on_finish(StrategyContext& ctx) {
   evaluate_probe(ctx);
   ctx.metrics().set_counter("final_accuracy",
-                            ctx.metrics().last_value(config_.accuracy_series));
+                            ctx.metrics().last_value(kAccuracySeries));
   ctx.metrics().set_counter("gossip_total_merges",
                             static_cast<double>(total_merges_));
 }

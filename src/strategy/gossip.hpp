@@ -12,9 +12,8 @@
 
 #include <map>
 
-#include "ml/fedavg.hpp"
-#include "ml/robust.hpp"
 #include "strategy/learning_strategy.hpp"
+#include "strategy/merge.hpp"
 
 namespace roadrunner::strategy {
 
@@ -32,7 +31,6 @@ struct GossipConfig {
   std::size_t probe_vehicles = 5;
   /// Stop after this much simulated time (0 = run to the fleet horizon).
   double duration_s = 0.0;
-  std::string accuracy_series = "accuracy";
   /// Pairwise merge rule. The default (mean) is the classic alpha-weighted
   /// gossip merge; robust alternatives blunt poisoned models a peer gossips
   /// in (norm_clip is the practical choice at pair size — Krum needs >= 3

@@ -18,6 +18,10 @@
 
 namespace roadrunner::strategy {
 
+/// The series every supervised strategy records its test accuracy in; its
+/// last point is the run's `final_accuracy`.
+inline constexpr const char* kAccuracySeries = "accuracy";
+
 /// Result of a finished local-training operation, delivered with
 /// on_training_complete after the agent's model has been updated.
 struct TrainingOutcome {

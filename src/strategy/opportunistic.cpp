@@ -3,8 +3,8 @@
 
 namespace roadrunner::strategy {
 
-OpportunisticStrategy::OpportunisticStrategy(OpportunisticConfig config)
-    : RoundBasedStrategy{config.round}, config_{std::move(config)} {}
+OpportunisticStrategy::OpportunisticStrategy(RoundConfig config)
+    : RoundBasedStrategy{std::move(config)} {}
 
 void OpportunisticStrategy::on_selected(StrategyContext& /*ctx*/,
                                         AgentId vehicle, int round) {
@@ -176,41 +176,20 @@ void OpportunisticStrategy::handle_request(StrategyContext& ctx,
   // Intermediate aggregation (Fig. 3 step 6) honors the configured defense:
   // a reporter applies the same robust rule the server would, so poisoned
   // V2X returns are blunted before they ever reach the uplink.
-  ml::AggregateResult agg =
-      ml::robust_aggregate(rep->second.collected, round_config().aggregator);
-  if (agg.clipped > 0) {
-    ctx.metrics().increment("defense_updates_clipped",
-                            static_cast<double>(agg.clipped));
+  AccountedMerge merge =
+      accounted_merge(ctx, rep->second.collected, rep->second.origins,
+                      round_config().aggregator);
+  if (merge.compromised_rejected > 0) {
+    ctx.metrics().increment("adversary_updates_rejected",
+                            static_cast<double>(merge.compromised_rejected));
   }
-  if (!agg.rejected.empty()) {
-    ctx.metrics().increment("defense_updates_rejected",
-                            static_cast<double>(agg.rejected.size()));
-    for (std::size_t idx : agg.rejected) {
-      if (idx < rep->second.origins.size() &&
-          ctx.is_adversary_compromised(rep->second.origins[idx])) {
-        ctx.metrics().increment("adversary_updates_rejected");
-      }
-    }
-  }
-  const ml::WeightedModel aggregate = std::move(agg.model);
-  Message reply;
-  reply.from = msg.to;
-  reply.to = ctx.cloud_id();
-  reply.channel = comm::ChannelKind::kV2C;
-  reply.tag = kTagReply;
-  reply.round = msg.round;
-  reply.model = aggregate.weights;
-  reply.data_amount = aggregate.data_amount;
-  ctx.send(std::move(reply));
+  send_reply(ctx, msg, std::move(merge.result.model));
 }
-
-void OpportunisticStrategy::on_round_closing(StrategyContext& /*ctx*/,
-                                             int /*round*/) {}
 
 void OpportunisticStrategy::on_round_finalized(StrategyContext& ctx,
                                                int /*round*/,
                                                std::size_t /*contributions*/) {
-  ctx.metrics().add_point(config_.exchanges_series, ctx.now(),
+  ctx.metrics().add_point("v2x_exchanges_per_round", ctx.now(),
                           static_cast<double>(exchanges_this_round_));
   exchanges_this_round_ = 0;
 }

@@ -24,15 +24,10 @@
 
 namespace roadrunner::strategy {
 
-struct OpportunisticConfig {
-  RoundConfig round;  ///< paper Fig. 4: 5 reporters, 200 s rounds, 75 rounds
-  /// Series receiving the per-round V2X exchange counts (Fig. 4's bars).
-  std::string exchanges_series = "v2x_exchanges_per_round";
-};
-
+/// The paper's Fig. 4 OPP runs 5 reporters, 200 s rounds and 75 rounds.
 class OpportunisticStrategy final : public RoundBasedStrategy {
  public:
-  explicit OpportunisticStrategy(OpportunisticConfig config);
+  explicit OpportunisticStrategy(RoundConfig config);
 
   [[nodiscard]] std::string name() const override { return "opportunistic"; }
 
@@ -69,7 +64,6 @@ class OpportunisticStrategy final : public RoundBasedStrategy {
 
  protected:
   void on_selected(StrategyContext& ctx, AgentId vehicle, int round) override;
-  void on_round_closing(StrategyContext& ctx, int round) override;
   void on_round_finalized(StrategyContext& ctx, int round,
                           std::size_t contributions) override;
   void on_vehicle_message(StrategyContext& ctx, const Message& msg) override;
@@ -102,7 +96,6 @@ class OpportunisticStrategy final : public RoundBasedStrategy {
   void handle_return(StrategyContext& ctx, const Message& msg);
   void handle_request(StrategyContext& ctx, const Message& msg);
 
-  OpportunisticConfig config_;
   std::map<AgentId, ReporterState> reporters_;
   /// (round, vehicle) pairs that already contributed data this round.
   std::set<std::pair<int, AgentId>> participated_;

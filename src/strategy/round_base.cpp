@@ -25,7 +25,7 @@ void RoundBasedStrategy::on_start(StrategyContext& ctx) {
   global_ = initial_global_model(ctx);
   ctx.set_model(ctx.cloud_id(), global_, 0.0);
   if (config_.record_accuracy) {
-    ctx.metrics().add_point(config_.accuracy_series, ctx.now(),
+    ctx.metrics().add_point(kAccuracySeries, ctx.now(),
                             ctx.test_accuracy(global_));
   }
   begin_round(ctx);
@@ -172,6 +172,20 @@ void RoundBasedStrategy::drop_pending(StrategyContext& ctx, AgentId vehicle) {
   if (collecting_ && pending_.empty()) finalize_round(ctx);
 }
 
+bool RoundBasedStrategy::send_reply(StrategyContext& ctx,
+                                    const Message& request,
+                                    ml::WeightedModel model) {
+  Message reply;
+  reply.from = request.to;
+  reply.to = ctx.cloud_id();
+  reply.channel = comm::ChannelKind::kV2C;
+  reply.tag = kTagReply;
+  reply.round = request.round;
+  reply.model = std::move(model.weights);
+  reply.data_amount = model.data_amount;
+  return ctx.send(std::move(reply));
+}
+
 void RoundBasedStrategy::finalize_round(StrategyContext& ctx) {
   telemetry::Span span{"strategy", "strategy.finalize_round"};
   if (span.active()) {
@@ -180,50 +194,33 @@ void RoundBasedStrategy::finalize_round(StrategyContext& ctx) {
   }
   collecting_ = false;
   const std::size_t n = contributions_.size();
-  ctx.metrics().add_point(config_.contributions_series, ctx.now(),
+  ctx.metrics().add_point("contributions_per_round", ctx.now(),
                           static_cast<double>(n));
   if (n > 0) {
     // Federated Averaging (§3): w = sum_i w_i * d_i / sum_j d_j — or one of
     // the robust alternatives when a defense is configured (DESIGN.md §12).
-    ml::AggregateResult agg =
-        ml::robust_aggregate(contributions_, config_.aggregator);
-    global_ = std::move(agg.model.weights);
-    ctx.set_model(ctx.cloud_id(), global_, agg.model.data_amount);
-    if (agg.clipped > 0) {
-      ctx.metrics().increment("defense_updates_clipped",
-                              static_cast<double>(agg.clipped));
-    }
-    if (!agg.rejected.empty()) {
-      ctx.metrics().increment("defense_updates_rejected",
-                              static_cast<double>(agg.rejected.size()));
-    }
+    AccountedMerge merge = accounted_merge(ctx, contributions_,
+                                           contribution_origins_,
+                                           config_.aggregator);
+    global_ = std::move(merge.result.model.weights);
+    ctx.set_model(ctx.cloud_id(), global_, merge.result.model.data_amount);
     // Adversary accounting: of the updates supplied by compromised vehicles,
-    // how many made it into the global model? (Krum is the only aggregator
-    // that rejects whole contributions; the statistics-based defenses blunt
-    // rather than drop, which the accuracy gap captures instead.)
-    std::size_t poisoned_rejected = 0;
-    for (std::size_t idx : agg.rejected) {
-      if (idx < contribution_origins_.size() &&
-          ctx.is_adversary_compromised(contribution_origins_[idx])) {
-        ++poisoned_rejected;
-      }
-    }
+    // how many made it into the global model?
     std::size_t poisoned_total = 0;
     for (AgentId origin : contribution_origins_) {
       if (ctx.is_adversary_compromised(origin)) ++poisoned_total;
     }
     if (poisoned_total > 0) {
-      ctx.metrics().increment(
-          "adversary_updates_rejected",
-          static_cast<double>(poisoned_rejected));
-      ctx.metrics().increment(
-          "adversary_updates_accepted",
-          static_cast<double>(poisoned_total - poisoned_rejected));
+      const std::size_t rejected = merge.compromised_rejected;
+      ctx.metrics().increment("adversary_updates_rejected",
+                              static_cast<double>(rejected));
+      ctx.metrics().increment("adversary_updates_accepted",
+                              static_cast<double>(poisoned_total - rejected));
     }
     on_global_updated(ctx, round_, n);
   }
   if (config_.record_accuracy) {
-    ctx.metrics().add_point(config_.accuracy_series, ctx.now(),
+    ctx.metrics().add_point(kAccuracySeries, ctx.now(),
                             ctx.test_accuracy(global_));
   }
   ctx.metrics().add_point("unique_data_contributors", ctx.now(),
@@ -267,7 +264,7 @@ void RoundBasedStrategy::on_message_failed(StrategyContext& ctx,
 void RoundBasedStrategy::on_finish(StrategyContext& ctx) {
   ctx.metrics().set_counter("rounds_completed", round_ - (done_ ? 0 : 1));
   ctx.metrics().set_counter("final_accuracy",
-                            ctx.metrics().last_value(config_.accuracy_series));
+                            ctx.metrics().last_value(kAccuracySeries));
 }
 
 }  // namespace roadrunner::strategy

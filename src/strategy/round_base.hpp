@@ -10,13 +10,11 @@
 // receiving w and replying) and, if needed, how replies reach the server.
 #pragma once
 
-#include <map>
 #include <set>
 
-#include "ml/fedavg.hpp"
-#include "ml/robust.hpp"
 #include "ml/serialize.hpp"
 #include "strategy/learning_strategy.hpp"
+#include "strategy/merge.hpp"
 
 namespace roadrunner::strategy {
 
@@ -37,9 +35,6 @@ struct RoundConfig {
   double collect_timeout_s = 20.0;
   /// Record the global model's test accuracy each round (Req. 4 metric).
   bool record_accuracy = true;
-  /// Metrics series names (benches relabel per strategy).
-  std::string accuracy_series = "accuracy";
-  std::string contributions_series = "contributions_per_round";
   /// How contributions merge into the new global model. The default (mean)
   /// is the paper's Federated Averaging; the robust alternatives defend
   /// against poisoned updates (adversary subsystem, DESIGN.md §12).
@@ -98,11 +93,6 @@ class RoundBasedStrategy : public LearningStrategy {
     return ctx.fresh_model();
   }
 
-  /// Candidate pool for the per-round selection; default: all powered-on,
-  /// non-busy vehicles with local data.
-  [[nodiscard]] virtual std::vector<AgentId> selection_pool(
-      StrategyContext& ctx) const;
-
   /// How many vehicles to contact in the round about to start; default: the
   /// configured `participants`. Override for budget-adaptive policies.
   [[nodiscard]] virtual std::size_t participants_this_round(
@@ -140,10 +130,10 @@ class RoundBasedStrategy : public LearningStrategy {
   /// Marks a selected vehicle as unable to reply this round.
   void drop_pending(StrategyContext& ctx, AgentId vehicle);
 
-  /// Whether `vehicle` was selected in the current round.
-  [[nodiscard]] bool is_selected(AgentId vehicle) const {
-    return selected_.contains(vehicle);
-  }
+  /// Answers the cloud's model `request` with `model` over V2C (a
+  /// `kTagReply` from the requested vehicle). Returns ctx.send's result.
+  static bool send_reply(StrategyContext& ctx, const Message& request,
+                         ml::WeightedModel model);
 
   /// Data-provenance tracking (Req. 4: "the provenance of data"): records
   /// that `vehicle`'s local data entered the current round's aggregate. The
@@ -163,6 +153,9 @@ class RoundBasedStrategy : public LearningStrategy {
   enum TimerId : int { kTimerRoundEnd = 1, kTimerCollectEnd = 2 };
 
  private:
+  /// Candidate pool for the per-round selection: all powered-on, non-busy
+  /// vehicles with local data.
+  [[nodiscard]] std::vector<AgentId> selection_pool(StrategyContext& ctx) const;
   void begin_round(StrategyContext& ctx);
   void close_round(StrategyContext& ctx);
   void finalize_round(StrategyContext& ctx);

@@ -34,23 +34,14 @@ void RsuAssistedStrategy::on_round_closing(StrategyContext& ctx, int round) {
         buffer.origins.empty() ? core::kNoAgent : buffer.origins.front();
     // Edge aggregation honors the configured defense, so poisoned uploads
     // are blunted at the RSU before touching the backhaul.
-    ml::AggregateResult agg =
-        ml::robust_aggregate(buffer.collected, round_config().aggregator);
-    if (agg.clipped > 0) {
-      ctx.metrics().increment("defense_updates_clipped",
-                              static_cast<double>(agg.clipped));
+    AccountedMerge merge = accounted_merge(ctx, buffer.collected,
+                                           buffer.origins,
+                                           round_config().aggregator);
+    if (merge.compromised_rejected > 0) {
+      ctx.metrics().increment("adversary_updates_rejected",
+                              static_cast<double>(merge.compromised_rejected));
     }
-    if (!agg.rejected.empty()) {
-      ctx.metrics().increment("defense_updates_rejected",
-                              static_cast<double>(agg.rejected.size()));
-      for (std::size_t idx : agg.rejected) {
-        if (idx < buffer.origins.size() &&
-            ctx.is_adversary_compromised(buffer.origins[idx])) {
-          ctx.metrics().increment("adversary_updates_rejected");
-        }
-      }
-    }
-    relay_now(ctx, rsu, round, std::move(agg.model), first_origin);
+    relay_now(ctx, rsu, round, std::move(merge.result.model), first_origin);
     buffer.collected.clear();
     buffer.origins.clear();
   }
@@ -71,15 +62,8 @@ void RsuAssistedStrategy::on_vehicle_message(StrategyContext& ctx,
         it->second.handed_off) {
       return;
     }
-    Message reply;
-    reply.from = msg.to;
-    reply.to = ctx.cloud_id();
-    reply.channel = comm::ChannelKind::kV2C;
-    reply.tag = kTagReply;
-    reply.round = msg.round;
-    reply.model = ctx.agent(msg.to).model;
-    reply.data_amount = ctx.agent(msg.to).model_data_amount;
-    if (ctx.send(std::move(reply))) {
+    const Agent& vehicle = ctx.agent(msg.to);
+    if (send_reply(ctx, msg, {vehicle.model, vehicle.model_data_amount})) {
       ctx.metrics().increment("rsu_fallback_v2c_replies");
     }
     return;

@@ -9,6 +9,7 @@
 // across worker counts and across the distributed coordinator path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -607,6 +608,94 @@ end_s = 450
   EXPECT_DOUBLE_EQ(
       result.metrics.counter("transfers_V2C_failed_fault-outage"), 0.0);
 }
+
+// ------------------------------------------------------ merge accounting --
+
+// One row per merge path that runs the defense: the server's round aggregate
+// (federated), an OPP reporter's intermediate aggregate, an RSU's edge
+// aggregate and a gossip pair. Each row runs a model_poison plan under an
+// aggregator that fires on its path, and pins the four accounting counters
+// exactly (an adversary plan materializes all four, zeros included).
+struct MergePathCase {
+  const char* name;
+  const char* scenario_keys;
+  const char* strategy_keys;
+  double defense_clipped;
+  double defense_rejected;
+  double adversary_rejected;
+  double adversary_accepted;
+};
+
+void PrintTo(const MergePathCase& c, std::ostream* os) { *os << c.name; }
+
+class MergeAccounting : public ::testing::TestWithParam<MergePathCase> {};
+
+TEST_P(MergeAccounting, CountersArePinned) {
+  const MergePathCase& c = GetParam();
+  const auto ini = parse(std::string{"[scenario]\n"
+                                     "vehicles = 10\n"
+                                     "seed = 11\n"
+                                     "horizon_s = 800\n"} +
+                         c.scenario_keys + R"([city]
+duration_s = 800
+size_m = 800
+initial_on = 1.0
+dwell_on = 1.0
+[data]
+dataset = blobs
+train_pool = 600
+test_size = 120
+partition = iid
+samples_per_vehicle = 40
+[train]
+model = logreg
+epochs = 2
+[strategy]
+)" + c.strategy_keys + R"([adversary.0]
+kind = model_poison
+fraction = 0.3
+scale = -4
+)");
+  const metrics::Registry& m = scenario::run_experiment(ini).metrics;
+  const std::vector<std::string> names = m.counter_names();
+  for (const char* counter :
+       {"defense_updates_clipped", "defense_updates_rejected",
+        "adversary_updates_rejected", "adversary_updates_accepted"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), counter), names.end())
+        << counter;
+  }
+  EXPECT_EQ(m.counter("defense_updates_clipped"), c.defense_clipped);
+  EXPECT_EQ(m.counter("defense_updates_rejected"), c.defense_rejected);
+  EXPECT_EQ(m.counter("adversary_updates_rejected"), c.adversary_rejected);
+  EXPECT_EQ(m.counter("adversary_updates_accepted"), c.adversary_accepted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, MergeAccounting,
+    ::testing::Values(
+        MergePathCase{"federated", "",
+                      "name = federated\nrounds = 5\nparticipants = 10\n"
+                      "round_duration_s = 150\naggregation = krum\n"
+                      "krum_select = 4\n",
+                      0, 28, 14, 0},
+        MergePathCase{"opportunistic", "",
+                      "name = opportunistic\nrounds = 4\nparticipants = 4\n"
+                      "round_duration_s = 150\naggregation = krum\n"
+                      "krum_select = 2\n",
+                      0, 14, 7, 0},
+        MergePathCase{"rsu_edge", "rsus = 2\n",
+                      "name = rsu_assisted\naggregate_at_rsu = true\n"
+                      "rounds = 4\nparticipants = 10\n"
+                      "round_duration_s = 150\naggregation = krum\n"
+                      "krum_select = 2\n",
+                      0, 25, 11, 2},
+        MergePathCase{"gossip", "",
+                      "name = gossip\nduration_s = 800\n"
+                      "aggregation = norm_clip\nclip_norm = 1\n",
+                      77, 0, 0, 15}),
+    [](const ::testing::TestParamInfo<MergePathCase>& info) {
+      return std::string{info.param.name};
+    });
 
 // ------------------------------------------------------------ checkpoint --
 

@@ -70,10 +70,10 @@ TEST(Opportunistic, ReporterPowerOffDiscardsItsCollection) {
   cfg.city.dwell_on_probability = 0.0;
   cfg.net.v2c.loss_probability = 0.3;  // force visible churn
   scenario::Scenario scenario{cfg};
-  strategy::OpportunisticConfig opp;
-  opp.round.rounds = 6;
-  opp.round.participants = 3;
-  opp.round.round_duration_s = 150.0;
+  strategy::RoundConfig opp;
+  opp.rounds = 6;
+  opp.participants = 3;
+  opp.round_duration_s = 150.0;
   const auto result =
       scenario.run(std::make_shared<strategy::OpportunisticStrategy>(opp));
   EXPECT_DOUBLE_EQ(result.metrics.counter("rounds_completed"), 6.0);

@@ -105,10 +105,10 @@ TEST(FailureInjection, OppSurvivesFlakyV2x) {
   auto cfg = harsh_base(45);
   cfg.net.v2x.loss_probability = 0.5;
   scenario::Scenario scenario{cfg};
-  strategy::OpportunisticConfig opp;
-  opp.round.rounds = 4;
-  opp.round.participants = 3;
-  opp.round.round_duration_s = 120.0;
+  strategy::RoundConfig opp;
+  opp.rounds = 4;
+  opp.participants = 3;
+  opp.round_duration_s = 120.0;
   const auto result =
       scenario.run(std::make_shared<strategy::OpportunisticStrategy>(opp));
   EXPECT_DOUBLE_EQ(result.metrics.counter("rounds_completed"), 4.0);
@@ -130,10 +130,10 @@ TEST(FailureInjection, ZeroV2xRangeDisablesEncounters) {
   auto cfg = harsh_base(46);
   cfg.net.v2x.range_m = 0.0;  // V2X radio absent (V2C-only fleet, §1)
   scenario::Scenario scenario{cfg};
-  strategy::OpportunisticConfig opp;
-  opp.round.rounds = 3;
-  opp.round.participants = 3;
-  opp.round.round_duration_s = 60.0;
+  strategy::RoundConfig opp;
+  opp.rounds = 3;
+  opp.participants = 3;
+  opp.round_duration_s = 60.0;
   const auto result =
       scenario.run(std::make_shared<strategy::OpportunisticStrategy>(opp));
   EXPECT_DOUBLE_EQ(result.metrics.counter("encounters"), 0.0);

@@ -103,14 +103,5 @@ TEST(Metrics, CsvExportLongFormat) {
   EXPECT_NE(csv.find("counter,bytes,12.5,100"), std::string::npos);
 }
 
-TEST(Metrics, ClearResetsEverything) {
-  metrics::Registry reg;
-  reg.add_point("a", 0, 1);
-  reg.increment("b");
-  reg.clear();
-  EXPECT_FALSE(reg.has_series("a"));
-  EXPECT_DOUBLE_EQ(reg.counter("b"), 0.0);
-}
-
 }  // namespace
 }  // namespace roadrunner

@@ -1,14 +1,14 @@
 // Bitwise oracle for the packed GEMM kernel (ml::gemm), the direct
 // convolution kernels (ml/conv_kernels.hpp) and the layers built on them.
 // The reference implementations below are the plain loops the kernels
-// replaced, kept verbatim: i-k-j for matmul, k-i-j for matmul_at and a
-// scalar dot product for matmul_bt, plus the per-sample im2col Conv2D (with
-// its col2im_add input gradient) and the Linear layer written on top of
-// them. The kernels promise the same float operations in the same order,
-// so every comparison here is memcmp equality, never a tolerance. The plain
-// TESTs run the builds the host dispatches to; the Isa/GemmKernelOracle and
-// Isa/ConvKernelOracle suites run every build (SSE2, AVX2, AVX-512F) the
-// host supports and skip the others.
+// replaced, kept verbatim: i-k-j for matmul, k-i-j for A stored [k,m] and
+// a scalar dot product for B stored [n,k], plus the per-sample im2col
+// Conv2D (with its col2im_add input gradient) and the Linear layer written
+// on top of them. The kernels promise the same float operations in the
+// same order, so every comparison here is memcmp equality, never a
+// tolerance. The plain TESTs run the builds the host dispatches to; the
+// Isa/GemmKernelOracle and Isa/ConvKernelOracle suites run every build
+// (SSE2, AVX2, AVX-512F) the host supports and skip the others.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,7 +124,7 @@ Tensor transposed(const Tensor& t) {
   return out;
 }
 
-/// Checks every entry point at one (m, n, k): the three Tensor wrappers and
+/// Checks every entry point at one (m, n, k): the two Tensor wrappers and
 /// raw gemm over all four operand layouts, with and without accumulate.
 void check_shape(std::size_t m, std::size_t n, std::size_t k,
                  std::uint64_t seed) {
@@ -138,8 +138,10 @@ void check_shape(std::size_t m, std::size_t n, std::size_t k,
 
   const Tensor want = ref_matmul(a, b);
   EXPECT_TRUE(bitwise_equal(matmul(a, b), want));
-  EXPECT_TRUE(bitwise_equal(matmul_at(a_t, b), ref_matmul_at(a_t, b)));
-  EXPECT_TRUE(bitwise_equal(matmul_bt(a, b_t), ref_matmul_bt(a, b_t)));
+  // The transposed references agree with it bit for bit, so the gemm
+  // layouts below are held to each of them.
+  EXPECT_TRUE(bitwise_equal(ref_matmul_at(a_t, b), want));
+  EXPECT_TRUE(bitwise_equal(ref_matmul_bt(a, b_t), want));
 
   Tensor want_acc = c0;
   ref_matmul_into(a, b, want_acc, true);

@@ -71,28 +71,5 @@ TEST(SoftmaxCrossEntropy, ValidatesInput) {
   EXPECT_THROW(softmax_cross_entropy(rank1, {0}), std::invalid_argument);
 }
 
-TEST(ArgmaxRows, PicksMaxima) {
-  Tensor logits{{2, 3}, {1, 5, 2, 7, 0, 3}};
-  const auto a = argmax_rows(logits);
-  ASSERT_EQ(a.size(), 2U);
-  EXPECT_EQ(a[0], 1);
-  EXPECT_EQ(a[1], 0);
-}
-
-TEST(SoftmaxRows, RowsSumToOne) {
-  util::Rng rng{3};
-  Tensor logits{{4, 6}};
-  roadrunner::testing::randomize(logits, rng, 3.0);
-  const Tensor p = softmax_rows(logits);
-  for (std::size_t i = 0; i < 4; ++i) {
-    double sum = 0;
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_GE(p.at2(i, j), 0.0F);
-      sum += p.at2(i, j);
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-5);
-  }
-}
-
 }  // namespace
 }  // namespace roadrunner::ml

@@ -26,17 +26,6 @@ TEST(SgdMomentum, MomentumAccumulates) {
   EXPECT_FLOAT_EQ(p[0], -4.25F);
 }
 
-TEST(SgdMomentum, ResetClearsVelocity) {
-  SgdMomentum opt{1.0F, 0.9F};
-  Tensor p{{1}, {0.0F}};
-  Tensor g{{1}, {1.0F}};
-  opt.step({&p}, {&g});
-  opt.reset();
-  p[0] = 0.0F;
-  opt.step({&p}, {&g});
-  EXPECT_FLOAT_EQ(p[0], -1.0F);  // no leftover velocity
-}
-
 TEST(SgdMomentum, WeightDecayAddsL2Pull) {
   SgdMomentum opt{1.0F, 0.0F, 0.1F};
   Tensor p{{1}, {10.0F}};
@@ -63,13 +52,6 @@ TEST(SgdMomentum, ValidatesStepArguments) {
   opt.step({&p}, {&g});
   Tensor q{{2}};
   EXPECT_THROW(opt.step({&p, &q}, {&g, &g}), std::logic_error);
-}
-
-TEST(SgdMomentum, LearningRateMutable) {
-  SgdMomentum opt{0.1F};
-  opt.set_learning_rate(0.5F);
-  EXPECT_FLOAT_EQ(opt.learning_rate(), 0.5F);
-  EXPECT_THROW(opt.set_learning_rate(0.0F), std::invalid_argument);
 }
 
 }  // namespace

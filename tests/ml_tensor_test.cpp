@@ -139,23 +139,24 @@ TEST_P(MatmulVariants, TransposedVariantsAgree) {
   fill(b);
   const Tensor expect = matmul(a, b);
 
-  // matmul_at: pass a stored as [k, m].
+  // gemm reading a stored as [k, m] (the backward dW layout).
   Tensor a_t{{k, m}};
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < k; ++j) a_t.at2(j, i) = a.at2(i, j);
   }
-  const Tensor via_at = matmul_at(a_t, b);
-  ASSERT_EQ(via_at.shape(), expect.shape());
+  Tensor via_at{{m, n}};
+  gemm(m, n, k, a_t.data(), 1, m, b.data(), n, 1, via_at.data(), false);
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(via_at[i], expect[i]);
   }
 
-  // matmul_bt: pass b stored as [n, k].
+  // gemm reading b stored as [n, k] (the Linear forward layout).
   Tensor b_t{{n, k}};
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < n; ++j) b_t.at2(j, i) = b.at2(i, j);
   }
-  const Tensor via_bt = matmul_bt(a, b_t);
+  Tensor via_bt{{m, n}};
+  gemm(m, n, k, a.data(), k, 1, b_t.data(), 1, k, via_bt.data(), false);
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(via_bt[i], expect[i]);
   }

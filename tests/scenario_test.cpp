@@ -148,10 +148,10 @@ TEST(Determinism, DifferentSeedsDiffer) {
 TEST(Determinism, OpportunisticRunIsReproducible) {
   auto cfg = small_config(9);
   cfg.city.duration_s = 4000.0;
-  strategy::OpportunisticConfig opp;
-  opp.round.rounds = 3;
-  opp.round.participants = 2;
-  opp.round.round_duration_s = 120.0;
+  strategy::RoundConfig opp;
+  opp.rounds = 3;
+  opp.participants = 2;
+  opp.round_duration_s = 120.0;
   Scenario s1{cfg};
   Scenario s2{cfg};
   const auto a =
@@ -252,6 +252,10 @@ struct RenderCase {
   bool one_worker;
   std::size_t rendered;  ///< rows the build must render, no more
 };
+
+// gtest would otherwise print the case's raw bytes, pointers included, into
+// the registered test name, which then changes with every address layout.
+void PrintTo(const RenderCase& c, std::ostream* os) { *os << c.name; }
 
 class RowMappedImages : public ::testing::TestWithParam<RenderCase> {};
 

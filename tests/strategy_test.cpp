@@ -149,11 +149,11 @@ TEST(OpportunisticStrategy, RoundAggregateEqualsFlatFedAvg) {
   // vehicles' retrained models. Every vehicle's own model still holds its
   // retrained weights at round end, so the expectation is reconstructible.
   MiniWorld world{3, 10000.0};
-  OpportunisticConfig cfg;
-  cfg.round.rounds = 1;
-  cfg.round.participants = 1;
-  cfg.round.round_duration_s = 60.0;
-  cfg.round.collect_timeout_s = 30.0;
+  RoundConfig cfg;
+  cfg.rounds = 1;
+  cfg.participants = 1;
+  cfg.round_duration_s = 60.0;
+  cfg.collect_timeout_s = 30.0;
   auto opp = std::make_shared<OpportunisticStrategy>(cfg);
   world.sim->set_strategy(opp);
   world.sim->run();
@@ -189,10 +189,10 @@ TEST(OpportunisticStrategy, VehicleContributesAtMostOncePerRound) {
   // Two reporters flanking one non-reporter: its data must enter exactly
   // one reporter's aggregate.
   MiniWorld world{3, 10000.0};
-  OpportunisticConfig cfg;
-  cfg.round.rounds = 1;
-  cfg.round.participants = 2;
-  cfg.round.round_duration_s = 60.0;
+  RoundConfig cfg;
+  cfg.rounds = 1;
+  cfg.participants = 2;
+  cfg.round_duration_s = 60.0;
   auto opp = std::make_shared<OpportunisticStrategy>(cfg);
   world.sim->set_strategy(opp);
   world.sim->run();
@@ -202,10 +202,10 @@ TEST(OpportunisticStrategy, VehicleContributesAtMostOncePerRound) {
 
 TEST(OpportunisticStrategy, UsesV2xForExchanges) {
   MiniWorld world{4, 10000.0};
-  OpportunisticConfig cfg;
-  cfg.round.rounds = 2;
-  cfg.round.participants = 1;
-  cfg.round.round_duration_s = 60.0;
+  RoundConfig cfg;
+  cfg.rounds = 2;
+  cfg.participants = 1;
+  cfg.round_duration_s = 60.0;
   auto opp = std::make_shared<OpportunisticStrategy>(cfg);
   world.sim->set_strategy(opp);
   world.sim->run();
@@ -226,10 +226,10 @@ TEST(OpportunisticStrategy, UsesV2xForExchanges) {
 TEST(OpportunisticStrategy, NoExchangesWhenOutOfRange) {
   // Vehicles 5 km apart: no V2X possible -> OPP degrades to plain FL.
   MiniWorld world{3, 10000.0, 0, 11, /*spacing=*/5000.0};
-  OpportunisticConfig cfg;
-  cfg.round.rounds = 2;
-  cfg.round.participants = 1;
-  cfg.round.round_duration_s = 60.0;
+  RoundConfig cfg;
+  cfg.rounds = 2;
+  cfg.participants = 1;
+  cfg.round_duration_s = 60.0;
   auto opp = std::make_shared<OpportunisticStrategy>(cfg);
   world.sim->set_strategy(opp);
   world.sim->run();
