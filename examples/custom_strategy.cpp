@@ -39,8 +39,11 @@ class AdaptiveFl final : public strategy::FederatedStrategy {
     return boosting_ ? boosted_participants_ : base_participants_;
   }
 
-  void on_global_updated(strategy::StrategyContext& ctx, int round,
-                         std::size_t /*contributions*/) override {
+  // Runs after the round's accuracy point is recorded, so `acc` is the new
+  // global model's; rounds that produced no new model are not judged.
+  void on_round_finalized(strategy::StrategyContext& ctx, int round,
+                          std::size_t contributions) override {
+    if (contributions == 0) return;
     const double acc = ctx.metrics().last_value(strategy::kAccuracySeries);
     if (round > 1 && acc - last_accuracy_ < kStallThreshold) {
       ++stalled_rounds_;

@@ -4,8 +4,9 @@
 // RNG seed derives from job identity alone, and each job owns its Scenario
 // and Simulator, so per-job metrics are bit-identical under any worker
 // count or scheduling order. The workers-level pool nests cleanly above the
-// process-global pool that evaluation and image rendering use inside a run
-// (training runs on its own std::async threads).
+// process-global pool that training, evaluation and image rendering use
+// inside a run; a simulator waiting on a training job runs queued
+// global-pool tasks meanwhile (util::ThreadPool::wait).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 #include "core/ml_service.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "ml/gmm.hpp"
@@ -17,16 +19,66 @@ namespace {
 /// matters; test() guards that.)
 constexpr double kUnfitDensityScore = -1.0e3;
 
+/// Local training of a supervised net: SGD on a leased network.
+TrainResult train_net(ml::NetworkPool& nets, const ml::Weights& start,
+                      const ml::DatasetView& data,
+                      const ml::TrainConfig& config, util::Rng& job_rng) {
+  const ml::NetworkPool::Lease net = nets.lease(start);
+  TrainResult result;
+  result.report = ml::train_sgd(*net, data, config, job_rng);
+  result.weights = net->weights();
+  return result;
+}
+
+/// Local training of the density family: EM on a GMM. `flops` is the
+/// service's estimate for the window (estimate_train_flops).
+TrainResult train_density(const DensitySpec& spec, std::uint64_t flops,
+                          const ml::Weights& start,
+                          const ml::DatasetView& data, util::Rng& job_rng) {
+  if (data.empty()) {
+    throw std::invalid_argument{"MlService::train: empty data"};
+  }
+  // A received global model seeds EM; the zero-mass sentinel (or a wiped
+  // model) falls back to a k-means init from the local window — which is
+  // also how the very first local model of every vehicle is born.
+  ml::GmmModel model;
+  if (ml::gmm_has_mass(start)) {
+    model = ml::gmm_model_from_weights(start, spec.var_floor);
+    if (model.k() != spec.components || model.dims() != spec.dims) {
+      throw std::invalid_argument{
+          "MlService::train: GMM encoding does not match the density spec"};
+    }
+  } else {
+    model = ml::gmm_init(data, spec.components, job_rng, spec.var_floor);
+  }
+  const ml::GmmReport em =
+      ml::gmm_fit_em(model, data, spec.em_iterations, spec.var_floor);
+
+  // What travels is the *statistics* of the local window under the fitted
+  // model — the associative currency every aggregation path can pool.
+  const ml::GmmSuffStats stats = ml::gmm_accumulate(model, data);
+  TrainResult result;
+  result.weights = ml::gmm_encode(stats);
+  result.report.final_loss = -em.mean_log_likelihood;
+  result.report.final_accuracy = em.mean_log_likelihood;
+  result.report.samples_seen = data.size() * em.iterations;
+  result.report.steps = em.iterations;
+  result.report.flops = flops;
+  return result;
+}
+
 }  // namespace
 
 MlService::MlService(ml::Network prototype, ml::DatasetView test_set)
-    : prototype_{std::move(prototype)}, test_set_{std::move(test_set)} {
-  if (prototype_.layer_count() == 0) {
+    : nets_{std::make_shared<ml::NetworkPool>(std::move(prototype))},
+      test_set_{std::move(test_set)} {
+  const ml::Network& proto = nets_->prototype();
+  if (proto.layer_count() == 0) {
     throw std::invalid_argument{"MlService: empty prototype network"};
   }
-  model_bytes_ = ml::weights_byte_size(prototype_.weights());
-  param_count_ = prototype_.parameter_count();
-  flops_per_sample_ = prototype_.flops_per_sample();
+  model_bytes_ = ml::weights_byte_size(proto.weights());
+  param_count_ = proto.parameter_count();
+  flops_per_sample_ = proto.flops_per_sample();
   if (flops_per_sample_ == 0) {
     throw std::invalid_argument{
         "MlService: prototype not primed (run a forward pass; see "
@@ -35,7 +87,10 @@ MlService::MlService(ml::Network prototype, ml::DatasetView test_set)
 }
 
 MlService::MlService(DensitySpec spec, ml::DatasetView test_set)
-    : test_set_{std::move(test_set)}, density_{true}, density_spec_{spec} {
+    : nets_{std::make_shared<ml::NetworkPool>(ml::Network{})},
+      test_set_{std::move(test_set)},
+      density_{true},
+      density_spec_{spec} {
   if (spec.components == 0 || spec.dims == 0) {
     throw std::invalid_argument{
         "MlService: density spec needs components and dims > 0"};
@@ -64,71 +119,50 @@ std::uint64_t MlService::estimate_train_flops(std::size_t samples,
          static_cast<std::uint64_t>(epochs);
 }
 
-TrainResult MlService::train_density(const ml::Weights& start,
-                                     const ml::DatasetView& data,
-                                     util::Rng& job_rng) const {
-  if (data.empty()) {
-    throw std::invalid_argument{"MlService::train: empty data"};
-  }
-  const DensitySpec& spec = density_spec_;
-  // A received global model seeds EM; the zero-mass sentinel (or a wiped
-  // model) falls back to a k-means init from the local window — which is
-  // also how the very first local model of every vehicle is born.
-  ml::GmmModel model;
-  if (ml::gmm_has_mass(start)) {
-    model = ml::gmm_model_from_weights(start, spec.var_floor);
-    if (model.k() != spec.components || model.dims() != spec.dims) {
-      throw std::invalid_argument{
-          "MlService::train: GMM encoding does not match the density spec"};
-    }
-  } else {
-    model = ml::gmm_init(data, spec.components, job_rng, spec.var_floor);
-  }
-  const ml::GmmReport em =
-      ml::gmm_fit_em(model, data, spec.em_iterations, spec.var_floor);
-
-  // What travels is the *statistics* of the local window under the fitted
-  // model — the associative currency every aggregation path can pool.
-  const ml::GmmSuffStats stats = ml::gmm_accumulate(model, data);
-  TrainResult result;
-  result.weights = ml::gmm_encode(stats);
-  result.report.final_loss = -em.mean_log_likelihood;
-  result.report.final_accuracy = em.mean_log_likelihood;
-  result.report.samples_seen = data.size() * em.iterations;
-  result.report.steps = em.iterations;
-  result.report.flops = estimate_train_flops(data.size(), /*epochs=*/0);
-  return result;
-}
-
 TrainResult MlService::train(ml::Weights start, ml::DatasetView data,
                              const ml::TrainConfig& config,
                              util::Rng job_rng) const {
-  if (density_) return train_density(start, data, job_rng);
-  ml::Network net = prototype_;
-  net.set_weights(start);
-  TrainResult result;
-  result.report = ml::train_sgd(net, data, config, job_rng);
-  result.weights = net.weights();
-  return result;
+  if (density_) {
+    return train_density(density_spec_,
+                         estimate_train_flops(data.size(), /*epochs=*/0),
+                         start, data, job_rng);
+  }
+  return train_net(*nets_, start, data, config, job_rng);
 }
 
 std::future<TrainResult> MlService::train_async(ml::Weights start,
                                                 ml::DatasetView data,
                                                 ml::TrainConfig config,
                                                 util::Rng job_rng) const {
-  // std::async with the launch::async policy gives one thread per in-flight
-  // training; concurrent trainings per round are bounded by round fan-out,
-  // which is small (tens). The job itself is single-threaded (train_sgd
-  // uses no pool). A nested ThreadPool::parallel_for on a pool worker runs
-  // inline, so a pool deadlock is not what keeps training off
-  // ThreadPool::global(): the thread per job is simply how training is
-  // scheduled today, hence the sanctioned exception to the raw-thread rule.
-  return std::async(std::launch::async,  // rr-lint: allow(raw-thread)
-                    [this, start = std::move(start), data = std::move(data),
-                     config, job_rng]() mutable {
-                      return train(std::move(start), std::move(data), config,
-                                   job_rng);
-                    });
+  // The job captures everything it reads by value or shared ownership, not
+  // `this`: a simulator torn down with the job still queued leaves it
+  // nothing dangling to run against.
+  std::function<TrainResult()> run;
+  if (density_) {
+    run = [spec = density_spec_,
+           flops = estimate_train_flops(data.size(), /*epochs=*/0),
+           start = std::move(start), data = std::move(data),
+           job_rng]() mutable {
+      return train_density(spec, flops, start, data, job_rng);
+    };
+  } else {
+    run = [nets = nets_, start = std::move(start), data = std::move(data),
+           config, job_rng]() mutable {
+      return train_net(*nets, start, data, config, job_rng);
+    };
+  }
+  // ThreadPool::submit takes a copyable function; the task is move-only.
+  auto job = std::make_shared<std::packaged_task<TrainResult()>>(
+      std::move(run));
+  std::future<TrainResult> result = job->get_future();
+  util::ThreadPool::global().submit([job] { (*job)(); });
+  return result;
+}
+
+const TrainResult& MlService::await(
+    const std::shared_future<TrainResult>& job) {
+  util::ThreadPool::global().wait(job);
+  return job.get();
 }
 
 ml::EvalReport MlService::test(const ml::Weights& weights) const {
@@ -159,9 +193,7 @@ ml::EvalReport MlService::eval_density(const ml::Weights& weights,
 ml::EvalReport MlService::test_on(const ml::Weights& weights,
                                   const ml::DatasetView& data) const {
   if (density_) return eval_density(weights, data);
-  ml::Network net = prototype_;
-  net.set_weights(weights);
-  return ml::evaluate(net, data);
+  return ml::evaluate(*nets_, weights, data);
 }
 
 void MlService::set_eval_windows(std::vector<EvalWindow> windows) {
@@ -204,7 +236,7 @@ ml::Weights MlService::fresh_weights(util::Rng& rng) const {
   if (density_) {
     return ml::gmm_zero_weights(density_spec_.components, density_spec_.dims);
   }
-  ml::Network net = prototype_;
+  ml::Network net = nets_->prototype();
   net.init_params(rng);
   return net.weights();
 }

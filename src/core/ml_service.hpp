@@ -1,11 +1,13 @@
 // The ML module (paper §4): holds the learning problem's model architecture
 // prototype and server test set, and provides train/test/aggregate
 // operations on agents' weights. Training executes for real (genuine
-// gradients and accuracy), each job on a std::async thread of its own
+// gradients and accuracy), each job a task on util::ThreadPool::global()
 // (train_async), emulating the HUs' ability to "run multiple operations in
 // parallel to speed up the simulation" (§4); the *simulated* duration is
 // charged analytically by hu::HardwareUnit from the FLOP estimate, so
-// results are deterministic regardless of thread scheduling.
+// results are deterministic regardless of thread scheduling. Jobs and
+// evaluation shards run on warm networks leased from one ml::NetworkPool
+// per service, not on fresh clones of the prototype.
 //
 // Two model families share this one interface (Req. 2, "arbitrary models"):
 //  * supervised nets — Weights are parameter tensors, train is SGD, test is
@@ -23,10 +25,12 @@
 
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/net.hpp"
+#include "ml/network_pool.hpp"
 #include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
 #include "util/rng.hpp"
@@ -86,13 +90,19 @@ class MlService {
   [[nodiscard]] std::uint64_t estimate_train_flops(std::size_t samples,
                                                    int epochs) const;
 
-  /// Launches a real training job on a thread of its own (std::async, one
-  /// thread per job; not the global thread pool). The job runs
-  /// single-threaded and derives all randomness from `job_rng`, so the
-  /// result is deterministic no matter when the future is consumed.
+  /// Queues a real training job on util::ThreadPool::global(). The job
+  /// runs single-threaded on a leased network and derives all randomness
+  /// from `job_rng`, so the result is deterministic no matter which thread
+  /// runs it or when the future is consumed. The job holds what it reads
+  /// (the network pool, the data), so it may outlive this service; wait on
+  /// the future with ThreadPool::wait (see await()).
   [[nodiscard]] std::future<TrainResult> train_async(
       ml::Weights start, ml::DatasetView data, ml::TrainConfig config,
       util::Rng job_rng) const;
+
+  /// Blocks until `job` (from train_async) is ready, running queued pool
+  /// tasks on the calling thread meanwhile, and returns its result.
+  static const TrainResult& await(const std::shared_future<TrainResult>& job);
 
   /// Synchronous variant (used by tests and the centralized strategy's
   /// in-server training).
@@ -127,17 +137,17 @@ class MlService {
   [[nodiscard]] ml::Weights fresh_weights(util::Rng& rng) const;
 
   [[nodiscard]] const ml::DatasetView& test_set() const { return test_set_; }
-  [[nodiscard]] const ml::Network& prototype() const { return prototype_; }
+  [[nodiscard]] const ml::Network& prototype() const {
+    return nets_->prototype();
+  }
   [[nodiscard]] const DensitySpec& density_spec() const { return density_spec_; }
 
  private:
-  [[nodiscard]] TrainResult train_density(const ml::Weights& start,
-                                          const ml::DatasetView& data,
-                                          util::Rng& job_rng) const;
   [[nodiscard]] ml::EvalReport eval_density(const ml::Weights& weights,
                                             const ml::DatasetView& data) const;
 
-  ml::Network prototype_;
+  // Shared with the queued training jobs, which may outlive the service.
+  std::shared_ptr<ml::NetworkPool> nets_;
   ml::DatasetView test_set_;
   bool density_ = false;
   DensitySpec density_spec_;

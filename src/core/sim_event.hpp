@@ -41,9 +41,9 @@ struct SimEvent {
   std::shared_future<TrainResult> job;  ///< kFinishTraining result
 
   /// Archive field list (util/archive.hpp). An in-flight training job is
-  /// forced on write and stored as its result (the job is deterministic:
-  /// its RNG was fixed at launch); the reader hands it back as a ready
-  /// future. The reader rejects the retired kind 5 and any byte past the
+  /// forced on write (MlService::await) and stored as its result (the job
+  /// is deterministic: its RNG was fixed at launch); the reader hands it
+  /// back as a ready future. The reader rejects the retired kind 5 and any byte past the
   /// last enumerator. Agent ids are range-checked by the caller, which
   /// knows the agent count.
   template <class Ar>
@@ -62,7 +62,7 @@ struct SimEvent {
         ready.set_value(std::move(result));
         job = ready.get_future().share();
       } else {
-        ar(job.get());
+        ar(MlService::await(job));
       }
     }
   }

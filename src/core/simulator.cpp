@@ -370,8 +370,9 @@ bool Simulator::start_training(AgentId id, int round_tag,
 void Simulator::finish_training(AgentId id, int round_tag, double duration_s,
                                 double data_amount,
                                 std::shared_future<TrainResult> job) {
-  // Includes the potential wait on job.get(): a fat span here means the
-  // simulated duration undershot the real training cost.
+  // Includes the potential wait on the job: a fat span here means the
+  // simulated duration undershot the real training cost. While it waits,
+  // this thread runs queued pool tasks (the round's other jobs) itself.
   RR_TSPAN("sim", "sim.finish_training");
   Agent& a = agent_mut(id);
   a.training = false;
@@ -390,7 +391,7 @@ void Simulator::finish_training(AgentId id, int round_tag, double duration_s,
     strategy_->on_training_failed(*this, id, round_tag);
     return;
   }
-  TrainResult result = job.get();  // blocks only if the job is still running
+  TrainResult result = MlService::await(job);
   a.model = std::move(result.weights);
   a.model_data_amount = data_amount;
   a.model_updated_s = now();

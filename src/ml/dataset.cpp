@@ -99,7 +99,7 @@ void DatasetView::gather_batch(std::size_t first, std::size_t count,
   std::vector<std::size_t> shape{count};
   const auto sample_shape = base_->sample_shape();
   shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
-  if (batch_x.shape() != shape) batch_x = Tensor{shape};
+  batch_x.resize(shape);  // every element is overwritten below
   batch_y.resize(count);
   const std::size_t stride = base_->sample_size();
   for (std::size_t i = 0; i < count; ++i) {

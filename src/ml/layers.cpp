@@ -27,6 +27,55 @@ float* partial_scratch(std::size_t size) {
   return buffer.data();
 }
 
+/// Keeps a copy of a training forward's input for backward; an inference
+/// forward drops the record instead (the copy is what it saves).
+void cache_input(bool training, const Tensor& x, Tensor& cache) {
+  if (training) {
+    cache.resize(x.shape());
+    std::copy(x.values().begin(), x.values().end(), cache.data());
+  } else {
+    cache.resize({});
+  }
+}
+
+/// 2x2 stride-2 max pooling of x [N, C, H, W] into y [N, C, H/2, W/2];
+/// with kArgmax, also each output's flat input index.
+template <bool kArgmax>
+void max_pool_2x2(const Tensor& x, float* py, std::uint32_t* argmax) {
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t oh = h / 2, ow = w / 2;
+  const float* px = x.data();
+  std::size_t out = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const float* plane = px + (s * c + ch) * h * w;
+      const std::size_t plane_base = (s * c + ch) * h * w;
+      for (std::size_t oi = 0; oi < oh; ++oi) {
+        for (std::size_t oj = 0; oj < ow; ++oj, ++out) {
+          const std::size_t i0 = oi * 2, j0 = oj * 2;
+          std::size_t best = i0 * w + j0;
+          float best_v = plane[best];
+          const std::size_t candidates[3] = {i0 * w + j0 + 1,
+                                             (i0 + 1) * w + j0,
+                                             (i0 + 1) * w + j0 + 1};
+          // Selects, not branches: a later candidate wins only when
+          // strictly greater, so ties keep the first, a NaN never wins and
+          // -0/+0 keep their order, as the branchy loop did.
+          for (std::size_t cand : candidates) {
+            const bool greater = plane[cand] > best_v;
+            best_v = greater ? plane[cand] : best_v;
+            best = greater ? cand : best;
+          }
+          py[out] = best_v;
+          if constexpr (kArgmax) {
+            argmax[out] = static_cast<std::uint32_t>(plane_base + best);
+          }
+        }
+      }
+    }
+  }
+}
+
 void require_rank(const Tensor& x, std::size_t rank, const char* layer) {
   if (x.rank() != rank) {
     throw std::invalid_argument{std::string{layer} + ": expected rank-" +
@@ -56,32 +105,34 @@ void Linear::init_params(util::Rng& rng) {
   b_.fill(0.0F);
 }
 
-Tensor Linear::forward(const Tensor& x) {
+const Tensor& Linear::forward(const Tensor& x) {
   require_rank(x, 2, "Linear");
   if (x.dim(1) != in_) {
     throw std::invalid_argument{"Linear: input feature mismatch"};
   }
-  cached_x_ = x;
+  cache_input(training_, x, cached_x_);
   const std::size_t n = x.dim(0);
   // y[N, out] = x[N, in] * W^T, reading W [out, in] through its strides.
-  Tensor y{{n, out_}};
-  gemm(n, out_, in_, x.data(), in_, 1, w_.data(), 1, in_, y.data(), false);
+  y_.resize({n, out_});
+  gemm(n, out_, in_, x.data(), in_, 1, w_.data(), 1, in_, y_.data(), false);
   for (std::size_t i = 0; i < n; ++i) {
-    float* row = y.data() + i * out_;
+    float* row = y_.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += b_[j];
   }
-  return y;
+  return y_;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
-  return backward_impl(grad_out, true);
+const Tensor& Linear::backward(const Tensor& grad_out) {
+  accumulate_param_grads(grad_out);
+  // dX[N, in] = grad_out[N, out] * W[out, in]
+  const std::size_t n = grad_out.dim(0);
+  dx_.resize({n, in_});
+  gemm(n, in_, out_, grad_out.data(), out_, 1, w_.data(), in_, 1, dx_.data(),
+       false);
+  return dx_;
 }
 
 void Linear::accumulate_param_grads(const Tensor& grad_out) {
-  (void)backward_impl(grad_out, false);
-}
-
-Tensor Linear::backward_impl(const Tensor& grad_out, bool input_grad) {
   require_rank(grad_out, 2, "Linear::backward");
   const std::size_t n = grad_out.dim(0);
   if (grad_out.dim(1) != out_ || cached_x_.empty() || cached_x_.dim(0) != n) {
@@ -99,20 +150,20 @@ Tensor Linear::backward_impl(const Tensor& grad_out, bool input_grad) {
     const float* row = grad_out.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) db_[j] += row[j];
   }
-  if (!input_grad) return {};
-  // dX[N, in] = grad_out[N, out] * W[out, in]
-  Tensor dx{{n, in_}};
-  gemm(n, in_, out_, grad_out.data(), out_, 1, w_.data(), in_, 1, dx.data(),
-       false);
-  return dx;
 }
 
 std::uint64_t Linear::flops_per_sample() const {
   return static_cast<std::uint64_t>(in_) * out_;
 }
 
+void Linear::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  cached_x_.resize({});
+}
+
 std::unique_ptr<Layer> Linear::clone() const {
   auto copy = std::make_unique<Linear>(in_, out_);
+  copy->training_ = training_;
   copy->w_ = w_;
   copy->b_ = b_;
   return copy;
@@ -144,30 +195,32 @@ void Conv2D::init_params(util::Rng& rng) {
   b_.fill(0.0F);
 }
 
-Tensor Conv2D::forward(const Tensor& x) {
+const Tensor& Conv2D::forward(const Tensor& x) {
   require_rank(x, 4, "Conv2D");
   if (x.dim(1) != cin_) {
     throw std::invalid_argument{"Conv2D: channel mismatch"};
   }
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ConvShape g = conv_shape(cin_, cout_, k_, stride_, padding_, h, w);
-  cached_x_ = x;
+  cache_input(training_, x, cached_x_);
   last_h_ = h;
   last_w_ = w;
-  Tensor y{{n, cout_, g.oh, g.ow}};
-  conv_forward(g, n, x.data(), w_.data(), b_.data(), y.data());
-  return y;
+  y_.resize({n, cout_, g.oh, g.ow});
+  conv_forward(g, n, x.data(), w_.data(), b_.data(), y_.data());
+  return y_;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  return backward_impl(grad_out, true);
+const Tensor& Conv2D::backward(const Tensor& grad_out) {
+  accumulate_param_grads(grad_out);
+  const ConvShape g =
+      conv_shape(cin_, cout_, k_, stride_, padding_, last_h_, last_w_);
+  dx_.resize(cached_x_.shape());
+  conv_input_grad(g, cached_x_.dim(0), w_.data(), grad_out.data(),
+                  dx_.data());
+  return dx_;
 }
 
 void Conv2D::accumulate_param_grads(const Tensor& grad_out) {
-  (void)backward_impl(grad_out, false);
-}
-
-Tensor Conv2D::backward_impl(const Tensor& grad_out, bool input_grad) {
   require_rank(grad_out, 4, "Conv2D::backward");
   if (cached_x_.empty()) {
     throw std::logic_error{"Conv2D::backward: no matching forward"};
@@ -183,10 +236,6 @@ Tensor Conv2D::backward_impl(const Tensor& grad_out, bool input_grad) {
   // that sum in one add per call (the contract in ml/conv_kernels.hpp).
   conv_weight_grad(g, n, cached_x_.data(), grad_out.data(), dw_.data(),
                    db_.data());
-  if (!input_grad) return {};
-  Tensor dx{cached_x_.shape()};
-  conv_input_grad(g, n, w_.data(), grad_out.data(), dx.data());
-  return dx;
 }
 
 std::uint64_t Conv2D::flops_per_sample() const {
@@ -200,8 +249,17 @@ std::uint64_t Conv2D::flops_per_sample() const {
   return static_cast<std::uint64_t>(cout_) * cin_ * k_ * k_ * oh * ow;
 }
 
+void Conv2D::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  const auto& proto = static_cast<const Conv2D&>(prototype);
+  cached_x_.resize({});
+  last_h_ = proto.last_h_;
+  last_w_ = proto.last_w_;
+}
+
 std::unique_ptr<Layer> Conv2D::clone() const {
   auto copy = std::make_unique<Conv2D>(cin_, cout_, k_, stride_, padding_);
+  copy->training_ = training_;
   copy->w_ = w_;
   copy->b_ = b_;
   copy->last_h_ = last_h_;
@@ -211,102 +269,102 @@ std::unique_ptr<Layer> Conv2D::clone() const {
 
 // ------------------------------------------------------------- MaxPool2D --
 
-Tensor MaxPool2D::forward(const Tensor& x) {
+const Tensor& MaxPool2D::forward(const Tensor& x) {
   require_rank(x, 4, "MaxPool2D");
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = h / 2, ow = w / 2;
   if (oh == 0 || ow == 0) {
     throw std::invalid_argument{"MaxPool2D: input too small"};
   }
-  in_shape_ = x.shape();
-  Tensor y{{n, c, oh, ow}};
-  argmax_.resize(y.size());
+  y_.resize({n, c, oh, ow});
   last_out_volume_ = c * oh * ow;
-  const float* px = x.data();
-  float* py = y.data();
-  std::size_t out = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (s * c + ch) * h * w;
-      const std::size_t plane_base = (s * c + ch) * h * w;
-      for (std::size_t oi = 0; oi < oh; ++oi) {
-        for (std::size_t oj = 0; oj < ow; ++oj, ++out) {
-          const std::size_t i0 = oi * 2, j0 = oj * 2;
-          std::size_t best = i0 * w + j0;
-          float best_v = plane[best];
-          const std::size_t candidates[3] = {i0 * w + j0 + 1,
-                                             (i0 + 1) * w + j0,
-                                             (i0 + 1) * w + j0 + 1};
-          // Selects, not branches: a later candidate wins only when
-          // strictly greater, so ties keep the first, a NaN never wins and
-          // -0/+0 keep their order, as the branchy loop did.
-          for (std::size_t cand : candidates) {
-            const bool greater = plane[cand] > best_v;
-            best_v = greater ? plane[cand] : best_v;
-            best = greater ? cand : best;
-          }
-          py[out] = best_v;
-          argmax_[out] = static_cast<std::uint32_t>(plane_base + best);
-        }
-      }
-    }
+  if (training_) {
+    in_shape_ = x.shape();
+    argmax_.resize(y_.size());
+    max_pool_2x2<true>(x, y_.data(), argmax_.data());
+  } else {
+    in_shape_.clear();
+    max_pool_2x2<false>(x, y_.data(), nullptr);
   }
-  return y;
+  return y_;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_out) {
+const Tensor& MaxPool2D::backward(const Tensor& grad_out) {
   if (in_shape_.empty() || grad_out.size() != argmax_.size()) {
     throw std::logic_error{"MaxPool2D::backward: no matching forward"};
   }
-  Tensor dx{in_shape_};
+  dx_.resize(in_shape_);
+  dx_.fill(0.0F);
   const float* go = grad_out.data();
-  float* dst = dx.data();
+  float* dst = dx_.data();
   for (std::size_t i = 0; i < argmax_.size(); ++i) {
     dst[argmax_[i]] += go[i];
   }
-  return dx;
+  return dx_;
 }
 
 std::uint64_t MaxPool2D::flops_per_sample() const {
   return last_out_volume_ * 3;  // three comparisons per output element
 }
 
+void MaxPool2D::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  in_shape_.clear();
+  last_out_volume_ = 0;
+}
+
 std::unique_ptr<Layer> MaxPool2D::clone() const {
-  return std::make_unique<MaxPool2D>();
+  auto copy = std::make_unique<MaxPool2D>();
+  copy->training_ = training_;
+  return copy;
 }
 
 // ------------------------------------------------------------------ ReLU --
 
-Tensor ReLU::forward(const Tensor& x) {
-  cached_x_ = x;
-  Tensor y = x;
-  for (float& v : y.values()) v = v > 0.0F ? v : 0.0F;
-  return y;
+const Tensor& ReLU::forward(const Tensor& x) {
+  cache_input(training_, x, cached_x_);
+  last_sample_volume_ =
+      x.empty() ? 0 : x.size() / std::max<std::size_t>(1, x.dim(0));
+  y_.resize(x.shape());
+  const float* px = x.data();
+  float* py = y_.data();
+  for (std::size_t i = 0; i < y_.size(); ++i) {
+    py[i] = px[i] > 0.0F ? px[i] : 0.0F;
+  }
+  return y_;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+const Tensor& ReLU::backward(const Tensor& grad_out) {
   if (!grad_out.same_shape(cached_x_)) {
     throw std::logic_error{"ReLU::backward: no matching forward"};
   }
-  Tensor dx = grad_out;
+  dx_.resize(grad_out.shape());
   const float* px = cached_x_.data();
-  float* pd = dx.data();
-  // A select rather than a branch, so the loop vectorises; a NaN input
-  // still passes its gradient through, as `px[i] <= 0` is false for it.
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    pd[i] = px[i] <= 0.0F ? 0.0F : pd[i];
+  const float* pg = grad_out.data();
+  float* pd = dx_.data();
+  // A select rather than a branch, so the loop vectorises: the gradient is
+  // loaded on every lane (a load under the condition would compile to a
+  // branch). A NaN input still passes its gradient through, as
+  // `px[i] <= 0` is false for it.
+  for (std::size_t i = 0; i < dx_.size(); ++i) {
+    const float g = pg[i];
+    pd[i] = px[i] <= 0.0F ? 0.0F : g;
   }
-  return dx;
+  return dx_;
 }
 
-std::uint64_t ReLU::flops_per_sample() const {
-  return cached_x_.empty() ? 0
-                           : cached_x_.size() / std::max<std::size_t>(
-                                                    1, cached_x_.dim(0));
+std::uint64_t ReLU::flops_per_sample() const { return last_sample_volume_; }
+
+void ReLU::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  cached_x_.resize({});
+  last_sample_volume_ = 0;
 }
 
 std::unique_ptr<Layer> ReLU::clone() const {
-  return std::make_unique<ReLU>();
+  auto copy = std::make_unique<ReLU>();
+  copy->training_ = training_;
+  return copy;
 }
 
 // --------------------------------------------------------------- Dropout --
@@ -319,40 +377,53 @@ Dropout::Dropout(float p) : p_{p} {
 
 void Dropout::init_params(util::Rng& rng) { rng_ = rng.fork("dropout"); }
 
-Tensor Dropout::forward(const Tensor& x) {
+const Tensor& Dropout::forward(const Tensor& x) {
   last_batch_ = x.rank() > 0 ? x.dim(0) : 0;
+  y_.resize(x.shape());
   if (!training_ || p_ == 0.0F) {
-    mask_ = Tensor{};
-    return x;
+    mask_.resize({});
+    std::copy(x.values().begin(), x.values().end(), y_.data());
+    return y_;
   }
-  mask_ = Tensor{x.shape()};
-  Tensor y = x;
+  mask_.resize(x.shape());
   const float scale = 1.0F / (1.0F - p_);
+  const float* px = x.data();
   float* pm = mask_.data();
-  float* py = y.data();
-  for (std::size_t i = 0; i < y.size(); ++i) {
+  float* py = y_.data();
+  for (std::size_t i = 0; i < y_.size(); ++i) {
     const bool keep = !rng_.bernoulli(p_);
     pm[i] = keep ? scale : 0.0F;
-    py[i] *= pm[i];
+    py[i] = px[i] * pm[i];
   }
-  return y;
+  return y_;
 }
 
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (mask_.empty()) return grad_out;  // was an identity forward
+const Tensor& Dropout::backward(const Tensor& grad_out) {
+  dx_.resize(grad_out.shape());
+  const float* pg = grad_out.data();
+  float* pd = dx_.data();
+  if (mask_.empty()) {  // was an identity forward
+    std::copy(pg, pg + grad_out.size(), pd);
+    return dx_;
+  }
   if (!grad_out.same_shape(mask_)) {
     throw std::logic_error{"Dropout::backward: no matching forward"};
   }
-  Tensor dx = grad_out;
   const float* pm = mask_.data();
-  float* pd = dx.data();
-  for (std::size_t i = 0; i < dx.size(); ++i) pd[i] *= pm[i];
-  return dx;
+  for (std::size_t i = 0; i < dx_.size(); ++i) pd[i] = pg[i] * pm[i];
+  return dx_;
 }
 
 std::uint64_t Dropout::flops_per_sample() const {
   if (mask_.empty() || last_batch_ == 0) return 0;
   return mask_.size() / last_batch_;
+}
+
+void Dropout::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  rng_ = static_cast<const Dropout&>(prototype).rng_;
+  mask_.resize({});
+  last_batch_ = 0;
 }
 
 std::unique_ptr<Layer> Dropout::clone() const {
@@ -364,22 +435,33 @@ std::unique_ptr<Layer> Dropout::clone() const {
 
 // --------------------------------------------------------------- Flatten --
 
-Tensor Flatten::forward(const Tensor& x) {
+const Tensor& Flatten::forward(const Tensor& x) {
   if (x.rank() < 2) throw std::invalid_argument{"Flatten: rank < 2"};
   in_shape_ = x.shape();
   const std::size_t n = x.dim(0);
-  return x.reshaped({n, x.size() / n});
+  y_.resize({n, x.size() / n});
+  std::copy(x.values().begin(), x.values().end(), y_.data());
+  return y_;
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+const Tensor& Flatten::backward(const Tensor& grad_out) {
   if (in_shape_.empty() || grad_out.size() != shape_volume(in_shape_)) {
     throw std::logic_error{"Flatten::backward: no matching forward"};
   }
-  return grad_out.reshaped(in_shape_);
+  dx_.resize(in_shape_);
+  std::copy(grad_out.values().begin(), grad_out.values().end(), dx_.data());
+  return dx_;
+}
+
+void Flatten::reset_from(const Layer& prototype) {
+  Layer::reset_from(prototype);
+  in_shape_.clear();
 }
 
 std::unique_ptr<Layer> Flatten::clone() const {
-  return std::make_unique<Flatten>();
+  auto copy = std::make_unique<Flatten>();
+  copy->training_ = training_;
+  return copy;
 }
 
 }  // namespace roadrunner::ml

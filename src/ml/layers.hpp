@@ -1,12 +1,20 @@
 // Neural-network layers with hand-written backpropagation.
 //
 // Contract shared by all layers:
-//  * forward(x) consumes a batch-first tensor and caches whatever the
-//    backward pass needs;
-//  * backward(grad_out) must follow a forward with a matching batch, returns
-//    the gradient w.r.t. the layer input, and ACCUMULATES parameter
-//    gradients (callers zero them between optimizer steps via
+//  * forward(x) consumes a batch-first tensor; in training mode (the
+//    default) it caches whatever the backward pass needs, in inference
+//    mode it caches nothing, so backward() then throws (Flatten, which
+//    records only a shape, and Dropout, whose inference pass is the
+//    identity, still pass the gradient back);
+//  * backward(grad_out) must follow a training forward with a matching
+//    batch, returns the gradient w.r.t. the layer input, and ACCUMULATES
+//    parameter gradients (callers zero them between optimizer steps via
 //    Network::zero_grad);
+//  * forward and backward return a reference to a buffer the layer owns
+//    and reuses: it is valid until that layer's next forward or backward
+//    call (or its destruction), so a caller that keeps the result copies
+//    it. Buffers keep their storage between calls (Tensor::resize), so a
+//    warm layer allocates nothing at a batch size it has seen;
 //  * every layer reports flops_per_sample() so the hu::HardwareUnit can
 //    charge realistic simulated training time (DESIGN.md substitution 3).
 //
@@ -27,8 +35,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual Tensor forward(const Tensor& x) = 0;
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  virtual const Tensor& forward(const Tensor& x) = 0;
+  virtual const Tensor& backward(const Tensor& grad_out) = 0;
 
   /// Accumulates exactly the parameter gradients backward() would, without
   /// the input gradient: the training step calls it on the first layer
@@ -45,9 +53,19 @@ class Layer {
   /// Re-randomizes parameters (no-op for parameterless layers).
   virtual void init_params(util::Rng& /*rng*/) {}
 
-  /// Switches between training and inference behaviour (only stochastic
-  /// layers such as Dropout care). Default: no-op.
-  virtual void set_training(bool /*training*/) {}
+  /// Switches between training (the default) and inference behaviour:
+  /// an inference forward caches nothing, and Dropout is the identity.
+  void set_training(bool training) { training_ = training; }
+  [[nodiscard]] bool training_mode() const { return training_; }
+
+  /// Makes this layer observably equal to a fresh `prototype.clone()`
+  /// except for the parameter values, while keeping its buffers' storage:
+  /// the mode and Dropout's stream are copied, the record of the last
+  /// forward is dropped. `prototype` is a layer of the same type and
+  /// shape (ml::NetworkPool leases networks this way).
+  virtual void reset_from(const Layer& prototype) {
+    training_ = prototype.training_;
+  }
 
   /// Forward-pass multiply-accumulate count for one sample; the trainer
   /// charges ~3x this for forward+backward.
@@ -55,8 +73,11 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Deep copy, including current parameter values.
+  /// Deep copy, including current parameter values and the mode.
   [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
+
+ protected:
+  bool training_ = true;
 };
 
 /// Fully connected: y = x W^T + b, with x [N, in], W [out, in], b [out].
@@ -64,13 +85,14 @@ class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void accumulate_param_grads(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   void init_params(util::Rng& rng) override;
   [[nodiscard]] std::uint64_t flops_per_sample() const override;
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
@@ -78,11 +100,9 @@ class Linear final : public Layer {
   [[nodiscard]] std::size_t out_features() const { return out_; }
 
  private:
-  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
-
   std::size_t in_, out_;
   Tensor w_, b_, dw_, db_;
-  Tensor cached_x_;
+  Tensor cached_x_, y_, dx_;
 };
 
 /// 2-D convolution with square kernels, configurable stride and zero
@@ -97,13 +117,14 @@ class Conv2D final : public Layer {
   Conv2D(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride = 1, std::size_t padding = 0);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void accumulate_param_grads(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   void init_params(util::Rng& rng) override;
   [[nodiscard]] std::uint64_t flops_per_sample() const override;
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
@@ -114,11 +135,9 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::size_t padding() const { return padding_; }
 
  private:
-  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
-
   std::size_t cin_, cout_, k_, stride_ = 1, padding_ = 0;
   Tensor w_, b_, dw_, db_;
-  Tensor cached_x_;
+  Tensor cached_x_, y_, dx_;
   // Spatial dims of the last forward, for flops and backward bookkeeping.
   std::size_t last_h_ = 0, last_w_ = 0;
 };
@@ -130,28 +149,34 @@ class MaxPool2D final : public Layer {
  public:
   MaxPool2D() = default;
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   [[nodiscard]] std::uint64_t flops_per_sample() const override;
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::string name() const override { return "MaxPool2D"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
  private:
-  std::vector<std::uint32_t> argmax_;  // flat input index per output element
+  // Flat input index per output element, written by a training forward
+  // only; in_shape_ is empty when no training forward is on record.
+  std::vector<std::uint32_t> argmax_;
   std::vector<std::size_t> in_shape_;
   std::size_t last_out_volume_ = 0;
+  Tensor y_, dx_;
 };
 
 class ReLU final : public Layer {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   [[nodiscard]] std::uint64_t flops_per_sample() const override;
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
  private:
-  Tensor cached_x_;
+  Tensor cached_x_, y_, dx_;
+  std::size_t last_sample_volume_ = 0;  // per-sample input size, for flops
 };
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -164,35 +189,36 @@ class Dropout final : public Layer {
   /// p in [0, 1): drop probability.
   explicit Dropout(float p);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void init_params(util::Rng& rng) override;
-  void set_training(bool training) override { training_ = training; }
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::uint64_t flops_per_sample() const override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
   [[nodiscard]] float drop_probability() const { return p_; }
-  [[nodiscard]] bool training_mode() const { return training_; }
 
  private:
   float p_;
-  bool training_ = true;
   util::Rng rng_{0xD0D0ULL};
-  Tensor mask_;
+  Tensor mask_;  // empty after an identity forward
+  Tensor y_, dx_;
   std::size_t last_batch_ = 0;
 };
 
 /// Collapses [N, ...] to [N, volume(...)]; shape-only, no arithmetic.
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
+  void reset_from(const Layer& prototype) override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 
  private:
   std::vector<std::size_t> in_shape_;
+  Tensor y_, dx_;
 };
 
 }  // namespace roadrunner::ml

@@ -36,28 +36,28 @@ void Network::append(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Network::forward(const Tensor& x) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur);
-  return cur;
+  const Tensor* cur = &x;
+  for (auto& l : layers_) cur = &l->forward(*cur);
+  return *cur;
 }
 
 Tensor Network::backward(const Tensor& grad_out) {
-  Tensor cur = grad_out;
+  const Tensor* cur = &grad_out;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
+    cur = &(*it)->backward(*cur);
   }
-  return cur;
+  return *cur;
 }
 
 void Network::backward_params(const Tensor& grad_out) {
   auto first = layers_.begin();
   while (first != layers_.end() && (*first)->params().empty()) ++first;
   if (first == layers_.end()) return;
-  Tensor cur = grad_out;
+  const Tensor* cur = &grad_out;
   for (auto it = layers_.end() - 1; it != first; --it) {
-    cur = (*it)->backward(cur);
+    cur = &(*it)->backward(*cur);
   }
-  (*first)->accumulate_param_grads(cur);
+  (*first)->accumulate_param_grads(*cur);
 }
 
 std::vector<Tensor*> Network::params() {
@@ -86,6 +86,16 @@ void Network::init_params(util::Rng& rng) {
 
 void Network::set_training(bool training) {
   for (auto& l : layers_) l->set_training(training);
+}
+
+void Network::reset_from(const Network& prototype) {
+  if (prototype.layers_.size() != layers_.size()) {
+    throw std::invalid_argument{"Network::reset_from: layer count mismatch"};
+  }
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->reset_from(*prototype.layers_[i]);
+  }
+  zero_grad();
 }
 
 Weights Network::weights() const {

@@ -2,8 +2,8 @@
 //
 // In the simulator, a *model* is a Weights value (flat list of parameter
 // tensors). The architecture lives once per learning problem as a Network
-// prototype; agents' weights are loaded into a scratch Network to train or
-// test. This mirrors the paper's ML module, which "keeps tabs on the current
+// prototype; agents' weights are loaded into a warm Network leased from an
+// ml::NetworkPool to train or test. This mirrors the paper's ML module, which "keeps tabs on the current
 // model(s) of each agent" and trains/tests/aggregates them (§4), and keeps
 // model exchange cheap and explicit — the byte size of a serialized Weights
 // is exactly what the communication module charges.
@@ -43,11 +43,12 @@ class Network {
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
-  /// Runs the batch through all layers.
+  /// Runs the batch through all layers, each reading the previous one's
+  /// buffer; only the final logits are copied out.
   Tensor forward(const Tensor& x);
 
   /// Backpropagates from the loss gradient; accumulates parameter grads and
-  /// returns the gradient w.r.t. the network input.
+  /// returns (a copy of) the gradient w.r.t. the network input.
   Tensor backward(const Tensor& grad_out);
 
   /// Accumulates the parameter gradients backward() would, and nothing
@@ -65,8 +66,14 @@ class Network {
   /// Randomizes all parameters (deterministic given the rng state).
   void init_params(util::Rng& rng);
 
-  /// Propagates training/inference mode to all layers (Dropout et al.).
+  /// Propagates training/inference mode to all layers: an inference pass
+  /// caches nothing for backward and Dropout is the identity.
   void set_training(bool training);
+
+  /// Makes this network observably equal to a fresh copy of `prototype`
+  /// (same architecture) except for the parameter values, keeping every
+  /// layer's buffers: Layer::reset_from on each layer, then zero_grad.
+  void reset_from(const Network& prototype);
 
   /// Copies parameters out / in. set_weights validates shapes.
   [[nodiscard]] Weights weights() const;

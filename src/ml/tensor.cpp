@@ -72,6 +72,11 @@ Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
   return Tensor{std::move(shape), data_};
 }
 
+void Tensor::resize(const std::vector<std::size_t>& shape) {
+  shape_ = shape;
+  data_.resize(shape_volume(shape_));
+}
+
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

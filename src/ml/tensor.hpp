@@ -7,6 +7,8 @@
 //  * Shapes are small vectors of dimensions; rank is never larger than 4 in
 //    practice ([N, C, H, W]).
 //  * Ops that allocate return new tensors; in-place ops are suffixed `_`.
+//  * resize() reshapes in place and keeps the storage, so a buffer that is
+//    reused across calls (the layers' outputs) allocates only when it grows.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +64,12 @@ class Tensor {
 
   /// Returns a tensor with the same data but a new shape of equal volume.
   [[nodiscard]] Tensor reshaped(std::vector<std::size_t> shape) const;
+
+  /// Gives the tensor `shape`, keeping its storage: nothing is allocated
+  /// while the volume fits the capacity. Elements below the old size keep
+  /// their stale values and new ones are zero, so callers overwrite or
+  /// fill() what they read. An empty shape leaves an empty tensor.
+  void resize(const std::vector<std::size_t>& shape);
 
   void fill(float value);
 

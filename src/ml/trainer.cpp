@@ -1,6 +1,7 @@
 #include "ml/trainer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "ml/adam.hpp"
@@ -104,8 +105,9 @@ TrainReport train_sgd(Network& net, const DatasetView& data,
   return report;
 }
 
-EvalReport evaluate(const Network& net, const DatasetView& data,
-                    std::size_t batch_size, bool parallel) {
+EvalReport evaluate(NetworkPool& nets, const Weights& weights,
+                    const DatasetView& data, std::size_t batch_size,
+                    bool parallel) {
   RR_TSPAN("ml", "ml.evaluate");
   EvalReport report;
   report.samples = data.size();
@@ -118,26 +120,34 @@ EvalReport evaluate(const Network& net, const DatasetView& data,
   std::vector<std::size_t> correct(num_batches, 0);
   std::vector<double> loss(num_batches, 0.0);
 
-  auto eval_batch = [&](std::size_t b) {
-    // Each shard clones the network to own its layer caches.
-    Network scratch = net;  // cheap relative to the forward pass itself
-    scratch.set_training(false);  // inference mode (Dropout = identity)
-    const std::size_t first = b * batch_size;
-    const std::size_t count = std::min(batch_size, n - first);
+  // Each shard leases one network (inference mode: Dropout is the
+  // identity, no layer caches its input) and takes the next unclaimed
+  // batch until none is left. Which shard scores a batch cannot change
+  // its bits: an inference forward depends on the weights and the batch
+  // only.
+  std::atomic<std::size_t> next_batch{0};
+  auto shard = [&](std::size_t) {
+    std::size_t b = next_batch.fetch_add(1);
+    if (b >= num_batches) return;  // all claimed: no lease needed
+    const NetworkPool::Lease net = nets.lease(weights);
+    net->set_training(false);
     Tensor batch_x;
     std::vector<std::int32_t> batch_y;
-    data.gather_batch(first, count, batch_x, batch_y);
-    Tensor logits = scratch.forward(batch_x);
-    LossResult r = softmax_cross_entropy(logits, batch_y);
-    correct[b] = r.correct;
-    loss[b] = r.loss * static_cast<double>(count);
+    for (; b < num_batches; b = next_batch.fetch_add(1)) {
+      const std::size_t first = b * batch_size;
+      const std::size_t count = std::min(batch_size, n - first);
+      data.gather_batch(first, count, batch_x, batch_y);
+      const LossResult r =
+          softmax_cross_entropy(net->forward(batch_x), batch_y);
+      correct[b] = r.correct;
+      loss[b] = r.loss * static_cast<double>(count);
+    }
   };
 
-  if (parallel && num_batches > 1) {
-    util::ThreadPool::global().parallel_for(num_batches, eval_batch);
-  } else {
-    for (std::size_t b = 0; b < num_batches; ++b) eval_batch(b);
-  }
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t shards =
+      parallel ? std::min(num_batches, pool.size()) : 1;
+  pool.parallel_for(shards, shard);
 
   std::size_t total_correct = 0;
   double total_loss = 0.0;
@@ -147,7 +157,16 @@ EvalReport evaluate(const Network& net, const DatasetView& data,
   }
   report.accuracy = static_cast<double>(total_correct) / static_cast<double>(n);
   report.loss = total_loss / static_cast<double>(n);
-  report.flops = net.flops_per_sample() * n;
+  report.flops = nets.prototype().flops_per_sample() * n;
+  return report;
+}
+
+EvalReport evaluate(const Network& net, const DatasetView& data,
+                    std::size_t batch_size, bool parallel) {
+  NetworkPool nets{net};
+  EvalReport report =
+      evaluate(nets, net.weights(), data, batch_size, parallel);
+  report.flops = net.flops_per_sample() * data.size();
   return report;
 }
 

@@ -8,6 +8,7 @@
 
 #include "ml/dataset.hpp"
 #include "ml/net.hpp"
+#include "ml/network_pool.hpp"
 #include "util/rng.hpp"
 
 namespace roadrunner::ml {
@@ -59,9 +60,17 @@ struct EvalReport {
   std::uint64_t flops = 0;  ///< forward MACs * samples
 };
 
-/// Accuracy/loss of `net` over `data`. If `parallel` is true, evaluation is
-/// sharded over the global thread pool; the result is identical either way
-/// (integer/double reductions in fixed shard order).
+/// Accuracy/loss of `weights` over `data`, run in inference mode on
+/// networks leased from `nets`. If `parallel` is true, at most one shard
+/// per worker of the global thread pool leases a network and takes batches
+/// in turn; per-batch results are summed in batch order, so the result is
+/// identical either way. `flops` counts the pool prototype's forward MACs.
+EvalReport evaluate(NetworkPool& nets, const Weights& weights,
+                    const DatasetView& data, std::size_t batch_size = 64,
+                    bool parallel = true);
+
+/// The same for the weights of `net`, on networks copied from it; `flops`
+/// counts `net`'s forward MACs.
 EvalReport evaluate(const Network& net, const DatasetView& data,
                     std::size_t batch_size = 64, bool parallel = true);
 

@@ -107,12 +107,17 @@ class RoundBasedStrategy : public LearningStrategy {
   /// The round just ended on the server; about to request models.
   virtual void on_round_closing(StrategyContext& /*ctx*/, int /*round*/) {}
 
-  /// A new global model was just aggregated (before accuracy recording).
+  /// A new global model was just aggregated and installed on the cloud.
+  /// Runs before finalize_round records this round's accuracy point, so
+  /// the accuracy series still ends at the previous round here; a policy
+  /// that reacts to the new model's accuracy belongs in
+  /// on_round_finalized.
   virtual void on_global_updated(StrategyContext& /*ctx*/, int /*round*/,
                                  std::size_t /*contributions*/) {}
 
-  /// The round was finalized (with or without contributions), right before
-  /// the next round begins.
+  /// The round was finalized (with or without contributions): its
+  /// accuracy point (when record_accuracy is set) and contributor count are
+  /// recorded, and the next round begins right after.
   virtual void on_round_finalized(StrategyContext& /*ctx*/, int /*round*/,
                                   std::size_t /*contributions*/) {}
 

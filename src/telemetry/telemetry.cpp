@@ -8,8 +8,8 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 /// Events a thread accumulates before pushing them to the central store;
-/// bounds per-thread memory for span-heavy runs with many short-lived
-/// threads (one std::async thread per training job).
+/// bounds per-thread memory for span-heavy runs with many threads (pool
+/// workers, campaign workers, and the threads that wait on them).
 constexpr std::size_t kFlushThreshold = 4096;
 }  // namespace
 

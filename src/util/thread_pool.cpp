@@ -45,11 +45,39 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
       ++busy_;
     }
-    task();
+    run_task(task, /*worker=*/true);
+  }
+}
+
+void ThreadPool::run_task(const std::function<void()>& task, bool worker) {
+  task();
+  bool wake = false;
+  {
+    MutexLock lock{mutex_};
+    if (worker) --busy_;
+    wake = waiters_ > 0;
+  }
+  if (wake) done_cv_.notify_all();
+}
+
+void ThreadPool::help_until(const std::function<bool()>& ready) {
+  for (;;) {
+    std::function<void()> task;
     {
       MutexLock lock{mutex_};
-      --busy_;
+      // ready() is read under mutex_, and a task's end takes mutex_ before
+      // it notifies: a task that finishes after this check finds the
+      // waiter counted, so its wake-up cannot be lost.
+      while (!ready() && tasks_.empty()) {
+        ++waiters_;
+        done_cv_.wait(mutex_);
+        --waiters_;
+      }
+      if (ready()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop();
     }
+    run_task(task, /*worker=*/false);
   }
 }
 
@@ -64,11 +92,14 @@ std::size_t ThreadPool::busy() const {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  bool wake = false;
   {
     MutexLock lock{mutex_};
     tasks_.push(std::move(task));
+    wake = waiters_ > 0;
   }
   cv_.notify_one();
+  if (wake) done_cv_.notify_all();
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -111,11 +142,14 @@ void ThreadPool::parallel_for(std::size_t count,
                            // to destroy done_cv before this call returns
   };
 
+  bool wake = false;
   {
     MutexLock lock{mutex_};
     for (std::size_t s = 0; s < shards; ++s) tasks_.push(shard);
+    wake = waiters_ > 0;
   }
   cv_.notify_all();
+  if (wake) done_cv_.notify_all();
 
   {
     std::unique_lock lock{done_mutex};

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -81,6 +82,11 @@ struct OracleCase {
   std::size_t count;
   SyntheticImageConfig config;
 };
+
+// gtest would otherwise print the case's raw bytes, its name pointer
+// included, into the registered test name, which then changes with every
+// address layout.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
 
 class SyntheticImagesOracle : public ::testing::TestWithParam<OracleCase> {};
 

@@ -8,14 +8,46 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "util/thread_pool.hpp"
 
 namespace roadrunner::util {
 namespace {
+
+/// Queues fn on `pool` and returns its future, as MlService::train_async
+/// queues a training job.
+template <class Fn>
+auto queue_job(ThreadPool& pool, Fn fn) {
+  using Result = decltype(fn());
+  auto task = std::make_shared<std::packaged_task<Result()>>(std::move(fn));
+  auto future = task->get_future();
+  pool.submit([task] { (*task)(); });
+  return future;
+}
+
+/// Holds one worker until released (or 30 s pass, so a broken pool fails
+/// instead of hanging the suite).
+struct Blocker {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> started;
+
+  void occupy(ThreadPool& pool) {
+    auto gate = released;
+    auto running = std::make_shared<std::promise<void>>(std::move(started));
+    pool.submit([gate, running] {
+      running->set_value();
+      gate.wait_for(std::chrono::seconds{30});
+    });
+  }
+};
 
 TEST(ThreadPoolStress, FirstExceptionWinsNoDeadlockPoolReusable) {
   ThreadPool pool{4};
@@ -116,6 +148,78 @@ TEST(ThreadPoolStress, NestedParallelForOnOwnWorkersRunsInline) {
       pool.parallel_for(16, [&](std::size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 8 * 16);
+  }
+}
+
+// ---------------------------------------------------------- help-while-wait
+
+TEST(ThreadPoolWait, WaiterRunsTheQueuedJobWhileTheWorkerIsBlocked) {
+  ThreadPool pool{1};
+  Blocker blocker;
+  auto started = blocker.started.get_future();
+  blocker.occupy(pool);
+  started.wait();  // the only worker is now busy until released
+  auto job = queue_job(pool, [] { return std::this_thread::get_id(); });
+  pool.wait(job);
+  EXPECT_EQ(job.get(), std::this_thread::get_id());
+  blocker.release.set_value();
+}
+
+TEST(ThreadPoolWait, WaiterOnAPoolWorkerDoesNotDeadlock) {
+  // The single worker runs a task that queues a job on its own pool and
+  // waits for it: nobody else could run the job, so the waiter must.
+  ThreadPool pool{1};
+  for (int round = 0; round < 50; ++round) {
+    auto outer = queue_job(pool, [&pool] {
+      auto inner = queue_job(pool, [] { return 21; });
+      pool.wait(inner);
+      return 2 * inner.get();
+    });
+    pool.wait(outer);
+    EXPECT_EQ(outer.get(), 42);
+  }
+}
+
+TEST(ThreadPoolWait, ExceptionReachesTheFuture) {
+  ThreadPool pool{1};
+  // Run by a worker...
+  auto on_worker = queue_job(pool, []() -> int {
+    throw std::runtime_error{"job failed"};
+  });
+  pool.wait(on_worker);
+  EXPECT_THROW(on_worker.get(), std::runtime_error);
+  // ...and by the waiter, while the worker is blocked.
+  Blocker blocker;
+  auto started = blocker.started.get_future();
+  blocker.occupy(pool);
+  started.wait();
+  auto on_waiter = queue_job(pool, []() -> int {
+    throw std::runtime_error{"job failed"};
+  });
+  pool.wait(on_waiter);
+  EXPECT_THROW(on_waiter.get(), std::runtime_error);
+  blocker.release.set_value();
+}
+
+TEST(ThreadPoolWait, ManyWaitersOnSharedFuturesAllWake) {
+  // Jobs finished by workers must wake waiters whose queue ran dry: four
+  // client threads each wait on their own jobs and on a shared one.
+  ThreadPool pool{2};
+  ThreadPool clients{4};
+  for (int round = 0; round < 20; ++round) {
+    auto shared =
+        queue_job(pool, [] {
+          std::this_thread::sleep_for(std::chrono::milliseconds{1});
+          return 7;
+        }).share();
+    std::atomic<int> total{0};
+    clients.parallel_for(4, [&](std::size_t c) {
+      auto own = queue_job(pool, [c] { return static_cast<int>(c); });
+      pool.wait(own);
+      pool.wait(shared);
+      total.fetch_add(own.get() + shared.get());
+    });
+    EXPECT_EQ(total.load(), 0 + 1 + 2 + 3 + 4 * 7);
   }
 }
 
