@@ -18,6 +18,9 @@
 //   "RRCK" magic | u32 format version | u32 section count
 //   per section: u32 tag | u64 payload size | payload bytes
 //   u32 CRC-32 trailer over everything before it
+// The last section (tag 11, since v6) is the model table: each distinct
+// model once. A model field anywhere else is a u32 index into it, so a
+// model that many agents, messages and buffers hold is stored once.
 // Unknown *future* versions, bad magic, bad CRC, and truncation are all
 // rejected with distinct std::runtime_error messages; extra (unknown)
 // section tags are ignored, so the format can grow compatibly.
@@ -62,7 +65,13 @@ namespace roadrunner::checkpoint {
 // new SimEvent kinds (kSignalPhase, kPlatoonManeuver) ride in the existing
 // queue section. v4 and older snapshots restore unchanged: they predate
 // [traffic] sections, so the runtime stays inert.
-inline constexpr std::uint32_t kFormatVersion = 5;
+// Version 6: model table (tag 11, always written, last in the file). Every
+// model field (agents, messages, forced training results, strategy
+// buffers) is a u32 index into it instead of an inline u64 length +
+// encoding; a model many fields hold is stored once, which roughly halves
+// an opportunistic run's snapshot. v2-v5 snapshots restore with no table
+// attached, so their inline models read as before.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Oldest snapshot version restore() still accepts. v2 snapshots restore
 /// cleanly: they predate the adversary subsystem (no [adversary.N] in their

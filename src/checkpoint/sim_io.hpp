@@ -29,6 +29,9 @@ inline constexpr std::uint32_t kSectionTrace = 7;
 inline constexpr std::uint32_t kSectionAdversary = 8;  // since v3
 inline constexpr std::uint32_t kSectionWorkload = 9;   // since v4
 inline constexpr std::uint32_t kSectionTraffic = 10;   // since v5
+/// Each distinct model once (ml::ModelTable); every other section's model
+/// fields are indices into it. Written last, read before the rows.
+inline constexpr std::uint32_t kSectionModels = 11;    // since v6
 
 /// What the section visitors read or write.
 struct Snapshot {
@@ -60,8 +63,9 @@ class SimulatorIo {
     return sim.queue_.executed_count();
   }
 
-  /// Every section, in file order. save() writes each row whose `written`
-  /// holds; restore() reads each row the file has, in this order, and
+  /// Every section but the model table, in file order. save() writes each
+  /// row whose `written` holds, then the model table; restore() reads the
+  /// model table first, then each row the file has, in this order, and
   /// calls `absent` for the others.
   static std::span<const Section> sections();
 

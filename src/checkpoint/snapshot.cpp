@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "checkpoint/sim_io.hpp"
+#include "ml/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/binary_io.hpp"
 #include "util/log.hpp"
@@ -98,19 +99,35 @@ Frame read_frame(const std::string& path) {
   return parse_frame(std::move(bytes), path);
 }
 
-/// The buffer save() assembles a snapshot in: one per thread, emptied but
-/// not freed between saves, so each thread keeps the capacity of the
-/// largest snapshot it has written and allocates only to outgrow it.
+/// The buffers save() assembles a snapshot in, the frame and its model
+/// table: one pair per thread, emptied but not freed between saves, so
+/// each thread keeps the capacity of the largest snapshot it has written
+/// and allocates only to outgrow it.
 util::BinWriter& thread_frame() {
   thread_local util::BinWriter frame;
   frame.clear();
   return frame;
 }
+ml::ModelTable& thread_models() {
+  thread_local ml::ModelTable models;
+  models.clear();
+  return models;
+}
+
+/// The model table of a v6+ frame, decoded; an absent one (which fails
+/// every model reference) if the frame has no model section.
+ml::ModelTableView read_models(const Frame& frame) {
+  const auto it = frame.sections.find(kSectionModels);
+  if (it == frame.sections.end()) return {};
+  return {it->second, "checkpoint: model table section"};
+}
 
 /// Reads each of `rows` that `frame` holds into `snapshot`, in table order;
-/// a row the frame lacks runs its `absent` rule instead.
+/// a row the frame lacks runs its `absent` rule instead. Model fields
+/// refer into `models` (null: they are inline, as before format v6).
 void read_sections(const Frame& frame, Snapshot& snapshot,
-                   std::span<const Section> rows) {
+                   std::span<const Section> rows,
+                   const ml::ModelTableView* models) {
   for (const Section& row : rows) {
     const auto it = frame.sections.find(row.tag);
     if (it == frame.sections.end()) {
@@ -118,17 +135,19 @@ void read_sections(const Frame& frame, Snapshot& snapshot,
       continue;
     }
     util::BinReader in{it->second};
+    in.set_models(models);
     util::ArchiveReader ar{in, row.context, frame.version};
     row.read(ar, snapshot);
   }
 }
 
-/// The meta and ini sections: the first two rows, which need no simulator.
+/// The meta and ini sections: the first two rows, which need no simulator
+/// and hold no model.
 SnapshotInfo read_meta(const Frame& frame, const std::string& path) {
   SnapshotInfo info;
   info.format_version = frame.version;
   Snapshot snapshot{info, nullptr, path};
-  read_sections(frame, snapshot, SimulatorIo::sections().first(2));
+  read_sections(frame, snapshot, SimulatorIo::sections().first(2), nullptr);
   return info;
 }
 
@@ -176,8 +195,14 @@ RestoredRun restore_impl(const std::string& path,
         run.strategy->name() +
         "' — overrides must not change the strategy"};
   }
+  // Format v6 stores each model once, in the model table; older formats
+  // hold every model inline, so they are read with no table attached.
+  const bool tabled = frame.version >= 6;
+  const ml::ModelTableView models =
+      tabled ? read_models(frame) : ml::ModelTableView{};
   Snapshot snapshot{info, run.simulator.get(), path};
-  read_sections(frame, snapshot, SimulatorIo::sections().subspan(2));
+  read_sections(frame, snapshot, SimulatorIo::sections().subspan(2),
+                tabled ? &models : nullptr);
 
   RR_LOG_INFO("checkpoint")
       << "restored '" << path << "' at t=" << info.sim_time_s << "s ("
@@ -191,11 +216,17 @@ RestoredRun restore_impl(const std::string& path,
 void save(const core::Simulator& sim, const util::IniFile& experiment,
           const std::string& path) {
   RR_TSPAN("checkpoint", "checkpoint.save");
+  static telemetry::Counter bytes_counter{"checkpoint.bytes_written"};
+  static telemetry::Counter models_counter{"checkpoint.models_written"};
+  static telemetry::Counter shared_counter{"checkpoint.models_shared"};
 
   // One pass into one buffer: each section is written in place behind its
   // tag and a u64 size placeholder, which is patched once the payload is
-  // done; the section count is patched the same way.
+  // done; the section count is patched the same way. Model fields go into
+  // the model table instead, as indices.
   util::BinWriter& frame = thread_frame();
+  ml::ModelTable& models = thread_models();
+  frame.set_models(&models);
   frame.raw(kMagic, sizeof kMagic);
   frame.u32(kFormatVersion);
   const std::size_t count_at = frame.size();
@@ -222,8 +253,22 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
     ++count;
   }
 
-  frame.patch_u32(count_at, count);
-  frame.u32(util::crc32(frame.buffer().data(), frame.size()));
+  // The model table goes last, the one section complete only once every
+  // row has been walked. Its payload is written to the file from the
+  // table's own buffer, and the CRC runs on over it.
+  const std::string& table = models.seal();
+  frame.u32(kSectionModels);
+  frame.u64(table.size());
+  frame.patch_u32(count_at, count + 1);
+  const std::uint32_t crc = util::crc32(
+      table.data(), table.size(),
+      util::crc32(frame.buffer().data(), frame.size()));
+  util::BinWriter trailer;
+  trailer.u32(crc);
+  bytes_counter.add(
+      static_cast<double>(frame.size() + table.size() + trailer.size()));
+  models_counter.add(static_cast<double>(models.size()));
+  shared_counter.add(static_cast<double>(models.shared()));
 
   // Atomic + durable: a crash mid-save leaves either the old snapshot or
   // none, never a half-written one; the rename is fsync'd into the
@@ -242,6 +287,9 @@ void save(const core::Simulator& sim, const util::IniFile& experiment,
     }
     out.write(frame.buffer().data(),
               static_cast<std::streamsize>(frame.buffer().size()));
+    out.write(table.data(), static_cast<std::streamsize>(table.size()));
+    out.write(trailer.buffer().data(),
+              static_cast<std::streamsize>(trailer.size()));
     if (!out) {
       throw std::runtime_error{"checkpoint: short write to '" + tmp + "'"};
     }

@@ -850,7 +850,10 @@ Simulator::RunReport Simulator::run() {
     if (queue_.next_time() > config_.horizon_s) break;
     dispatch(queue_.pop_next());
     events_counter.add();
-    if (queue_.current_time() >= next_autosave) {
+    // No save after the last event: the run ends right after it, so a
+    // resume would start from the previous save, which is as exact.
+    if (queue_.current_time() >= next_autosave && !queue_.empty() &&
+        queue_.next_time() <= config_.horizon_s && !stop_requested_) {
       RR_TSPAN("checkpoint", "checkpoint.autosave");
       autosave_(*this);
       next_autosave = queue_.current_time() + autosave_every_s_;

@@ -134,7 +134,10 @@ class Simulator final : public strategy::StrategyContext {
   /// Installs the autosave hook: every `every_s` simulated seconds the run
   /// loop calls `fn` *between* events (never through the event queue, so
   /// snapshots perturb nothing — event counts, seq numbers, and RNG streams
-  /// are exactly those of an uninterrupted run). every_s <= 0 disables.
+  /// are exactly those of an uninterrupted run). No save follows the last
+  /// event: one that would is skipped when the queue is empty, its next
+  /// event lies past the horizon, or the strategy has requested a stop.
+  /// every_s <= 0 disables.
   void set_autosave(double every_s, std::function<void(Simulator&)> fn);
 
   // ----- execution ---------------------------------------------------------

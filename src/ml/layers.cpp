@@ -367,72 +367,6 @@ std::unique_ptr<Layer> ReLU::clone() const {
   return copy;
 }
 
-// --------------------------------------------------------------- Dropout --
-
-Dropout::Dropout(float p) : p_{p} {
-  if (p < 0.0F || p >= 1.0F) {
-    throw std::invalid_argument{"Dropout: p outside [0, 1)"};
-  }
-}
-
-void Dropout::init_params(util::Rng& rng) { rng_ = rng.fork("dropout"); }
-
-const Tensor& Dropout::forward(const Tensor& x) {
-  last_batch_ = x.rank() > 0 ? x.dim(0) : 0;
-  y_.resize(x.shape());
-  if (!training_ || p_ == 0.0F) {
-    mask_.resize({});
-    std::copy(x.values().begin(), x.values().end(), y_.data());
-    return y_;
-  }
-  mask_.resize(x.shape());
-  const float scale = 1.0F / (1.0F - p_);
-  const float* px = x.data();
-  float* pm = mask_.data();
-  float* py = y_.data();
-  for (std::size_t i = 0; i < y_.size(); ++i) {
-    const bool keep = !rng_.bernoulli(p_);
-    pm[i] = keep ? scale : 0.0F;
-    py[i] = px[i] * pm[i];
-  }
-  return y_;
-}
-
-const Tensor& Dropout::backward(const Tensor& grad_out) {
-  dx_.resize(grad_out.shape());
-  const float* pg = grad_out.data();
-  float* pd = dx_.data();
-  if (mask_.empty()) {  // was an identity forward
-    std::copy(pg, pg + grad_out.size(), pd);
-    return dx_;
-  }
-  if (!grad_out.same_shape(mask_)) {
-    throw std::logic_error{"Dropout::backward: no matching forward"};
-  }
-  const float* pm = mask_.data();
-  for (std::size_t i = 0; i < dx_.size(); ++i) pd[i] = pg[i] * pm[i];
-  return dx_;
-}
-
-std::uint64_t Dropout::flops_per_sample() const {
-  if (mask_.empty() || last_batch_ == 0) return 0;
-  return mask_.size() / last_batch_;
-}
-
-void Dropout::reset_from(const Layer& prototype) {
-  Layer::reset_from(prototype);
-  rng_ = static_cast<const Dropout&>(prototype).rng_;
-  mask_.resize({});
-  last_batch_ = 0;
-}
-
-std::unique_ptr<Layer> Dropout::clone() const {
-  auto copy = std::make_unique<Dropout>(p_);
-  copy->training_ = training_;
-  copy->rng_ = rng_;
-  return copy;
-}
-
 // --------------------------------------------------------------- Flatten --
 
 const Tensor& Flatten::forward(const Tensor& x) {

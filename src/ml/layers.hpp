@@ -4,8 +4,7 @@
 //  * forward(x) consumes a batch-first tensor; in training mode (the
 //    default) it caches whatever the backward pass needs, in inference
 //    mode it caches nothing, so backward() then throws (Flatten, which
-//    records only a shape, and Dropout, whose inference pass is the
-//    identity, still pass the gradient back);
+//    records only a shape, still passes the gradient back);
 //  * backward(grad_out) must follow a training forward with a matching
 //    batch, returns the gradient w.r.t. the layer input, and ACCUMULATES
 //    parameter gradients (callers zero them between optimizer steps via
@@ -54,14 +53,13 @@ class Layer {
   virtual void init_params(util::Rng& /*rng*/) {}
 
   /// Switches between training (the default) and inference behaviour:
-  /// an inference forward caches nothing, and Dropout is the identity.
+  /// an inference forward caches nothing.
   void set_training(bool training) { training_ = training; }
   [[nodiscard]] bool training_mode() const { return training_; }
 
   /// Makes this layer observably equal to a fresh `prototype.clone()`
   /// except for the parameter values, while keeping its buffers' storage:
-  /// the mode and Dropout's stream are copied, the record of the last
-  /// forward is dropped. `prototype` is a layer of the same type and
+  /// the mode is copied, the record of the last forward is dropped. `prototype` is a layer of the same type and
   /// shape (ml::NetworkPool leases networks this way).
   virtual void reset_from(const Layer& prototype) {
     training_ = prototype.training_;
@@ -177,34 +175,6 @@ class ReLU final : public Layer {
  private:
   Tensor cached_x_, y_, dx_;
   std::size_t last_sample_volume_ = 0;  // per-sample input size, for flops
-};
-
-/// Inverted dropout: during training each activation is zeroed with
-/// probability p and survivors are scaled by 1/(1-p), so inference (where
-/// the layer is the identity) needs no rescaling. The mask randomness
-/// derives from a stream seeded at init_params time, keeping whole-run
-/// determinism.
-class Dropout final : public Layer {
- public:
-  /// p in [0, 1): drop probability.
-  explicit Dropout(float p);
-
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  void init_params(util::Rng& rng) override;
-  void reset_from(const Layer& prototype) override;
-  [[nodiscard]] std::uint64_t flops_per_sample() const override;
-  [[nodiscard]] std::string name() const override { return "Dropout"; }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-
-  [[nodiscard]] float drop_probability() const { return p_; }
-
- private:
-  float p_;
-  util::Rng rng_{0xD0D0ULL};
-  Tensor mask_;  // empty after an identity forward
-  Tensor y_, dx_;
-  std::size_t last_batch_ = 0;
 };
 
 /// Collapses [N, ...] to [N, volume(...)]; shape-only, no arithmetic.

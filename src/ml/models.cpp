@@ -33,15 +33,13 @@ Network make_paper_cnn(std::size_t channels, std::size_t side,
 }
 
 Network make_mlp(std::size_t input_size, std::size_t hidden,
-                 std::size_t classes, float dropout_p) {
+                 std::size_t classes) {
   Network net;
   net.append(std::make_unique<Flatten>());
   net.append(std::make_unique<Linear>(input_size, hidden));
   net.append(std::make_unique<ReLU>());
-  if (dropout_p > 0.0F) net.append(std::make_unique<Dropout>(dropout_p));
   net.append(std::make_unique<Linear>(hidden, hidden));
   net.append(std::make_unique<ReLU>());
-  if (dropout_p > 0.0F) net.append(std::make_unique<Dropout>(dropout_p));
   net.append(std::make_unique<Linear>(hidden, classes));
   return net;
 }

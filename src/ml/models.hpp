@@ -21,10 +21,9 @@ Network make_paper_cnn(std::size_t channels = 3, std::size_t side = 32,
                        std::size_t classes = 10);
 
 /// Two-hidden-layer MLP over flattened inputs — a cheap stand-in used by
-/// fast benches and tests. dropout_p > 0 inserts inverted-dropout layers
-/// after each hidden activation.
+/// fast benches and tests.
 Network make_mlp(std::size_t input_size, std::size_t hidden,
-                 std::size_t classes, float dropout_p = 0.0F);
+                 std::size_t classes);
 
 /// Multinomial logistic regression (single Linear layer) — the minimal
 /// model; useful to isolate strategy effects from model capacity.

@@ -67,7 +67,7 @@ class Network {
   void init_params(util::Rng& rng);
 
   /// Propagates training/inference mode to all layers: an inference pass
-  /// caches nothing for backward and Dropout is the identity.
+  /// caches nothing for backward.
   void set_training(bool training);
 
   /// Makes this network observably equal to a fresh copy of `prototype`

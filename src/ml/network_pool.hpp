@@ -6,8 +6,8 @@
 // out again: a lease resets a warm network to the prototype (
 // Network::reset_from) and loads the job's weights, so it equals
 // `Network copy = prototype; copy.set_weights(weights);` in everything a
-// job can observe (outputs, gradients, mode, Dropout's stream, FLOP
-// counts) while its buffers keep their storage.
+// job can observe (outputs, gradients, mode, FLOP counts) while its
+// buffers keep their storage.
 //
 // Networks are built lazily, one per lease that finds the free list empty,
 // so the pool holds at most as many as were ever leased at once: one per
@@ -25,7 +25,7 @@ namespace roadrunner::ml {
 class NetworkPool {
  public:
   /// `prototype` fixes the architecture, the mode and each layer's
-  /// non-parameter state (Dropout's stream, the recorded input size).
+  /// non-parameter state (the recorded input size).
   explicit NetworkPool(Network prototype);
 
   NetworkPool(const NetworkPool&) = delete;

@@ -120,11 +120,10 @@ EvalReport evaluate(NetworkPool& nets, const Weights& weights,
   std::vector<std::size_t> correct(num_batches, 0);
   std::vector<double> loss(num_batches, 0.0);
 
-  // Each shard leases one network (inference mode: Dropout is the
-  // identity, no layer caches its input) and takes the next unclaimed
-  // batch until none is left. Which shard scores a batch cannot change
-  // its bits: an inference forward depends on the weights and the batch
-  // only.
+  // Each shard leases one network (inference mode: no layer caches its
+  // input) and takes the next unclaimed batch until none is left. Which
+  // shard scores a batch cannot change its bits: an inference forward
+  // depends on the weights and the batch only.
   std::atomic<std::size_t> next_batch{0};
   auto shard = [&](std::size_t) {
     std::size_t b = next_batch.fetch_add(1);

@@ -16,6 +16,13 @@
 #include <string_view>
 #include <vector>
 
+namespace roadrunner::ml {
+// The snapshot model table (ml/serialize.hpp) that model fields of a
+// BinWriter/BinReader go through when one is attached.
+class ModelSink;
+class ModelTableView;
+}  // namespace roadrunner::ml
+
 namespace roadrunner::util {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range,
@@ -83,6 +90,11 @@ class BinWriter {
   /// many images allocates only when one outgrows every earlier one.
   void clear() { buf_.clear(); }
 
+  /// The table that model fields written here are interned into (snapshot
+  /// format v6); null, the default, writes each model inline.
+  void set_models(ml::ModelSink* models) { models_ = models; }
+  [[nodiscard]] ml::ModelSink* models() const { return models_; }
+
   [[nodiscard]] const std::string& buffer() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -102,6 +114,7 @@ class BinWriter {
     std::memcpy(buf_.data() + at, &le, sizeof le);
   }
   std::string buf_;
+  ml::ModelSink* models_ = nullptr;
 };
 
 class BinReader {
@@ -128,6 +141,11 @@ class BinReader {
   }
   /// A sub-reader over the next `n` bytes; advances this reader past them.
   BinReader sub(std::uint64_t n) { return BinReader{view(n)}; }
+
+  /// The table that model fields read here refer into (snapshot format
+  /// v6); null, the default, reads each model inline.
+  void set_models(const ml::ModelTableView* models) { models_ = models; }
+  [[nodiscard]] const ml::ModelTableView* models() const { return models_; }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
@@ -164,6 +182,7 @@ class BinReader {
 
   std::string_view data_;
   std::size_t pos_ = 0;
+  const ml::ModelTableView* models_ = nullptr;
 };
 
 }  // namespace roadrunner::util

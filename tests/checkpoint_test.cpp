@@ -1,8 +1,8 @@
 // Checkpoint/restore subsystem tests: golden determinism, mid-run
 // snapshot round trips (the acceptance bar: a resumed run is
 // bit-identical to an uninterrupted one), corruption rejection, what-if
-// forks, and the one-pass writer against the section-by-section assembly
-// it replaced.
+// forks, the one-pass writer against a naive assembly of the same format,
+// and the model table (format v6) against hostile images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "core/event_queue.hpp"
 #include "core/sim_event.hpp"
 #include "crc32_reference.hpp"
+#include "ml/serialize.hpp"
 #include "scenario/experiment.hpp"
 #include "strategy/learning_strategy.hpp"
 #include "util/archive.hpp"
@@ -290,14 +291,16 @@ TEST_F(CheckpointRejection, FutureFormatVersionIsRejected) {
   expect_throw_containing("version");
 }
 
-TEST_F(CheckpointRejection, FutureV6WithUnknownSectionIsAVersionError) {
-  // Forward-compat contract, pinned: a hypothetical v6 snapshot carrying a
-  // section tag this build has never heard of must be refused with the
-  // *version* message ("produced by a newer build?"), not misparsed via
-  // the unknown-tags-are-ignored rule — that rule only licenses skipping
-  // unknown sections within a version we claim to support.
+TEST_F(CheckpointRejection, FutureVersionWithUnknownSectionIsAVersionError) {
+  // Forward-compat contract, pinned: a snapshot of the next format version
+  // carrying a section tag this build has never heard of must be refused
+  // with the *version* message ("produced by a newer build?"), not
+  // misparsed via the unknown-tags-are-ignored rule — that rule only
+  // licenses skipping unknown sections within a version we claim to
+  // support.
   std::string bad = bytes_;
-  bad[4] = 6;  // version field, bytes 4..7 little-endian
+  // The version field, bytes 4..7 little-endian.
+  bad[4] = static_cast<char>(checkpoint::kFormatVersion + 1);
   // Append an unknown trailing section (tag 200, 4-byte payload) ahead of
   // the CRC trailer and bump the section count at bytes 8..11.
   std::string section;
@@ -318,7 +321,7 @@ TEST_F(CheckpointRejection, FutureV6WithUnknownSectionIsAVersionError) {
   // The in-memory peek validates identically.
   try {
     checkpoint::peek_bytes(bad);
-    FAIL() << "expected peek_bytes to reject a v6 image";
+    FAIL() << "expected peek_bytes to reject a future-version image";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos)
         << e.what();
@@ -445,6 +448,13 @@ std::string payload(const std::string& image, std::uint32_t tag) {
   return image.substr(at, size);
 }
 
+constexpr std::uint32_t kModels = 11;
+
+/// The image's model table, decoded, for reading its other sections.
+ml::ModelTableView models(const std::string& image) {
+  return {payload(image, kModels), "test"};
+}
+
 /// `image` with section `tag`'s payload replaced (size field included) and
 /// the CRC trailer resealed.
 std::string with_payload(std::string image, std::uint32_t tag,
@@ -492,11 +502,15 @@ std::vector<std::string> autosaves(double every_s,
   return images;
 }
 
-/// Offsets of the queue section's entries within its payload, with their
-/// events, found by reading the payload with the queue's own field lists.
+/// Offsets of `image`'s queue entries within the queue section's payload,
+/// with their events, found by reading the payload with the queue's own
+/// field lists against the image's model table.
 std::vector<std::pair<std::size_t, core::SimEvent>> queue_entries(
-    const std::string& queue) {
+    const std::string& image) {
+  const std::string queue = payload(image, kQueue);
+  const ml::ModelTableView table = models(image);
   util::BinReader in{queue};
+  in.set_models(&table);
   util::ArchiveReader ar{in, "test"};
   std::uint64_t next_seq = 0;
   std::uint64_t executed = 0;
@@ -538,7 +552,7 @@ void expect_rejected(const std::string& image, const std::string& section,
 TEST(CheckpointTamper, OutOfRangeSenderIsRejected) {
   for (const std::string& image : tamper::autosaves(5.0)) {
     const std::string queue = tamper::payload(image, tamper::kQueue);
-    for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+    for (const auto& [at, ev] : tamper::queue_entries(image)) {
       if (ev.kind != core::SimEventKind::kDeliver) continue;
       std::string bad = queue;
       bad.replace(at + tamper::kMessageFrom, 8, tamper::u64_bytes(1 << 20));
@@ -554,7 +568,7 @@ TEST(CheckpointTamper, OutOfRangeSenderIsRejected) {
 TEST(CheckpointTamper, OutOfRangeEventAgentIsRejected) {
   const std::string image = tamper::autosaves(150.0).front();
   const std::string queue = tamper::payload(image, tamper::kQueue);
-  for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+  for (const auto& [at, ev] : tamper::queue_entries(image)) {
     if (ev.agent == core::kNoAgent) continue;
     std::string bad = queue;
     bad.replace(at + tamper::kEventAgent, 8, tamper::u64_bytes(1 << 20));
@@ -593,7 +607,7 @@ void expect_tag_rejected(core::SimEventKind kind, std::int64_t tag,
   const std::string image =
       tamper::autosaves(150.0, "federated", kIndexedEvents).front();
   const std::string queue = tamper::payload(image, tamper::kQueue);
-  for (const auto& [at, ev] : tamper::queue_entries(queue)) {
+  for (const auto& [at, ev] : tamper::queue_entries(image)) {
     if (ev.kind != kind) continue;
     std::string bad = queue;
     util::BinWriter w;
@@ -624,14 +638,12 @@ TEST(CheckpointTamper, OutOfRangePlatoonManeuverIndexIsRejected) {
 }
 
 TEST(CheckpointTamper, OutOfRangeStrategyAgentIsRejected) {
-  // Round-based state: round (8), the global model (u64 length + bytes),
-  // then the selected set's count and ids.
+  // Round-based state: round (8), the global model (a u32 model-table
+  // index), then the selected set's count and ids.
   {
     const std::string image = tamper::autosaves(150.0).front();
     std::string strategy = tamper::payload(image, tamper::kStrategy);
-    util::BinReader in{strategy};
-    (void)in.i64();
-    const std::size_t at = 8 + 8 + in.u64() + 8;
+    const std::size_t at = 8 + 4 + 8;
     util::BinReader count{std::string_view{strategy}.substr(at - 8)};
     ASSERT_GE(count.u64(), 1U)
         << "no vehicle selected at the autosave";
@@ -661,7 +673,7 @@ TEST(CheckpointTamper, RetiredEventKindIsRejected) {
   // Kind byte 5 was a closure computation, which no snapshot could hold.
   const std::string image = tamper::autosaves(150.0).front();
   std::string queue = tamper::payload(image, tamper::kQueue);
-  const auto entries = tamper::queue_entries(queue);
+  const auto entries = tamper::queue_entries(image);
   ASSERT_FALSE(entries.empty());
   queue[entries.front().first + tamper::kEventAgent - 1] = 5;
   tamper::expect_rejected(tamper::with_payload(image, tamper::kQueue, queue),
@@ -702,16 +714,69 @@ TEST(CheckpointTamper, BadTraceKindIsRejected) {
 }
 
 TEST(CheckpointTamper, HugeCountIsRejectedBeforeAllocation) {
-  // Agent 0's data-index count: after the agent count, its model (u64
-  // length + bytes), data amount, update time and training flag.
+  // Agent 0's data-index count: after the agent count, its model (a u32
+  // model-table index), data amount, update time and training flag.
   const std::string image = tamper::autosaves(150.0).front();
   std::string sim = tamper::payload(image, tamper::kSim);
-  util::BinReader in{sim};
-  (void)in.u64();
-  const std::size_t at = 8 + 8 + in.u64() + 8 + 8 + 1;
+  const std::size_t at = 8 + 4 + 8 + 8 + 1;
   sim.replace(at, 8, tamper::u64_bytes(std::uint64_t{1} << 40));
   tamper::expect_rejected(tamper::with_payload(image, tamper::kSim, sim),
                           "sim", "count 1099511627776 exceeds");
+}
+
+/// `image` without section `tag`, the section count lowered and the CRC
+/// trailer resealed.
+std::string without_section(std::string image, std::uint32_t tag) {
+  const auto [at, size] = tamper::find_section(image, tag);
+  image.erase(at - 12, 12 + size);  // tag (4), size (8), payload
+  util::BinWriter count;
+  count.u32(util::BinReader{std::string_view{image}.substr(8)}.u32() - 1);
+  image.replace(8, 4, count.buffer());
+  reseal(image);
+  return image;
+}
+
+TEST(CheckpointModelTable, IndexPastTheTableIsRejected) {
+  // Agent 0's model is the sim section's first field after the agent count.
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string sim = tamper::payload(image, tamper::kSim);
+  util::BinWriter index;
+  index.u32(1 << 20);
+  sim.replace(8, 4, index.buffer());
+  tamper::expect_rejected(tamper::with_payload(image, tamper::kSim, sim),
+                          "sim", "model index 1048576 is past the model table");
+}
+
+TEST(CheckpointModelTable, ReferenceWithoutATableIsRejected) {
+  const std::string image = tamper::autosaves(150.0).front();
+  tamper::expect_rejected(without_section(image, tamper::kModels), "sim",
+                          "no model table");
+}
+
+TEST(CheckpointModelTable, EntryOverrunningTheSectionIsRejected) {
+  // The table: a u64 entry count, then each entry's u64 length and bytes.
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string table = tamper::payload(image, tamper::kModels);
+  ASSERT_GE(util::BinReader{table}.u64(), 1U);
+  table.replace(8, 8, tamper::u64_bytes(table.size()));
+  tamper::expect_rejected(
+      tamper::with_payload(image, tamper::kModels, table), "model table",
+      "entry 0 overruns the section");
+}
+
+TEST(CheckpointModelTable, EntryThatIsNotAModelIsRejected) {
+  // Entry 0's first tensor has rank 99, which no weights encoding holds.
+  const std::string image = tamper::autosaves(150.0).front();
+  std::string table = tamper::payload(image, tamper::kModels);
+  util::BinReader in{table};
+  ASSERT_GE(in.u64(), 1U);
+  ASSERT_GE(in.u64(), 8U) << "entry 0 holds no tensor";
+  util::BinWriter rank;
+  rank.u32(99);
+  table.replace(8 + 8 + 4, 4, rank.buffer());
+  tamper::expect_rejected(
+      tamper::with_payload(image, tamper::kModels, table), "model table",
+      "entry 0 is not a model");
 }
 
 namespace agent_data {
@@ -841,14 +906,13 @@ TEST(CheckpointFork, TypoedOverrideKeyIsRejected) {
 
 namespace oracle {
 
-// The snapshot assembly save() used before it wrote in one pass, kept
-// verbatim as the reference: every section in its own BinWriter, all of
-// them copied into a second frame buffer behind their tags and sizes, and
-// the frame sealed with the bytewise CRC-32 loop. The simulator-state
-// payloads come from the section table's rows; weights inside them are
-// written by their archive field, which
-// BinaryIo.WriteWeightsEqualsLengthPrefixedSerializeWeights pins to the
-// `bytes(serialize_weights(w))` this assembly used.
+// A naive assembly of a v6 snapshot, kept as the reference: every section
+// in its own BinWriter, all of them copied into a second frame buffer
+// behind their tags and sizes, the model table last, and the frame sealed
+// with the bytewise CRC-32 loop. The simulator-state payloads come from
+// the section table's rows; the model fields inside them go to a table
+// that serializes each model and looks it up by comparing every byte with
+// every entry before it.
 
 using checkpoint::SimulatorIo;
 
@@ -863,6 +927,21 @@ constexpr std::uint32_t kSectionTrace = 7;
 constexpr std::uint32_t kSectionAdversary = 8;
 constexpr std::uint32_t kSectionWorkload = 9;
 constexpr std::uint32_t kSectionTraffic = 10;
+constexpr std::uint32_t kSectionModels = 11;
+
+/// Each distinct serialized model once, found by a linear search.
+struct NaiveModels final : ml::ModelSink {
+  std::vector<std::vector<std::uint8_t>> entries;
+
+  std::uint32_t intern(const ml::Weights& w) override {
+    std::vector<std::uint8_t> bytes = ml::serialize_weights(w);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i] == bytes) return static_cast<std::uint32_t>(i);
+    }
+    entries.push_back(std::move(bytes));
+    return static_cast<std::uint32_t>(entries.size() - 1);
+  }
+};
 
 bool workload_fingerprinted(const core::Simulator& sim) {
   return sim.ml().density() || sim.ml().has_eval_windows();
@@ -901,6 +980,12 @@ std::string image(const core::Simulator& sim,
     std::string payload;
   };
   std::vector<Section> sections;
+  NaiveModels models;
+  const auto writer = [&models] {
+    util::BinWriter w;
+    w.set_models(&models);
+    return w;
+  };
   auto add = [&sections](std::uint32_t tag, util::BinWriter&& w) {
     sections.emplace_back(tag, std::move(w).take());
   };
@@ -917,16 +1002,16 @@ std::string image(const core::Simulator& sim,
   ini.str(experiment.to_string());
   add(kSectionIni, std::move(ini));
 
-  util::BinWriter sim_state;
+  util::BinWriter sim_state = writer();
   payload(kSectionSim, sim, sim_state);
   add(kSectionSim, std::move(sim_state));
 
-  util::BinWriter queue;
+  util::BinWriter queue = writer();
   payload(kSectionQueue, sim, queue);
   add(kSectionQueue, std::move(queue));
 
   if (sim.adversary().enabled()) {
-    util::BinWriter adversary;
+    util::BinWriter adversary = writer();
     payload(kSectionAdversary, sim, adversary);
     add(kSectionAdversary, std::move(adversary));
   }
@@ -938,22 +1023,27 @@ std::string image(const core::Simulator& sim,
   }
 
   if (sim.traffic().enabled()) {
-    util::BinWriter traffic;
+    util::BinWriter traffic = writer();
     payload(kSectionTraffic, sim, traffic);
     add(kSectionTraffic, std::move(traffic));
   }
 
-  util::BinWriter strategy;
+  util::BinWriter strategy = writer();
   if (sim.strategy()) sim.strategy()->save_state(strategy);
   add(kSectionStrategy, std::move(strategy));
 
-  util::BinWriter metrics;
+  util::BinWriter metrics = writer();
   payload(kSectionMetrics, sim, metrics);
   add(kSectionMetrics, std::move(metrics));
 
-  util::BinWriter trace;
+  util::BinWriter trace = writer();
   payload(kSectionTrace, sim, trace);
   add(kSectionTrace, std::move(trace));
+
+  util::BinWriter table;
+  table.u64(models.entries.size());
+  for (const auto& entry : models.entries) table.bytes(entry);
+  add(kSectionModels, std::move(table));
 
   util::BinWriter frame;
   frame.raw(kMagic, sizeof kMagic);
@@ -1250,23 +1340,24 @@ TEST(CheckpointBytes, RestoreThenSaveReproducesTheImage) {
   const auto example = [](const char* file) {
     return util::IniFile::load(std::string{RR_EXAMPLES_DIR} + "/" + file);
   };
-  // The FNV pins were taken with the per-direction save/restore code this
-  // schema replaced; they hold the bytes of format v5 still.
+  // The FNV pins hold the bytes of format v6 (each model once, in the
+  // model table) at each run's last autosave, the last one before the
+  // run's final event.
   const auto family = [](const char* strategy) {
     return util::IniFile::parse(test_ini(strategy));
   };
   const std::vector<Case> cases = {
-      {"federated", family("federated"), 30.0, 0xbbe706189851de0fULL},
-      {"opportunistic", family("opportunistic"), 30.0, 0xda3069d0b556794dULL},
-      {"gossip", family("gossip"), 30.0, 0x7e512dc6ba3f2780ULL},
-      {"rsu_assisted", family("rsu_assisted"), 30.0, 0x9aee11fe02037010ULL},
+      {"federated", family("federated"), 30.0, 0x9d212dc7588eafd2ULL},
+      {"opportunistic", family("opportunistic"), 30.0, 0x90de1e4d20bf4ffdULL},
+      {"gossip", family("gossip"), 30.0, 0x903a2a4d37a0fcfdULL},
+      {"rsu_assisted", family("rsu_assisted"), 30.0, 0x6f7127bf2485a531ULL},
       {"federated_clustering", family("federated_clustering"), 30.0,
-       0x998c295182665fd8ULL},
-      {"centralized", family("centralized"), 30.0, 0x9815b05d6393fc06ULL},
+       0xbeabf75d279fefeeULL},
+      {"centralized", family("centralized"), 30.0, 0x0f8592c19fe692bdULL},
       {"adversarial", example("adversarial.ini"), 200.0,
-       0x33489bd9d72517f6ULL},
-      {"drift", example("drift.ini"), 200.0, 0x7a196b70463b4d10ULL},
-      {"traffic", example("traffic.ini"), 200.0, 0xf9e0b2b15b87894aULL},
+       0x9c0929cb08d25695ULL},
+      {"drift", example("drift.ini"), 200.0, 0xdad032bdbd5695c5ULL},
+      {"traffic", example("traffic.ini"), 200.0, 0x193fa3b6f0a57ed3ULL},
   };
   std::size_t saves = 0;
   std::size_t saves_in_flight = 0;
@@ -1286,7 +1377,37 @@ TEST(CheckpointBytes, RestoreThenSaveReproducesTheImage) {
   // Some saves force a training job still in flight into the queue
   // section, and together the runs write every section tag there is.
   EXPECT_GT(saves_in_flight, 0U);
-  EXPECT_EQ(tags, (std::set<std::uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(tags,
+            (std::set<std::uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(CheckpointGolden, V5SnapshotWithModelsInFlightResumesExactly) {
+  // Committed fixture written by the last build of format v5, where every
+  // model was inline: taken at the first autosave with training jobs in
+  // flight, so its queue holds forced training results beside the agents'
+  // models, the messages and the strategy's buffers. Restoring it and
+  // finishing must reproduce a fresh run of its embedded experiment
+  // byte for byte.
+  const fs::path dir{RR_TEST_DATA_DIR};
+  const fs::path snap = dir / "checkpoint_v5_golden.rrck";
+  const fs::path ini_path = dir / "checkpoint_v5_golden.ini";
+  ASSERT_TRUE(fs::exists(snap)) << snap;
+  ASSERT_TRUE(fs::exists(ini_path)) << ini_path;
+
+  const checkpoint::SnapshotInfo info = checkpoint::peek(snap.string());
+  EXPECT_EQ(info.format_version, 5U);
+  EXPECT_EQ(info.strategy_name, "opportunistic");
+
+  checkpoint::RestoredRun resumed = checkpoint::restore(snap.string());
+  EXPECT_GT(trainings_in_flight(*resumed.simulator), 0U);
+  const scenario::RunResult finished = resumed.finish();
+  const scenario::RunResult fresh =
+      scenario::run_experiment(util::IniFile::load(ini_path.string()));
+  EXPECT_DOUBLE_EQ(finished.final_accuracy, fresh.final_accuracy);
+  std::ostringstream a, b;
+  finished.metrics.export_csv(a);
+  fresh.metrics.export_csv(b);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 }  // namespace

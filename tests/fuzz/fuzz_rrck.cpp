@@ -9,18 +9,23 @@
 // The raw input mostly dies at the magic or CRC check, so after the first
 // attempt the harness re-seals the image — stamps the magic and recomputes
 // the CRC trailer — and parses again. That second pass is what reaches the
-// section-table and metadata decoding with fuzzer-controlled bytes. Then
-// each section payload the image holds goes to its row of the section
-// table, read against a tiny rebuilt simulator (10 vehicles, logreg); the
-// seed corpus holds a real v5 image per optional section.
+// section-table and metadata decoding with fuzzer-controlled bytes. Then,
+// as restore does, the model table (tag 11, format v6) is decoded first
+// and each other section payload the image holds goes to its row of the
+// section table, read against a tiny rebuilt simulator (10 vehicles,
+// logreg) with that table attached; the seed corpus holds a real v6 image
+// and a real v5 image per optional section.
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "checkpoint/checkpoint.hpp"
 #include "checkpoint/sim_io.hpp"
+#include "ml/serialize.hpp"
 #include "scenario/experiment.hpp"
 #include "util/archive.hpp"
 #include "util/binary_io.hpp"
@@ -66,20 +71,36 @@ round_duration_s = 60
   return *sim;
 }
 
-/// Runs each section of a sealed image through its table row's reader.
+/// Runs each section of a sealed image through its table row's reader,
+/// after decoding the model table that their model fields refer into.
 void read_sections(const std::string& image) {
   rr::util::BinReader in{std::string_view{image}.substr(4, image.size() - 8)};
   const std::uint32_t version = in.u32();
   const std::uint32_t count = in.u32();
+  std::vector<std::pair<std::uint32_t, rr::util::BinReader>> sections;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t tag = in.u32();
+    sections.emplace_back(tag, in.sub(in.u64()));
+  }
+
+  rr::ml::ModelTableView models;
+  for (auto& [tag, payload] : sections) {
+    if (tag != rr::checkpoint::kSectionModels) continue;
+    try {
+      models = rr::ml::ModelTableView{payload.view(payload.remaining()),
+                                      "checkpoint: model table section"};
+    } catch (const std::runtime_error&) {
+    }
+  }
+
   rr::checkpoint::SnapshotInfo info;
   const std::string path = "<fuzz>";
   rr::checkpoint::Snapshot snapshot{info, &tiny_simulator(), path};
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t tag = in.u32();
-    rr::util::BinReader payload = in.sub(in.u64());
+  for (auto& [tag, payload] : sections) {
     for (const rr::checkpoint::Section& row :
          rr::checkpoint::SimulatorIo::sections()) {
       if (row.tag != tag) continue;
+      payload.set_models(version >= 6 ? &models : nullptr);
       rr::util::ArchiveReader ar{payload, row.context, version};
       try {
         row.read(ar, snapshot);

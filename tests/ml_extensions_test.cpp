@@ -1,4 +1,4 @@
-// Tests for the second wave of ML features: Adam, Dropout, FedProx-style
+// Tests for the second wave of ML features: Adam, FedProx-style
 // proximal training, and the metric-analysis helpers.
 #include <gtest/gtest.h>
 
@@ -62,75 +62,6 @@ TEST(Adam, TrainerIntegrationLearns) {
   util::Rng train_rng{2};
   train_sgd(net, view, cfg, train_rng);
   EXPECT_GT(evaluate(net, view).accuracy, 0.8);
-}
-
-// ----------------------------------------------------------------- Dropout --
-
-TEST(Dropout, IdentityInInferenceMode) {
-  Dropout drop{0.5F};
-  drop.set_training(false);
-  util::Rng rng{3};
-  Tensor x{{4, 8}};
-  roadrunner::testing::randomize(x, rng);
-  EXPECT_EQ(drop.forward(x), x);
-  EXPECT_EQ(drop.backward(x), x);
-}
-
-TEST(Dropout, TrainingModeZeroesAndRescales) {
-  Dropout drop{0.5F};
-  util::Rng rng{4};
-  drop.init_params(rng);
-  Tensor x = Tensor::full({1, 1000}, 1.0F);
-  Tensor y = drop.forward(x);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0F) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0F);  // 1 / (1 - 0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros), 500.0, 60.0);
-  // Expectation preserved: mean(y) ~ mean(x).
-  EXPECT_NEAR(y.sum() / 1000.0, 1.0, 0.15);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout drop{0.3F};
-  util::Rng rng{5};
-  drop.init_params(rng);
-  Tensor x = Tensor::full({1, 100}, 1.0F);
-  Tensor y = drop.forward(x);
-  Tensor g = Tensor::full({1, 100}, 1.0F);
-  Tensor dx = drop.backward(g);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_FLOAT_EQ(dx[i], y[i]);  // same mask and scale on ones
-  }
-}
-
-TEST(Dropout, ValidatesProbability) {
-  EXPECT_THROW(Dropout{-0.1F}, std::invalid_argument);
-  EXPECT_THROW(Dropout{1.0F}, std::invalid_argument);
-  EXPECT_NO_THROW(Dropout{0.0F});
-}
-
-TEST(Dropout, MlpWithDropoutTrainsAndEvaluatesDeterministically) {
-  data::GaussianBlobConfig bc;
-  auto view = DatasetView::all(
-      std::make_shared<Dataset>(data::make_gaussian_blobs(200, bc)));
-  util::Rng rng{6};
-  Network net = make_mlp(16, 32, 4, /*dropout_p=*/0.2F);
-  prime_and_init(net, {16}, rng);
-  TrainConfig cfg;
-  cfg.epochs = 4;
-  cfg.learning_rate = 0.05F;
-  util::Rng train_rng{7};
-  train_sgd(net, view, cfg, train_rng);
-  // Evaluation must be deterministic (dropout off) and decent.
-  const auto a = evaluate(net, view);
-  const auto b = evaluate(net, view);
-  EXPECT_EQ(a.accuracy, b.accuracy);
-  EXPECT_GT(a.accuracy, 0.7);
 }
 
 // ------------------------------------------------------------- FedProx ----

@@ -133,7 +133,7 @@ TEST(Network, BackwardParamsMatchesBackwardBitwise) {
   Network cnn = make_paper_cnn();
   prime_and_init(cnn, {3, 32, 32}, rng);
   expect_backward_params_match(cnn, {3, 32, 32}, 10, rng);
-  Network mlp = make_mlp(24, 32, 4, 0.25F);
+  Network mlp = make_mlp(24, 32, 4);
   prime_and_init(mlp, {24}, rng);
   expect_backward_params_match(mlp, {24}, 4, rng);
 }

@@ -80,7 +80,7 @@ constexpr std::size_t kClasses = 4;
 
 const ModelCase kModels[] = {
     {"paper_cnn", [] { return make_paper_cnn(3, 16, kClasses); }, {3, 16, 16}},
-    {"mlp_dropout", [] { return make_mlp(24, 16, kClasses, 0.3F); }, {24}},
+    {"mlp", [] { return make_mlp(24, 16, kClasses); }, {24}},
     {"logreg", [] { return make_logreg(24, kClasses); }, {24}},
 };
 
@@ -199,7 +199,7 @@ TEST_P(LeaseOracle, ConcurrentLeasesMatchSequentialCopies) {
     util::Rng init{200 + j};
     seed_net.init_params(init);
     starts[j] = seed_net.weights();
-    Network fresh = proto;  // keeps the prototype's Dropout stream
+    Network fresh = proto;
     fresh.set_weights(starts[j]);
     util::Rng rng{300 + j};
     train_sgd(fresh, data, cfg, rng);
@@ -285,26 +285,6 @@ TEST(InferenceForward, EqualsTrainingForwardForEveryLayerType) {
   expect_inference_matches_training(MaxPool2D{}, {3, 7, 6}, true);
   expect_inference_matches_training(ReLU{}, {4, 5}, true);
   expect_inference_matches_training(Flatten{}, {2, 3, 4}, false);
-  // Dropout's inference pass is the identity; its training pass equals
-  // that only at p = 0, where it draws no mask.
-  expect_inference_matches_training(Dropout{0.0F}, {10}, false);
-}
-
-TEST(InferenceForward, DropoutInInferenceIsTheIdentityOnWarmBuffers) {
-  Dropout drop{0.4F};
-  util::Rng rng{2};
-  drop.init_params(rng);
-  Tensor x{{6, 9}};
-  testing::randomize(x, rng);
-  (void)drop.forward(x);  // a training pass fills the mask
-  drop.set_training(false);
-  for (std::size_t batch : {6U, 2U}) {
-    Tensor xb{{batch, 9}};
-    testing::randomize(xb, rng);
-    EXPECT_TRUE(bitwise_equal(drop.forward(xb), xb));
-    EXPECT_TRUE(bitwise_equal(drop.backward(xb), xb));
-    EXPECT_EQ(drop.flops_per_sample(), 0U);
-  }
 }
 
 TEST(InferenceForward, PaperCnnNetworkEqualsTrainingForward) {

@@ -74,5 +74,41 @@ TEST(Serialize, PreservesExactFloatBits) {
   }
 }
 
+TEST(ModelTable, StoresEachDistinctModelOnceAndReadsBack) {
+  // b differs from a only at index 1, which the fingerprint does not
+  // sample: the two collide on the fingerprint and must still get their
+  // own entries, found by comparing every byte.
+  std::vector<float> values(1000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<float>(i);
+  }
+  const Weights a{Tensor{{1000}, values}, Tensor{{2}, {0.5F, -0.5F}}};
+  Weights b = a;
+  b[0][1] = 7.0F;
+  const Weights empty;
+
+  ModelTable table;
+  EXPECT_EQ(table.intern(a), 0U);
+  EXPECT_EQ(table.intern(b), 1U);
+  EXPECT_EQ(table.intern(empty), 2U);
+  EXPECT_EQ(table.intern(Weights{a}), 0U);
+  EXPECT_EQ(table.intern(b), 1U);
+  EXPECT_EQ(table.intern(empty), 2U);
+  EXPECT_EQ(table.size(), 3U);
+  EXPECT_EQ(table.shared(), 3U);
+
+  const ModelTableView view{table.seal(), "test"};
+  ASSERT_EQ(view.size(), 3U);
+  EXPECT_EQ(serialize_weights(view[0]), serialize_weights(a));
+  EXPECT_EQ(serialize_weights(view[1]), serialize_weights(b));
+  EXPECT_TRUE(view[2].empty());
+
+  // A cleared table starts over.
+  table.clear();
+  EXPECT_EQ(table.intern(b), 0U);
+  EXPECT_EQ(table.size(), 1U);
+  EXPECT_EQ(table.shared(), 0U);
+}
+
 }  // namespace
 }  // namespace roadrunner::ml
