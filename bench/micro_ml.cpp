@@ -23,8 +23,10 @@
 #include "ml/conv_kernels.hpp"
 #include "ml/fedavg.hpp"
 #include "ml/gmm.hpp"
+#include "ml/layers.hpp"
 #include "ml/loss.hpp"
 #include "ml/models.hpp"
+#include "ml/optimizer.hpp"
 #include "ml/robust.hpp"
 #include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
@@ -257,6 +259,58 @@ void BM_VehicleRetrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VehicleRetrain);
+
+/// The paper CNN's two max pools at batch 16 (pool1 [16, 6, 28, 28], pool2
+/// [16, 16, 10, 10]): the training forward (values and argmax) or the
+/// backward, chosen by the second argument (0/1 = fwd/bwd).
+struct PoolShape {
+  const char* label;
+  std::size_t channels, side;
+};
+constexpr PoolShape kPools[] = {{"pool1", 6, 28}, {"pool2", 16, 10}};
+
+void BM_MaxPool(benchmark::State& state) {
+  const PoolShape& s = kPools[static_cast<std::size_t>(state.range(0))];
+  const bool backward = state.range(1) == 1;
+  constexpr std::size_t kBatch = 16;
+  util::Rng rng{11};
+  ml::Tensor x{{kBatch, s.channels, s.side, s.side}};
+  for (float& v : x.values()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  ml::MaxPool2D pool;
+  ml::Tensor go{pool.forward(x).shape()};
+  for (float& v : go.values()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (auto _ : state) {
+    const ml::Tensor& out = backward ? pool.backward(go) : pool.forward(x);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(std::string{s.label} + (backward ? " bwd" : " fwd"));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_MaxPool)->ArgsProduct({{0, 1}, {0, 1}});
+
+/// One SgdMomentum step over the paper CNN's parameters (the five layers'
+/// weights and biases), as the trainer takes after every batch.
+void BM_SgdStep(benchmark::State& state) {
+  util::Rng rng{12};
+  ml::Network net = ml::make_paper_cnn();
+  ml::prime_and_init(net, {3, 32, 32}, rng);
+  const std::vector<ml::Tensor*> params = net.params();
+  const std::vector<ml::Tensor*> grads = net.grads();
+  for (ml::Tensor* g : grads) {
+    for (float& v : g->values()) {
+      v = static_cast<float>(rng.uniform(-0.01, 0.01));
+    }
+  }
+  ml::SgdMomentum sgd{0.01F, 0.9F};
+  for (auto _ : state) {
+    sgd.step(params, grads);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.parameter_count()));
+}
+BENCHMARK(BM_SgdStep);
 
 void BM_FedAvg(benchmark::State& state) {
   const auto contributors = static_cast<std::size_t>(state.range(0));

@@ -39,8 +39,11 @@
 // snapshot instead of t=0 (snapshots land in --checkpoint-dir, default
 // <store>/checkpoints, and are deleted once the job's record is stored).
 // --fresh runs without a store, so nothing is resumed or written to disk
-// (an existing store is left as it is). With no arguments it runs
-// examples/campaign.ini if present, else a small built-in demo campaign.
+// (an existing store is left as it is); with --checkpoint-every it needs
+// --checkpoint-dir, or the run stops with a usage error (a --serve
+// coordinator excepted: its workers keep the snapshots). With no arguments
+// it runs examples/campaign.ini if present, else a small built-in demo
+// campaign.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -136,6 +139,17 @@ int run(int argc, char** argv) {
     seeds = util::parse_positive_count(args, "seeds", 0);
   } catch (const std::invalid_argument& e) {
     return usage_error(argv[0], e.what());
+  }
+  // Job snapshots live under the store, and --fresh runs without one: only
+  // --checkpoint-dir gives its autosaves somewhere to go. A coordinator
+  // (--serve) only passes the period on; each worker keeps its own.
+  if (!args.has("serve") && args.get_bool("fresh", false) &&
+      args.get_double("checkpoint-every", 0.0) > 0.0 &&
+      args.get("checkpoint-dir", "").empty()) {
+    return usage_error(argv[0],
+                       "--fresh with --checkpoint-every writes no autosave: "
+                       "a fresh run has no store to keep snapshots in; add "
+                       "--checkpoint-dir=DIR");
   }
 
   util::IniFile ini;

@@ -55,15 +55,24 @@ void Adam::step(const std::vector<Tensor*>& params,
     const float* pg = g.data();
     float* pm = m.data();
     float* pv = v.data();
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      float grad = pg[j];
-      if (weight_decay_ > 0.0F) grad += weight_decay_ * pp[j];
-      pm[j] = beta1_ * pm[j] + (1.0F - beta1_) * grad;
-      pv[j] = beta2_ * pv[j] + (1.0F - beta2_) * grad * grad;
+    // Locals, not members, in the loops: the stores may alias the members,
+    // which would force a reload per element.
+    const auto update = [&, lr = static_cast<double>(lr_),
+                         eps = static_cast<double>(eps_), beta1 = beta1_,
+                         beta2 = beta2_, keep1 = 1.0F - beta1_,
+                         keep2 = 1.0F - beta2_](std::size_t j, float grad) {
+      pm[j] = beta1 * pm[j] + keep1 * grad;
+      pv[j] = beta2 * pv[j] + keep2 * grad * grad;
       const double m_hat = pm[j] / bias1;
       const double v_hat = pv[j] / bias2;
-      pp[j] -= static_cast<float>(lr_ * m_hat /
-                                  (std::sqrt(v_hat) + eps_));
+      pp[j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + eps));
+    };
+    const float decay = weight_decay_;
+    const std::size_t size = p.size();
+    if (decay > 0.0F) {
+      for (std::size_t j = 0; j < size; ++j) update(j, pg[j] + decay * pp[j]);
+    } else {
+      for (std::size_t j = 0; j < size; ++j) update(j, pg[j]);
     }
   }
 }

@@ -28,8 +28,9 @@ using Vec16 = float __attribute__((vector_size(64)));
 /// Per-thread scratch, reused across calls; a training job runs on one
 /// thread and no kernel re-enters another. Every slot holds a small repack
 /// of the weights or of the output gradient, the call's weight-gradient
-/// sum, or one sample's padded input gradient: nothing the size of an
-/// im2col buffer.
+/// sum, one sample's padded input gradient, or one group of `lanes`
+/// samples' images and output gradients interleaved lane by lane: nothing
+/// the size of an im2col buffer.
 enum Slot : std::size_t {
   kWeights,
   kBias,
@@ -37,6 +38,7 @@ enum Slot : std::size_t {
   kDwSum,
   kDx,
   kTile,
+  kLaneImage,
   kSlots
 };
 
@@ -72,13 +74,28 @@ void transpose_into(const float* src, std::size_t rows, std::size_t cols,
   }
 }
 
+/// The call's weight-gradient sum [Cout, Cin*K*K], zeroed: the samples'
+/// partials go into it in sample order, and dW gains it in one add.
+float* zeroed_dw_sum(const ConvShape& g) {
+  const std::size_t size = g.cout * g.cin * g.k * g.k;
+  float* sum = scratch(kDwSum, size);
+  std::fill(sum, sum + size, 0.0F);
+  return sum;
+}
+
+void add_dw_sum(const ConvShape& g, const float* sum, float* dw) {
+  for (std::size_t i = 0; i < g.cout * g.cin * g.k * g.k; ++i) dw[i] += sum[i];
+}
+
 /// The kernels written once for any vector type; `float` is the one-lane
 /// build. The forward and the weight gradient put output channels in the
 /// lanes (Cv vectors, G = Cv * lanes channels per group) and a tile of P
-/// output positions or Q taps in registers. The column forward (few
-/// channels, stride 1, no padding) and the input gradient put output
-/// columns in the lanes and a few rows in registers. A scalar value is
-/// broadcast as `x - Vec{}`, exact for every x, -0 included.
+/// output positions or Q taps in registers. The sample weight gradient (few
+/// channels) puts samples in the lanes and a tile of C channels x Q taps in
+/// registers. The column forward (few channels, stride 1, no padding) and
+/// the input gradient put output columns in the lanes and a few rows in
+/// registers. A scalar value is broadcast as `x - Vec{}`, exact for every
+/// x, -0 included.
 ///
 /// Every member is force-inlined into the one entry point per ISA below,
 /// which carries the target attribute (as ml::gemm's Kernel does).
@@ -355,21 +372,18 @@ struct Conv {
     }
   }
 
+  /// Samples [s0, n), one at a time: each partial is added into sum, each
+  /// bias sum into db.
   template <std::size_t Cv, std::size_t Q>
-  [[gnu::always_inline]] static inline void weight_grad(
-      const ConvShape& g, std::size_t n, const float* x, const float* go,
-      float* dw, float* db) {
+  [[gnu::always_inline]] static inline void weight_samples(
+      const ConvShape& g, std::size_t s0, std::size_t n, const float* x,
+      const float* go, float* sum, float* db) {
     constexpr std::size_t kG = Cv * kLanes;
-    const std::size_t ckk = g.cin * g.k * g.k;
     const std::size_t out_hw = g.oh * g.ow;
     const std::size_t ldg = round_up(g.cout, kG);
     float* got = scratch(kGrad, out_hw * ldg);
-    // The samples' partials go into a zeroed sum, which dW gains in one
-    // add per call.
-    float* sum = scratch(kDwSum, g.cout * ckk);
-    std::fill(sum, sum + g.cout * ckk, 0.0F);
     const std::size_t in_vol = g.cin * g.h * g.w;
-    for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t s = s0; s < n; ++s) {
       transpose_into(go + s * g.cout * out_hw, g.cout, out_hw, got, ldg);
       for (std::size_t c0 = 0; c0 < g.cout; c0 += kG) {
         // Bias gradient: the lanes run the per-channel sums side by side.
@@ -395,7 +409,111 @@ struct Conv {
         }
       }
     }
-    for (std::size_t i = 0; i < g.cout * ckk; ++i) dw[i] += sum[i];
+  }
+
+  // ---- weight gradient: lanes over samples ---------------------------------
+
+  /// Channels [c0, c0 + C) x taps [q0, q0 + Q) of one group of samples:
+  /// lane l of acc[c][t] is sample l's sum over ascending p of
+  /// go[c, p] * X[q, p] from +0, and sum[c, q] gains the lanes in sample
+  /// order, for the channels from first_c and the taps from first_t. xt
+  /// [Cin, H, W, lanes] and gt [Cout, P, lanes] hold the group's images
+  /// and output gradients.
+  template <std::size_t C, std::size_t Q>
+  [[gnu::always_inline]] static inline void sample_tile(
+      const ConvShape& g, const float* xt, const float* gt, std::size_t c0,
+      std::size_t q0, std::size_t first_c, std::size_t first_t, float* sum) {
+    const std::size_t ckk = g.cin * g.k * g.k;
+    std::size_t tap[Q];
+    for (std::size_t t = 0, q = q0; t < Q; ++t, ++q) {
+      const std::size_t ci = q / (g.k * g.k), ki = q / g.k % g.k,
+                        kj = q % g.k;
+      tap[t] = ((ci * g.h + ki) * g.w + kj) * kLanes;
+    }
+    const std::size_t out_hw = g.oh * g.ow;
+    Vec acc[C][Q] = {};
+    const float* gp = gt + c0 * out_hw * kLanes;
+    for (std::size_t oi = 0; oi < g.oh; ++oi) {
+      const float* row = xt + oi * g.stride * g.w * kLanes;
+      for (std::size_t oj = 0; oj < g.ow; ++oj, gp += kLanes) {
+        const float* pixel = row + oj * g.stride * kLanes;
+        // Unrolled, so the loads do not merge into one block copy that
+        // would keep gv on the stack.
+        Vec gv[C];
+#pragma GCC unroll 32
+        for (std::size_t c = 0; c < C; ++c) {
+          std::memcpy(&gv[c], gp + c * out_hw * kLanes, sizeof(Vec));
+        }
+#pragma GCC unroll 32
+        for (std::size_t t = 0; t < Q; ++t) {
+          Vec xv;
+          std::memcpy(&xv, pixel + tap[t], sizeof(Vec));
+#pragma GCC unroll 32
+          for (std::size_t c = 0; c < C; ++c) acc[c][t] += xv * gv[c];
+        }
+      }
+    }
+    for (std::size_t c = first_c; c < C; ++c) {
+      float* out = sum + (c0 + c) * ckk + q0;
+      for (std::size_t t = first_t; t < Q; ++t) {
+        float lanes[kLanes];
+        std::memcpy(lanes, &acc[c][t], sizeof(Vec));
+        float s = out[t];
+        for (std::size_t l = 0; l < kLanes; ++l) s += lanes[l];
+        out[t] = s;
+      }
+    }
+  }
+
+  /// Every full group of `lanes` samples in [0, n), lanes over samples:
+  /// the partials go into sum and the bias sums into db in sample order.
+  /// Returns the first sample it left out. Tiles at the last channel or
+  /// tap end there; what they share with the tile before them is
+  /// recomputed but added once. Needs weight_lanes_fit<C, Q>.
+  template <std::size_t C, std::size_t Q>
+  [[gnu::always_inline]] static inline std::size_t weight_lanes(
+      const ConvShape& g, std::size_t n, const float* x, const float* go,
+      float* sum, float* db) {
+    const std::size_t ckk = g.cin * g.k * g.k;
+    const std::size_t in_vol = g.cin * g.h * g.w;
+    const std::size_t out_hw = g.oh * g.ow;
+    const std::size_t out_vol = g.cout * out_hw;
+    const std::size_t groups = n / kLanes;
+    float* xt = scratch(kLaneImage, (in_vol + out_vol) * kLanes);
+    float* gt = xt + in_vol * kLanes;
+    for (std::size_t grp = 0; grp < groups; ++grp) {
+      const std::size_t s0 = grp * kLanes;
+      transpose_into(x + s0 * in_vol, kLanes, in_vol, xt, kLanes);
+      transpose_into(go + s0 * out_vol, kLanes, out_vol, gt, kLanes);
+      for (std::size_t c = 0; c < g.cout; ++c) {
+        Vec bsum{};
+        const float* gp = gt + c * out_hw * kLanes;
+        for (std::size_t p = 0; p < out_hw; ++p) {
+          Vec gv;
+          std::memcpy(&gv, gp + p * kLanes, sizeof(Vec));
+          bsum += gv;
+        }
+        float lanes[kLanes];
+        std::memcpy(lanes, &bsum, sizeof(Vec));
+        for (std::size_t l = 0; l < kLanes; ++l) db[c] += lanes[l];
+      }
+      for (std::size_t c = 0; c < g.cout; c += C) {
+        const std::size_t c0 = std::min(c, g.cout - C);
+        for (std::size_t q = 0; q < ckk; q += Q) {
+          const std::size_t q0 = std::min(q, ckk - Q);
+          sample_tile<C, Q>(g, xt, gt, c0, q0, c - c0, q - q0, sum);
+        }
+      }
+    }
+    return groups * kLanes;
+  }
+
+  /// The sample weight gradient runs: no padding, and its tiles fit (at
+  /// least C output channels and Q taps).
+  template <std::size_t C, std::size_t Q>
+  [[gnu::always_inline]] static inline bool weight_lanes_fit(
+      const ConvShape& g) {
+    return g.pad == 0 && g.cout >= C && g.cin * g.k * g.k >= Q;
   }
 
   // ---- input gradient: lanes over output columns ---------------------------
@@ -539,9 +657,19 @@ struct Conv {
 // forward or weight-gradient tile of 12 accumulators (6 x 2 SSE2 vectors
 // of 8 channels, or 12 x 1 AVX2 vector) leaves room for the weight or
 // gradient vectors and the broadcast pixel. AVX-512F has 32: 25 x 1
-// vector of 16 channels; its weight gradient takes the AVX2 tile when at
-// most 8 channels would fill the lanes. The input gradient keeps a 5-tap by R-row tile: 5 x 5
-// in AVX-512F and one lane, 5 x 2 in SSE2 and AVX2.
+// vector of 16 channels; its per-sample weight gradient takes the AVX2
+// tile when at most 8 channels would fill the lanes. The input gradient
+// keeps a 5-tap by R-row tile: 5 x 5 in AVX-512F and one lane, 5 x 2 in
+// SSE2 and AVX2.
+//
+// The weight gradient puts samples in the lanes for the full groups of a
+// call when fewer output channels than a channel group would leave lanes
+// idle (Cout < 8 in SSE2 and AVX2, Cout < 16 in AVX-512F: the paper CNN's
+// conv1 with 6), the geometry has no padding (every paper conv) and a
+// tile fits: 3 channels x 3 taps (9 accumulators) in SSE2 and AVX2, 6 x 4
+// (24) in AVX-512F. The rest of the call's samples take the per-sample
+// form. At 16 channels (conv2) the two forms run level in micro_ml, so
+// conv2 stays per sample.
 
 void input_grad_scalar(const ConvShape& g, std::size_t n, const float* w,
                        const float* go, float* dx) {
@@ -558,7 +686,13 @@ void forward_sse2(const ConvShape& g, std::size_t n, const float* x,
 
 void weight_grad_sse2(const ConvShape& g, std::size_t n, const float* x,
                       const float* go, float* dw, float* db) {
-  Conv<Vec4>::weight_grad<2, 6>(g, n, x, go, dw, db);
+  float* sum = zeroed_dw_sum(g);
+  std::size_t s = 0;
+  if (g.cout < 8 && Conv<Vec4>::weight_lanes_fit<3, 3>(g)) {
+    s = Conv<Vec4>::weight_lanes<3, 3>(g, n, x, go, sum, db);
+  }
+  Conv<Vec4>::weight_samples<2, 6>(g, s, n, x, go, sum, db);
+  add_dw_sum(g, sum, dw);
 }
 
 void input_grad_sse2(const ConvShape& g, std::size_t n, const float* w,
@@ -582,7 +716,13 @@ __attribute__((target("avx2"))) void forward_avx2(
 __attribute__((target("avx2"))) void weight_grad_avx2(
     const ConvShape& g, std::size_t n, const float* x, const float* go,
     float* dw, float* db) {
-  Conv<Vec8>::weight_grad<1, 12>(g, n, x, go, dw, db);
+  float* sum = zeroed_dw_sum(g);
+  std::size_t s = 0;
+  if (g.cout < 8 && Conv<Vec8>::weight_lanes_fit<3, 3>(g)) {
+    s = Conv<Vec8>::weight_lanes<3, 3>(g, n, x, go, sum, db);
+  }
+  Conv<Vec8>::weight_samples<1, 12>(g, s, n, x, go, sum, db);
+  add_dw_sum(g, sum, dw);
 }
 
 __attribute__((target("avx2"))) void input_grad_avx2(const ConvShape& g,
@@ -606,10 +746,17 @@ __attribute__((target("avx512f"))) void forward_avx512f(
 __attribute__((target("avx512f"))) void weight_grad_avx512f(
     const ConvShape& g, std::size_t n, const float* x, const float* go,
     float* dw, float* db) {
-  if (g.cout <= 8) {
-    return Conv<Vec8>::weight_grad<1, 12>(g, n, x, go, dw, db);
+  float* sum = zeroed_dw_sum(g);
+  std::size_t s = 0;
+  if (g.cout < 16 && Conv<Vec16>::weight_lanes_fit<6, 4>(g)) {
+    s = Conv<Vec16>::weight_lanes<6, 4>(g, n, x, go, sum, db);
   }
-  Conv<Vec16>::weight_grad<1, 25>(g, n, x, go, dw, db);
+  if (g.cout <= 8) {
+    Conv<Vec8>::weight_samples<1, 12>(g, s, n, x, go, sum, db);
+  } else {
+    Conv<Vec16>::weight_samples<1, 25>(g, s, n, x, go, sum, db);
+  }
+  add_dw_sum(g, sum, dw);
 }
 
 __attribute__((target("avx512f"))) void input_grad_avx512f(

@@ -39,38 +39,44 @@ void cache_input(bool training, const Tensor& x, Tensor& cache) {
 }
 
 /// 2x2 stride-2 max pooling of x [N, C, H, W] into y [N, C, H/2, W/2];
-/// with kArgmax, also each output's flat input index.
+/// with kArgmax, also each output's flat input index. One output row at a
+/// time, with the window in named values and selects rather than
+/// branches, so the loop vectorises.
 template <bool kArgmax>
 void max_pool_2x2(const Tensor& x, float* py, std::uint32_t* argmax) {
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = h / 2, ow = w / 2;
   const float* px = x.data();
-  std::size_t out = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (s * c + ch) * h * w;
-      const std::size_t plane_base = (s * c + ch) * h * w;
-      for (std::size_t oi = 0; oi < oh; ++oi) {
-        for (std::size_t oj = 0; oj < ow; ++oj, ++out) {
-          const std::size_t i0 = oi * 2, j0 = oj * 2;
-          std::size_t best = i0 * w + j0;
-          float best_v = plane[best];
-          const std::size_t candidates[3] = {i0 * w + j0 + 1,
-                                             (i0 + 1) * w + j0,
-                                             (i0 + 1) * w + j0 + 1};
-          // Selects, not branches: a later candidate wins only when
-          // strictly greater, so ties keep the first, a NaN never wins and
-          // -0/+0 keep their order, as the branchy loop did.
-          for (std::size_t cand : candidates) {
-            const bool greater = plane[cand] > best_v;
-            best_v = greater ? plane[cand] : best_v;
-            best = greater ? cand : best;
-          }
-          py[out] = best_v;
-          if constexpr (kArgmax) {
-            argmax[out] = static_cast<std::uint32_t>(plane_base + best);
-          }
-        }
+  const auto wide = static_cast<std::uint32_t>(w);
+  for (std::size_t plane = 0; plane < n * c; ++plane) {
+    for (std::size_t oi = 0; oi < oh; ++oi) {
+      const float* top = px + (plane * h + 2 * oi) * w;
+      const float* bottom = top + w;
+      float* out = py + (plane * oh + oi) * ow;
+      std::uint32_t* arg = kArgmax ? argmax + (plane * oh + oi) * ow : nullptr;
+      const auto row = static_cast<std::uint32_t>((plane * h + 2 * oi) * w);
+      for (std::size_t oj = 0; oj < ow; ++oj) {
+        const float v00 = top[2 * oj];
+        const float v01 = top[2 * oj + 1];
+        const float v10 = bottom[2 * oj];
+        const float v11 = bottom[2 * oj + 1];
+        const std::uint32_t i00 = row + 2 * static_cast<std::uint32_t>(oj);
+        // A later candidate wins only when strictly greater, so ties keep
+        // the first, a NaN never wins (nor loses its place when it comes
+        // first), and -0/+0 keep their order.
+        float best = v00;
+        std::uint32_t at = i00;
+        bool greater = v01 > best;
+        best = greater ? v01 : best;
+        at = greater ? i00 + 1 : at;
+        greater = v10 > best;
+        best = greater ? v10 : best;
+        at = greater ? i00 + wide : at;
+        greater = v11 > best;
+        best = greater ? v11 : best;
+        at = greater ? i00 + wide + 1 : at;
+        out[oj] = best;
+        if constexpr (kArgmax) arg[oj] = at;
       }
     }
   }

@@ -539,7 +539,8 @@ TEST(Aggregate, SummarizeGroupsByPointOverSeeds) {
       campaign::JobRecord record;
       record.point_index = point;
       record.seed_index = s;
-      record.point_label = "p" + std::to_string(point);
+      record.point_label = "p";
+      record.point_label += std::to_string(point);  // GCC 12's -Wrestrict
       record.strategy_name = "federated";
       record.metrics = {{"final_accuracy",
                          0.1 * static_cast<double>(point + 1) +

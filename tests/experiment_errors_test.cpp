@@ -4,13 +4,19 @@
 // and unknown strategy/selection/optimizer names, every committed INI
 // parsing, and metrics::Registry name validation (commas survive export via
 // RFC-4180 quoting; newlines are rejected at the source because the CSV
-// readers are line-oriented).
+// readers are line-oriented), and the campaign CLI's refusal of flag
+// combinations that would silently do nothing.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "campaign/spec.hpp"
 #include "fault/fault_plan.hpp"
@@ -385,6 +391,51 @@ TEST(RegistryNames, CommaAndQuoteNamesRoundTripThroughExportCsv) {
   EXPECT_EQ(rows[1][1], "loss, validation");  // comma intact, not sheared
   EXPECT_EQ(rows[2][0], "counter");
   EXPECT_EQ(rows[2][1], "odd \"quoted\" counter");
+}
+
+// ----------------------------------------------------------- campaign CLI --
+
+/// Runs roadrunner_campaign with `flags` on the smoke campaign; returns its
+/// exit status and its stdout and stderr together.
+std::pair<int, std::string> run_campaign_cli(const std::string& flags) {
+  const std::string command = std::string{RR_CAMPAIGN_EXE} + " " +
+                              RR_SOURCE_DIR "/tests/smoke/campaign.ini " +
+                              flags + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(CampaignCli, FreshAutosavesWithoutACheckpointDirAreAUsageError) {
+  // --fresh keeps no store, and job snapshots live under the store, so
+  // these autosaves would go nowhere; the CLI says so before any job runs.
+  const auto [status, out] =
+      run_campaign_cli("--fresh --checkpoint-every=50 --dry-run");
+  EXPECT_NE(status, 0) << out;
+  EXPECT_NE(out.find("--checkpoint-every"), std::string::npos) << out;
+  EXPECT_NE(out.find("--checkpoint-dir"), std::string::npos) << out;
+}
+
+TEST(CampaignCli, FreshAutosavesWithACheckpointDirAreAccepted) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "rr_fresh_ckpt_cli").string();
+  const auto [status, out] = run_campaign_cli(
+      "--fresh --checkpoint-every=50 --checkpoint-dir=" + dir + " --dry-run");
+  EXPECT_EQ(status, 0) << out;
+  const auto [plain, plain_out] = run_campaign_cli("--fresh --dry-run");
+  EXPECT_EQ(plain, 0) << plain_out;
+}
+
+TEST(CampaignCli, FreshAutosavesOnACoordinatorAreAccepted) {
+  // A coordinator sends the period to its workers, which write the
+  // snapshots into their own stores; it needs no --checkpoint-dir.
+  const auto [status, out] = run_campaign_cli(
+      "--serve=127.0.0.1:0 --fresh --checkpoint-every=50 --dry-run");
+  EXPECT_EQ(status, 0) << out;
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ml/conv_kernels.hpp"
@@ -616,6 +617,29 @@ TEST_P(ConvKernelOracle, OutputChannelsAroundTheLanes) {
   }
 }
 
+TEST_P(ConvKernelOracle, SampleGroupsAroundTheLanes) {
+  // Batches one below, at and one above 16 and 32: whole groups of 4, 8
+  // and 16 samples in the lanes plus a per-sample tail, at conv1's 6 and
+  // conv2's 16 output channels.
+  for (const std::size_t batch : {15, 16, 17, 32, 33}) {
+    conv_kernel_case({batch, 3, 6, 5, 1, 0, 32, 32}, 0);
+    conv_kernel_case({batch, 6, 16, 5, 1, 0, 14, 14}, 0);
+  }
+  // Fewer channels than a channel tile, strides, fewer taps than a tap
+  // tile, and specials, each with full sample groups; padded geometries
+  // take the per-sample form for the whole call.
+  for (const std::size_t cout : {1, 2, 5, 7, 9, 15}) {
+    conv_kernel_case({17, 2, cout, 3, 1, 0, 9, 11}, 0);
+  }
+  conv_kernel_case({33, 3, 6, 5, 2, 0, 14, 13}, 0);
+  conv_kernel_case({17, 2, 6, 3, 3, 0, 9, 20}, 0);
+  conv_kernel_case({16, 1, 6, 1, 1, 0, 7, 5}, 0);
+  conv_kernel_case({17, 1, 3, 2, 1, 0, 4, 6}, 0);
+  conv_kernel_case({33, 3, 6, 5, 1, 0, 12, 12}, 4);
+  conv_kernel_case({33, 3, 6, 5, 2, 2, 14, 13}, 0);
+  conv_kernel_case({17, 2, 6, 3, 3, 1, 9, 20}, 4);
+}
+
 TEST_P(ConvKernelOracle, WidthsOffTheVectorWidth) {
   // Output widths 1, 3, 5, 7, 9, 15, 17 and 33: below, between and above
   // 4, 8 and 16 lanes; tall and flat planes for the row tiles.
@@ -701,6 +725,58 @@ TEST(MaxPoolOracle, ForwardMatchesBranchyLoopBitwise) {
     want_dx[want_arg[i]] += go[i];
   }
   EXPECT_TRUE(bitwise_equal(dx, want_dx));
+}
+
+TEST(MaxPoolOracle, BackwardMatchesScatterBitwise) {
+  // The old backward: zero dx, then add each gradient into its winner's
+  // cell. So a -0 gradient lands as +0, and the odd row and column no
+  // window covers stay +0, whatever an earlier backward left there.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  util::Rng rng{610};
+  for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{9, 11},
+                             {8, 7},
+                             {7, 8},
+                             {28, 28},
+                             {10, 10},
+                             {3, 35}}) {
+    SCOPED_TRACE(::testing::Message() << h << "x" << w);
+    Tensor x = random_tensor({2, 3, h, w}, rng);
+    for (float& v : x.values()) {
+      if (rng.next_below(4) == 0) v = rng.next_below(2) == 0 ? -0.0F : 0.0F;
+    }
+    MaxPool2D pool;
+    const Tensor y = pool.forward(x);
+    // A first backward with no zeros, so the second must overwrite every
+    // cell it leaves.
+    pool.backward(random_tensor(y.shape(), rng));
+    Tensor go = random_tensor(y.shape(), rng);
+    const float specials[] = {-0.0F, 0.0F, nan, denorm, -denorm};
+    for (float& v : go.values()) {
+      if (rng.next_below(3) == 0) v = specials[rng.next_below(5)];
+    }
+    // The winners, from the old forward loop.
+    const std::size_t oh = h / 2, ow = w / 2;
+    Tensor want{x.shape()};
+    std::size_t out = 0;
+    for (std::size_t plane = 0; plane < 6; ++plane) {
+      const float* px = x.data() + plane * h * w;
+      for (std::size_t oi = 0; oi < oh; ++oi) {
+        for (std::size_t oj = 0; oj < ow; ++oj, ++out) {
+          std::size_t best = 2 * oi * w + 2 * oj;
+          float best_v = px[best];
+          for (const std::size_t cand : {best + 1, best + w, best + w + 1}) {
+            if (px[cand] > best_v) {
+              best_v = px[cand];
+              best = cand;
+            }
+          }
+          want[plane * h * w + best] += go[out];
+        }
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(pool.backward(go), want));
+  }
 }
 
 // ---- ReLU backward ----------------------------------------------------------

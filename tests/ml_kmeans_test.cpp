@@ -59,7 +59,9 @@ TEST(KMeans, MoreClustersNeverWorseInertia) {
   util::Rng rng{4};
   double prev = std::numeric_limits<double>::infinity();
   for (std::size_t k : {1U, 2U, 4U, 8U}) {
-    util::Rng fork = rng.fork("k" + std::to_string(k));
+    std::string label = "k";
+    label += std::to_string(k);  // not "k" + ...: GCC 12's -Wrestrict
+    util::Rng fork = rng.fork(label);
     KMeansModel model = kmeans_init(data, k, fork);
     kmeans_fit(model, data);
     const double inertia = kmeans_inertia(model, data);

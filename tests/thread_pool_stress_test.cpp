@@ -65,7 +65,7 @@ TEST(ThreadPoolStress, FirstExceptionWinsNoDeadlockPoolReusable) {
         // Long tasks interleave with the throwers: spin a little so the
         // exception is in flight while work is still being claimed.
         volatile std::size_t sink = 0;
-        for (std::size_t k = 0; k < 2000; ++k) sink += k;
+        for (std::size_t k = 0; k < 2000; ++k) sink = sink + k;
         (void)sink;
       });
       FAIL() << "parallel_for must rethrow (round " << round << ")";
